@@ -43,7 +43,7 @@ from .estimators import (
     fit,
     huang_qin_cdf,
 )
-from .quadrature import SmoothCumulative, geometric_edges, panel_nodes, uniform_edges
+from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges, panel_nodes
 from .stepfun import EvalGrid
 from .truth import TruthModel
 
@@ -208,7 +208,7 @@ def _oracle_tables(ctx) -> dict:
                 ctx.k_fn(u), dtype=float
             ) ** 2
 
-        edges = uniform_edges(0.0, hi, _TABLE_PANELS)
+        edges = origin_graded_edges(hi, _TABLE_PANELS)
         m_table = SmoothCumulative(kappa, edges)
         p_table = SmoothCumulative(
             lambda u: np.asarray(ctx.rho(u), dtype=float)
@@ -435,15 +435,18 @@ def _refine_breaks(breaks: np.ndarray, rel: float = 0.4) -> np.ndarray:
     panel [p, q] with q - p large compared to p defeats fixed-order
     quadrature; geometric subdivision restores spectral accuracy.
     """
-    extra = []
-    for p, q in zip(breaks[:-1], breaks[1:]):
-        if p <= 0 or q <= p * (1.0 + rel):
-            continue
-        steps = int(np.ceil(np.log(q / p) / np.log1p(rel)))
-        extra.append(p * (q / p) ** (np.arange(1, steps) / steps))
-    if not extra:
+    p, q = breaks[:-1], breaks[1:]
+    wide = (p > 0) & (q > p * (1.0 + rel))
+    if not wide.any():
         return breaks
-    return np.unique(np.concatenate([breaks, *extra]))
+    p, ratio = p[wide], q[wide] / p[wide]
+    steps = np.ceil(np.log(ratio) / np.log1p(rel)).astype(np.int64)
+    # interior split k / steps for k = 1 .. steps - 1 of each wide panel
+    inner = steps - 1
+    first = np.repeat(np.cumsum(inner) - inner, inner)
+    k = np.arange(first.size) - first + 1
+    extra = np.repeat(p, inner) * np.repeat(ratio, inner) ** (k / np.repeat(steps, inner))
+    return np.unique(np.concatenate([breaks, extra]))
 
 
 def influence_means(

@@ -1,9 +1,12 @@
-"""Panel Gauss-Legendre quadrature with exact cumulative queries.
+"""Panel Gauss-Legendre quadrature with table-lookup cumulative queries.
 
 Integrands here are smooth between a known set of breakpoints, so composite
 fixed-order Gauss-Legendre on panels is effectively exact.  The cumulative
-helper stores panel sums at the edges and answers arbitrary interior queries
-with one partial panel, avoiding interpolation error entirely.
+helper evaluates the density once, at the nodes of every panel, when it is
+built.  It stores the panel sums at the edges and, per panel, the Legendre
+coefficients of the antiderivative of the polynomial that interpolates the
+density at those nodes; an interior query is then a lookup plus one
+polynomial evaluation, with no further density call.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ __all__ = [
     "panel_nodes",
     "panel_integrals",
     "SmoothCumulative",
-    "uniform_edges",
+    "origin_graded_edges",
     "geometric_edges",
 ]
+
+# halvings of the first uniform panel in ``origin_graded_edges``
+_ORIGIN_HALVINGS = 20
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -40,15 +46,28 @@ def panel_nodes(edges: np.ndarray, nodes: int = 15) -> tuple[np.ndarray, np.ndar
     return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
 
 
+def _node_values(density, edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel weights and ``density`` at the panel nodes, both ``(n_panels, nodes)``."""
+    x, w = panel_nodes(edges, nodes)
+    return w, np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
+
+
 def panel_integrals(density, edges: np.ndarray, nodes: int = 15) -> np.ndarray:
     """Integral of ``density`` over each panel of ``edges``."""
-    x, w = panel_nodes(edges, nodes)
-    vals = np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
+    w, vals = _node_values(density, edges, nodes)
     return (w * vals).sum(axis=1)
 
 
-def uniform_edges(lo: float, hi: float, panels: int) -> np.ndarray:
-    return np.linspace(lo, hi, panels + 1)
+def origin_graded_edges(hi: float, panels: int) -> np.ndarray:
+    """``panels`` uniform panels on [0, hi], the first one halved toward 0.
+
+    The first uniform panel is split geometrically a fixed number of times,
+    so an integrand that behaves like a fractional power of u at the origin
+    is interpolated on a panel of width ``hi / panels / 2**20`` only.
+    """
+    uniform = np.linspace(0.0, hi, panels + 1)
+    graded = uniform[1] * 0.5 ** np.arange(_ORIGIN_HALVINGS, 0, -1)
+    return np.concatenate(([0.0], graded, uniform[1:]))
 
 
 def geometric_edges(lo: float, hi: float, ratio: float = 1.15) -> np.ndarray:
@@ -59,22 +78,45 @@ def geometric_edges(lo: float, hi: float, ratio: float = 1.15) -> np.ndarray:
     return lo * (hi / lo) ** (np.arange(count + 1) / count)
 
 
+def _antiderivative_matrix(nodes: int) -> np.ndarray:
+    """Map density values at the Gauss-Legendre nodes of [-1, 1] to the
+    Legendre coefficients of the interpolant's antiderivative from -1.
+
+    Returns shape ``(nodes, nodes + 1)``.  The discrete Legendre transform is
+    exact for the degree ``nodes - 1`` interpolant, and the antiderivative at
+    +1 equals the Gauss-Legendre sum of the node values.
+    """
+    x, w = _gl(nodes)
+    degree = np.arange(nodes)
+    basis = np.polynomial.legendre.legvander(x, nodes - 1)  # (node, degree)
+    transform = (degree + 0.5)[:, None] * basis.T * w[None, :]  # (degree, node)
+    return np.polynomial.legendre.legint(transform, lbnd=-1.0, axis=0).T
+
+
 class SmoothCumulative:
     """Cumulative integral of a smooth density from ``edges[0]``.
 
     ``query(s)`` returns the integral from the first edge to ``s`` for any
-    ``s`` inside the domain, computed as a stored prefix plus one partial
-    Gauss-Legendre panel.
+    ``s`` inside the domain: the stored panel prefix plus the integral of the
+    density's node interpolant over the partial panel.  On a panel edge this
+    is the stored prefix exactly; inside a panel its error is the degree-14
+    interpolation error of the density, so ``edges`` should put any point
+    where the density is not smooth on an edge.
     """
 
     def __init__(self, density, edges, nodes: int = 15):
-        self.density = density
         self.edges = np.asarray(edges, dtype=float)
         if self.edges.size < 2 or not np.all(np.diff(self.edges) > 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
         self.nodes = nodes
-        sums = panel_integrals(density, self.edges, nodes)
-        self.cum = np.concatenate(([0.0], np.cumsum(sums)))
+        w, vals = _node_values(density, self.edges, nodes)
+        self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
+        half = 0.5 * np.diff(self.edges)
+        # (coefficient, panel): each query gathers one row per coefficient
+        self._coef = np.ascontiguousarray(
+            ((half[:, None] * vals) @ _antiderivative_matrix(nodes)).T
+        )
+        self._inv_half = 1.0 / half
 
     @property
     def lo(self) -> float:
@@ -94,19 +136,19 @@ class SmoothCumulative:
                 f"[{sq.min()}, {sq.max()}]"
             )
         sq = np.clip(sq, self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.edges, sq, side="right") - 1, 0, self.edges.size - 2)
-        lo = self.edges[idx]
-        half = 0.5 * (sq - lo)
-        # a query on a panel edge contributes nothing; keep the density away
-        # from edge points where it may be an indeterminate form
-        degenerate = half <= 0.0
-        mid = np.where(degenerate, 0.5 * (self.lo + self.hi), 0.5 * (lo + sq))
-        half = np.where(degenerate, 0.0, half)
-        x, w = _gl(self.nodes)
-        pts = mid[:, None] + half[:, None] * x[None, :]
-        vals = np.asarray(self.density(pts.ravel()), dtype=float).reshape(pts.shape)
-        partial = (half[:, None] * w[None, :] * vals).sum(axis=1)
-        out = self.cum[idx] + partial
+        idx = np.searchsorted(self.edges, sq, side="right") - 1
+        panel = np.minimum(idx, self.edges.size - 2)
+        xi = (sq - self.edges[panel]) * self._inv_half[panel] - 1.0
+        # Clenshaw recurrence for the Legendre series of the partial integral,
+        # from P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1)
+        coef = self._coef
+        order = coef.shape[0] - 1
+        b1 = coef[order][panel]
+        b0 = coef[order - 1][panel] + (2 * order - 1) / order * xi * b1
+        for k in range(order - 2, -1, -1):
+            b2, b1 = b1, b0
+            b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
+        out = self.cum[idx] + np.where(sq == self.edges[idx], 0.0, b0)
         return float(out[0]) if scalar else out
 
     def __call__(self, s):

@@ -27,7 +27,7 @@ from scipy import integrate, optimize, special
 
 from .errors import ConfigError
 from .stepfun import EvalGrid
-from .quadrature import SmoothCumulative, uniform_edges
+from .quadrature import SmoothCumulative, origin_graded_edges
 
 __all__ = ["TruthModel", "ExponentialModel", "WeibullModel", "make_model"]
 
@@ -335,7 +335,7 @@ class WeibullModel(TruthModel):
         span = float(self.lb_quantile(1.0 - 1e-12)) * 1.5
         key = self.key() + (span,)
         if key not in _WEIBULL_TABLES:
-            edges = uniform_edges(0.0, span, 4000)
+            edges = origin_graded_edges(span, 4000)
             _WEIBULL_TABLES[key] = {
                 "event_subdist": SmoothCumulative(self.event_subdist_density, edges),
                 "residual_event": SmoothCumulative(

@@ -9,6 +9,8 @@ are exact.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def n_bar_at(d, t):
     return sum(1 for i in range(d.n) if d.delta[i] == 1 and d.y[i] <= t) / d.n
@@ -194,3 +196,16 @@ def pooled_kaplan_meier_at(points, x):
         at_risk = sum(1 for p in points if p >= u)
         prod *= 1.0 - deaths / at_risk
     return prod
+
+
+def refine_breaks_loop(breaks, rel=0.4):
+    """Panel-by-panel geometric refinement, the reference for ``_refine_breaks``."""
+    extra = []
+    for p, q in zip(breaks[:-1], breaks[1:]):
+        if p <= 0 or q <= p * (1.0 + rel):
+            continue
+        steps = int(np.ceil(np.log(q / p) / np.log1p(rel)))
+        extra.append(p * (q / p) ** (np.arange(1, steps) / steps))
+    if not extra:
+        return breaks
+    return np.unique(np.concatenate([breaks, *extra]))

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
+
 from lbrc.data import Dataset, LbrcObservation
 from lbrc.errors import ComputeError, WindowError
 from lbrc.estimators import fit
 from lbrc.influence import (
+    _refine_breaks,
     assumption3_diagnostic,
     hazard_influence_direct,
     hazard_influence_riskpart,
@@ -377,3 +380,26 @@ class TestErrorPaths:
     def test_time_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             subject_influence(CTX, [0.5], [1.0], [1], [GRID.b + 1.0])
+
+
+class TestRefineBreaks:
+    """The vectorized refinement reproduces the panel loop bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        pieces = [
+            [0.0],
+            rng.exponential(1.0, 40),
+            np.round(rng.uniform(0.0, 3.0, 30), 1),  # ties
+            np.exp(rng.uniform(-40.0, 5.0, 10)),  # very wide panels near 0
+        ]
+        breaks = np.sort(np.concatenate(pieces))
+        got = _refine_breaks(breaks)
+        assert np.array_equal(got, oracles.refine_breaks_loop(breaks))
+        assert got.size > np.unique(breaks).size
+
+    def test_no_wide_panel_returns_input(self):
+        breaks = np.array([0.0, 1.0, 1.2, 1.3])
+        assert _refine_breaks(breaks) is breaks
+        assert oracles.refine_breaks_loop(breaks) is breaks

@@ -1,0 +1,109 @@
+"""Cumulative tables against adaptive quadrature, plus the query contract."""
+
+import warnings
+
+import numpy as np
+import pytest
+from scipy import integrate
+
+from lbrc.influence import _anchored_tables, _oracle_tables, make_oracle_context
+from lbrc.quadrature import SmoothCumulative, origin_graded_edges
+from lbrc.truth import ExponentialModel, WeibullModel
+
+SCENARIOS = {
+    "exponential": ExponentialModel(censor_rate=0.5, rate=1.0),
+    "weibull-1.5": WeibullModel(censor_rate=0.5, shape=1.5),
+}
+TOL = 1e-12
+ANCHOR = 1e-3
+
+
+def _quad(f, lo, hi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(
+            lambda u: float(f(u)), lo, hi, epsabs=1e-15, epsrel=1e-14, limit=500
+        )[0]
+
+
+def _points(hi, panels):
+    """Points in the first uniform panel, on edges, inside, and at ``hi``."""
+    h = hi / panels
+    return np.array([h * 1e-7, h * 3e-3, h * 0.3, h * 0.77, h, 7 * h, 0.1234567, 0.5 * hi, hi])
+
+
+@pytest.fixture(scope="module", params=list(SCENARIOS))
+def oracle(request):
+    model = SCENARIOS[request.param]
+    ctx = make_oracle_context(model, model.default_grid())
+    return ctx, _oracle_tables(ctx), _anchored_tables(ctx, ANCHOR)
+
+
+class TestOracleTables:
+    def test_m_and_p(self, oracle):
+        ctx, tables, _ = oracle
+        pts = _points(ctx.upper, 1600)
+        densities = {
+            "m": tables["kappa"],
+            "p": lambda u: ctx.rho(u) * ctx.entry_cdf_fn(u),
+        }
+        for name, density in densities.items():
+            want = [_quad(density, 0.0, s) for s in pts]
+            assert np.abs(tables[name].query(pts) - want).max() < TOL, name
+
+    def test_w(self, oracle):
+        ctx, tables, _ = oracle
+        pts = _points(ctx.upper, 1600)[[1, 3, 5, 6, 8]]
+
+        def density(u):
+            return ctx.rho(u) * ctx.s_a_fn(u) * _quad(tables["kappa"], 0.0, u)
+
+        want = [_quad(density, 0.0, s) for s in pts]
+        assert np.abs(tables["w"].query(pts) - want).max() < TOL
+
+    def test_anchored_g_and_v(self, oracle):
+        ctx, _, anchored = oracle
+        pts = np.array([ANCHOR, 1.0007 * ANCHOR, 2 * ANCHOR, 0.3, ctx.upper])
+        densities = {"g": ctx.rho, "v": lambda u: ctx.rho(u) * ctx.s_a_fn(u)}
+        for name, density in densities.items():
+            want = [_quad(density, ANCHOR, s) for s in pts]
+            assert np.abs(anchored[name].query(pts) - want).max() < TOL, name
+
+
+def test_weibull_truth_tables():
+    model = SCENARIOS["weibull-1.5"]
+    tables = model._tables()
+    densities = {
+        "event_subdist": model.event_subdist_density,
+        "residual_event": lambda u: model.survival(u) * model.censor_survival(u) / model.mu,
+        "exit_cdf": model.exit_density,
+    }
+    for name, density in densities.items():
+        pts = _points(tables[name].hi, 4000)
+        want = [_quad(density, 0.0, s) for s in pts]
+        assert np.abs(tables[name].query(pts) - want).max() < TOL, name
+
+
+class TestQueryContract:
+    table = SmoothCumulative(lambda u: np.sqrt(u) * np.exp(-u), origin_graded_edges(3.0, 40))
+
+    def test_edge_query_returns_stored_prefix(self):
+        got = self.table.query(self.table.edges)
+        assert np.array_equal(got, self.table.cum)
+        assert self.table.query(self.table.hi) == self.table.cum[-1]
+
+    def test_graded_edges(self):
+        edges = origin_graded_edges(3.0, 40)
+        assert edges.size == 40 + 20 + 1
+        assert edges[0] == 0.0 and edges[1] == 3.0 / 40 / 2**20
+        assert np.array_equal(edges[21:], np.linspace(0.0, 3.0, 41)[1:])
+
+    @pytest.mark.parametrize("s", [-1e-9, 3.0 + 1e-9, [0.5, 3.1]])
+    def test_out_of_domain_raises(self, s):
+        with pytest.raises(ValueError):
+            self.table.query(s)
+
+    def test_scalar_query_returns_float(self):
+        assert type(self.table.query(1.3)) is float
+        assert type(self.table.query(np.float64(0.0))) is float
+        assert self.table.query([1.3]).shape == (1,)
