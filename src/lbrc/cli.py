@@ -195,7 +195,7 @@ def _cmd_influence(args) -> int:
 
     ctx = make_plugin_context(d, grid)
     cdf_vals = ctx.cdf.at(grid.points)
-    var = plugin_variance(d, grid)
+    var = plugin_variance(ctx)
     se = np.sqrt(var)
     z = float(special.ndtri(0.5 + args.level / 2.0))
     lo = np.clip(cdf_vals - z * se, 0.0, 1.0)

@@ -43,9 +43,9 @@ class LbrcObservation:
 class Dataset:
     """Immutable column-wise sample of LBRC observations.
 
-    Entry delays of exactly zero are accepted so that the no-truncation
-    reductions (plain right-censored data) can be represented; the CSV
-    ingestion layer is stricter and rejects them.
+    Entry delays of exactly zero are accepted, here and in CSV ingestion, so
+    that the no-truncation reductions (plain right-censored data) can be
+    represented.
     """
 
     __slots__ = ("a", "v", "delta", "y", "n")

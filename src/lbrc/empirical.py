@@ -17,6 +17,7 @@ is the left limit of the strictly-greater count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,30 +57,60 @@ def _geq_count_step(points: np.ndarray, n: int) -> StepFunction:
 class EmpiricalProcesses:
     """All raw counting processes of one dataset, plus integer count tables.
 
-    The step-function fields are the user-facing curves; the integer arrays
-    (`pooled_times`, `pooled_jumps`, `pooled_at_risk_counts`, `event_times`,
-    `event_counts`) carry exact counts for product-limit factors.
+    The integer arrays (`pooled_times`, `pooled_jumps`,
+    `pooled_at_risk_counts`, `event_times`, `event_counts`) carry exact counts
+    for product-limit factors and are built with the object.  The step-function
+    fields are the user-facing curves; each is built from `dataset` the first
+    time it is read and kept from then on.
     """
 
-    n: int
-    event_cdf: StepFunction
-    at_risk: StepFunction
-    exit_survival: StepFunction
-    entry_cdf: StepFunction
-    residual_event_cdf: StepFunction
-    pooled_cdf: StepFunction
-    entry_at_risk: StepFunction
-    residual_at_risk: StepFunction
-    pooled_at_risk: StepFunction
+    dataset: Dataset
     pooled_times: np.ndarray
     pooled_jumps: np.ndarray
     pooled_at_risk_counts: np.ndarray
     event_times: np.ndarray
     event_counts: np.ndarray
 
-    def pooled_at_risk_at(self, t):
-        """Pooled at-risk count fraction with ">= t" semantics."""
-        return self.pooled_at_risk.at(t)
+    @property
+    def n(self) -> int:
+        return self.dataset.n
+
+    @cached_property
+    def event_cdf(self) -> StepFunction:
+        return event_cdf(self.dataset)
+
+    @cached_property
+    def at_risk(self) -> StepFunction:
+        return classic_at_risk(self.dataset)
+
+    @cached_property
+    def exit_survival(self) -> StepFunction:
+        return exit_survival(self.dataset)
+
+    @cached_property
+    def entry_cdf(self) -> StepFunction:
+        return _cdf_step(self.dataset.a, self.n)
+
+    @cached_property
+    def residual_event_cdf(self) -> StepFunction:
+        d = self.dataset
+        return _cdf_step(d.v[d.delta == 1], self.n)
+
+    @cached_property
+    def pooled_cdf(self) -> StepFunction:
+        return self.entry_cdf.combine(self.residual_event_cdf, np.add)
+
+    @cached_property
+    def entry_at_risk(self) -> StepFunction:
+        return _geq_count_step(self.dataset.a, self.n)
+
+    @cached_property
+    def residual_at_risk(self) -> StepFunction:
+        return _geq_count_step(self.dataset.v, self.n)
+
+    @cached_property
+    def pooled_at_risk(self) -> StepFunction:
+        return self.entry_at_risk.combine(self.residual_at_risk, np.add)
 
 
 def event_cdf(d: Dataset) -> StepFunction:
@@ -102,15 +133,17 @@ def classic_at_risk(d: Dataset) -> StepFunction:
 
 
 def build_empirical(d: Dataset) -> EmpiricalProcesses:
-    """Construct every empirical process of the sample in one pass."""
+    """Count the pooled and event tables of the sample in one pass.
+
+    The step-function curves of the result are built when first read.
+    """
     n = d.n
     a_sorted = np.sort(d.a)
     v_sorted = np.sort(d.v)
-    uncensored_v = d.v[d.delta == 1]
 
     # pooled sample: entry delays always contribute mass; residual times
     # contribute mass only when uncensored, but enter the risk count always
-    pooled_mass_pts = np.concatenate([d.a, uncensored_v])
+    pooled_mass_pts = np.concatenate([d.a, d.v[d.delta == 1]])
     pooled_times = np.unique(np.concatenate([d.a, d.v]))
     mass_sorted = np.sort(pooled_mass_pts)
     below_mass = np.searchsorted(mass_sorted, pooled_times, side="left")
@@ -119,33 +152,18 @@ def build_empirical(d: Dataset) -> EmpiricalProcesses:
     geq_a = n - np.searchsorted(a_sorted, pooled_times, side="left")
     geq_v = n - np.searchsorted(v_sorted, pooled_times, side="left")
     pooled_at_risk_counts = geq_a + geq_v
-
-    mass_times = pooled_times[pooled_jumps > 0]
+    is_mass = pooled_jumps > 0
 
     y_events = d.y[d.delta == 1]
     event_times, event_counts = (
         np.unique(y_events, return_counts=True) if y_events.size else (np.empty(0), np.empty(0, dtype=int))
     )
 
-    entry = _cdf_step(d.a, n)
-    residual_event = _cdf_step(uncensored_v, n)
-    entry_risk = _geq_count_step(d.a, n)
-    residual_risk = _geq_count_step(d.v, n)
-
     return EmpiricalProcesses(
-        n=n,
-        event_cdf=event_cdf(d),
-        at_risk=classic_at_risk(d),
-        exit_survival=exit_survival(d),
-        entry_cdf=entry,
-        residual_event_cdf=residual_event,
-        pooled_cdf=entry.combine(residual_event, np.add),
-        entry_at_risk=entry_risk,
-        residual_at_risk=residual_risk,
-        pooled_at_risk=entry_risk.combine(residual_risk, np.add),
-        pooled_times=mass_times,
-        pooled_jumps=pooled_jumps[pooled_jumps > 0],
-        pooled_at_risk_counts=pooled_at_risk_counts[pooled_jumps > 0],
+        dataset=d,
+        pooled_times=pooled_times[is_mass],
+        pooled_jumps=pooled_jumps[is_mass],
+        pooled_at_risk_counts=pooled_at_risk_counts[is_mass],
         event_times=event_times,
         event_counts=event_counts,
     )

@@ -16,6 +16,7 @@ survival outputs stay monotone distribution functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -189,30 +190,51 @@ def huang_qin_cdf(
 
 @dataclass(frozen=True)
 class FittedCurves:
-    """Every fitted curve for one dataset."""
+    """Every fitted curve for one dataset.
 
-    entry_survival: StepFunction
-    combined_risk: StepFunction
-    classic_cumhaz: StepFunction
-    combined_cumhaz: StepFunction
-    tjw_cdf: StepFunction
-    cdf: StepFunction
-    cdf_safeguarded: StepFunction
-    entry_cumhaz: StepFunction
+    Each curve is built from `empirical` the first time it is read and kept
+    from then on, so a caller pays only for the curves it reads.
+    """
+
+    empirical: EmpiricalProcesses
+
+    @cached_property
+    def entry_survival(self) -> StepFunction:
+        return estimate_entry_survival(self.empirical)
+
+    @cached_property
+    def combined_risk(self) -> StepFunction:
+        return estimate_combined_risk(self.empirical.dataset, self.entry_survival)
+
+    @cached_property
+    def classic_cumhaz(self) -> StepFunction:
+        return classic_cumulative_hazard(self.empirical)
+
+    @cached_property
+    def combined_cumhaz(self) -> StepFunction:
+        return combined_cumulative_hazard(self.empirical, self.combined_risk)
+
+    @cached_property
+    def tjw_cdf(self) -> StepFunction:
+        return tjw_product_limit(self.empirical.dataset)
+
+    @cached_property
+    def cdf(self) -> StepFunction:
+        return huang_qin_cdf(self.empirical, self.combined_risk)
+
+    @cached_property
+    def cdf_safeguarded(self) -> StepFunction:
+        return safeguarded_cdf(self.empirical.dataset, self.combined_risk)
+
+    @cached_property
+    def entry_cumhaz(self) -> StepFunction:
+        return pooled_entry_cumhaz(self.empirical)
 
 
 def fit(d: Dataset) -> FittedCurves:
-    """Fit the full estimator family on one dataset."""
-    emp = build_empirical(d)
-    entry_surv = estimate_entry_survival(emp)
-    risk = estimate_combined_risk(d, entry_surv)
-    return FittedCurves(
-        entry_survival=entry_surv,
-        combined_risk=risk,
-        classic_cumhaz=classic_cumulative_hazard(emp),
-        combined_cumhaz=combined_cumulative_hazard(emp, risk),
-        tjw_cdf=tjw_product_limit(d),
-        cdf=huang_qin_cdf(emp, risk),
-        cdf_safeguarded=safeguarded_cdf(d, risk),
-        entry_cumhaz=pooled_entry_cumhaz(emp),
-    )
+    """Fit the full estimator family on one dataset.
+
+    Only the pooled and event count tables are computed here; each curve is
+    built when first read.
+    """
+    return FittedCurves(build_empirical(d))

@@ -94,10 +94,10 @@ _TABLE_PANELS = 1600
 class InfluenceContext:
     """Population (oracle) or data-derived (plugin) evaluation context.
 
-    Oracle contexts carry callables for the risk function, entry survival,
-    pooled at-risk function, pooled cumulative and event subdistribution,
-    plus their densities.  Plugin contexts carry the fitted counterparts and
-    exact jump tables.  The evaluation window is the grid's [lower, b] span.
+    Oracle contexts carry callables for the risk function, entry survival and
+    pooled at-risk function, plus the densities of the pooled cumulative and
+    the event subdistribution.  Plugin contexts carry the fitted counterparts
+    and exact jump tables.  The evaluation window is the grid's [lower, b] span.
     """
 
     def __init__(self, mode: str, grid: EvalGrid):
@@ -108,8 +108,6 @@ class InfluenceContext:
         self.r_fn = None
         self.s_a_fn = None
         self.k_fn = None
-        self.q_fn = None
-        self.f_u = None
         self.cdf_fn = None
         self.model: TruthModel | None = None
         self._cache: dict = {}
@@ -121,8 +119,6 @@ def make_oracle_context(model: TruthModel, grid: EvalGrid) -> InfluenceContext:
     ctx.r_fn = model.risk
     ctx.s_a_fn = model.entry_survival
     ctx.k_fn = model.pooled_at_risk
-    ctx.q_fn = model.pooled_cdf
-    ctx.f_u = model.event_subdist
     ctx.cdf_fn = model.cdf
     ctx.fu_density = model.event_subdist_density
     ctx.q_density = model.pooled_density
@@ -138,8 +134,6 @@ def make_function_context(
     k_fn,
     q_density,
     fu_density,
-    q_fn=None,
-    f_u=None,
     cdf_fn=None,
 ) -> InfluenceContext:
     """Oracle-style context from raw population callables (mainly for tests)."""
@@ -147,8 +141,6 @@ def make_function_context(
     ctx.r_fn = r_fn
     ctx.s_a_fn = s_a_fn
     ctx.k_fn = k_fn
-    ctx.q_fn = q_fn
-    ctx.f_u = f_u
     ctx.cdf_fn = cdf_fn
     ctx.fu_density = fu_density
     ctx.q_density = q_density
@@ -176,8 +168,6 @@ def make_plugin_context(d: Dataset, grid: EvalGrid) -> InfluenceContext:
     ctx.r_fn = risk.at
     ctx.s_a_fn = entry_surv.at
     ctx.k_fn = emp.pooled_at_risk.at
-    ctx.q_fn = emp.pooled_cdf.at
-    ctx.f_u = emp.event_cdf.at
     ctx.cdf_fn = ctx.cdf.at
 
     # exact jump tables over distinct event times
@@ -727,7 +717,7 @@ def lil_quantities(ctx: InfluenceContext, grid: EvalGrid) -> LilCurves:
     return LilCurves(d=d_vals, v=np.sqrt(surv * d_vals), v_alt=surv * np.sqrt(d_vals))
 
 
-def plugin_variance(d: Dataset, grid: EvalGrid) -> np.ndarray:
+def plugin_variance(ctx: InfluenceContext) -> np.ndarray:
     """Pointwise variance of the fitted CDF via plugin influence values.
 
     The summand of each subject is the exact derivative of the reported
@@ -739,8 +729,13 @@ def plugin_variance(d: Dataset, grid: EvalGrid) -> np.ndarray:
     a continuous hazard both weights would be 1 and the summand would be
     ``(1 - F) * psi``.  A clamped factor (``dL(u) >= 1``) gets weight 0: it
     makes ``F`` identically 1 from ``u`` on, where the variance is 0.
+
+    ``ctx`` is a plugin context; its dataset and grid fix the sample and the
+    evaluation points.
     """
-    ctx = make_plugin_context(d, grid)
+    if ctx.mode != "plugin":
+        raise ValueError("plugin_variance requires a plugin context")
+    d, grid = ctx.dataset, ctx.grid
     factor = 1.0 - ctx.event_dn / ctx.event_risk
     open_factor = factor > 0
     gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)

@@ -75,10 +75,6 @@ class TruthModel:
         """P(exit time >= entry delay): structurally one in this design."""
         return 1.0
 
-    @property
-    def b_h(self) -> float:
-        return math.inf
-
     def cdf(self, t):
         return 1.0 - self.survival(t)
 

@@ -187,7 +187,7 @@ def test_criterion_08_coverage():
         d = sample_lbrc(MODEL, 1000, np.random.SeedSequence(SEED, spawn_key=(0, r)))
         ctx = make_plugin_context(d, grid)
         f_hat = ctx.cdf.at(t_med)
-        se = float(np.sqrt(plugin_variance(d, grid))[0])
+        se = float(np.sqrt(plugin_variance(make_plugin_context(d, grid)))[0])
         if abs(f_hat - 0.5) <= z * se:
             cover += 1
     rate = cover / 1000

@@ -256,7 +256,7 @@ class TestInfluenceCommand:
 
     def test_ci_width_shrinks_with_n(self):
         # interval width drops by about 1/sqrt(2) when the sample doubles
-        from lbrc.influence import plugin_variance
+        from lbrc.influence import make_plugin_context, plugin_variance
         from lbrc.stepfun import EvalGrid
 
         model = ExponentialModel(censor_rate=0.5, rate=1.0)
@@ -264,9 +264,9 @@ class TestInfluenceCommand:
         widths = []
         for si, n in enumerate((1000, 2000)):
             per = [
-                np.sqrt(plugin_variance(
+                np.sqrt(plugin_variance(make_plugin_context(
                     sample_lbrc(model, n, np.random.SeedSequence(6, spawn_key=(si, r))), grid
-                ))[0]
+                )))[0]
                 for r in range(40)
             ]
             widths.append(np.median(per))

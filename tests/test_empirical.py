@@ -1,9 +1,19 @@
+from dataclasses import FrozenInstanceError
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import oracles
 from lbrc.data import Dataset
-from lbrc.empirical import build_empirical, classic_at_risk, event_cdf
+from lbrc.empirical import (
+    _cdf_step,
+    _geq_count_step,
+    build_empirical,
+    classic_at_risk,
+    event_cdf,
+    exit_survival,
+)
 
 
 def random_dataset(rng, n, tie_prob=0.3, censor_prob=0.3, allow_zero_v=True):
@@ -17,6 +27,24 @@ def random_dataset(rng, n, tie_prob=0.3, censor_prob=0.3, allow_zero_v=True):
         v = rng.uniform(0.0, 2.0, n)
     delta = (rng.random(n) > censor_prob).astype(int)
     return Dataset(a, v, delta)
+
+
+def special_datasets():
+    """One subject, all times tied, and no observed event."""
+    return [
+        Dataset([1.0], [2.0], [1]),
+        Dataset([1.0], [2.0], [0]),
+        Dataset([1.0] * 6, [0.5] * 6, [1] * 6),
+        Dataset([0.5, 1.0, 1.0, 2.0], [1.0, 0.5, 0.0, 1.0], [0, 0, 0, 0]),
+    ]
+
+
+def assert_same_step(got, want, label):
+    """Bit-for-bit equality of two step functions."""
+    assert np.array_equal(got.jump_times, want.jump_times), label
+    assert np.array_equal(got.values, want.values), label
+    assert np.array_equal(got.initial_value, want.initial_value), label
+    assert np.array_equal(got.at_values, want.at_values), label
 
 
 def probe_points(d):
@@ -133,3 +161,45 @@ def test_totals():
     tiny = 1e-12
     if d.a.min() > 0 and d.v.min() > 0:
         assert e.pooled_at_risk.at(tiny) == pytest.approx(2.0)
+
+
+def direct_curves(d):
+    """Every step-function field of ``build_empirical(d)``, built directly."""
+    entry = _cdf_step(d.a, d.n)
+    residual_event = _cdf_step(d.v[d.delta == 1], d.n)
+    entry_risk = _geq_count_step(d.a, d.n)
+    residual_risk = _geq_count_step(d.v, d.n)
+    return {
+        "event_cdf": event_cdf(d),
+        "at_risk": classic_at_risk(d),
+        "exit_survival": exit_survival(d),
+        "entry_cdf": entry,
+        "residual_event_cdf": residual_event,
+        "pooled_cdf": entry.combine(residual_event, np.add),
+        "entry_at_risk": entry_risk,
+        "residual_at_risk": residual_risk,
+        "pooled_at_risk": entry_risk.combine(residual_risk, np.add),
+    }
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_curves_equal_direct_construction(case):
+    rng = np.random.default_rng(300 + case)
+    samples = special_datasets() if case == 0 else [random_dataset(rng, int(rng.integers(1, 60)))]
+    for d in samples:
+        e = build_empirical(d)
+        curves = direct_curves(d)
+        assert set(curves) == {
+            name for name, attr in vars(type(e)).items() if isinstance(attr, cached_property)
+        }
+        for name, want in curves.items():
+            assert_same_step(getattr(e, name), want, name)
+
+
+def test_curves_are_kept_and_read_only():
+    e = build_empirical(Dataset([1.0, 2.0], [5.0, 6.0], [1, 0]))
+    assert e.pooled_at_risk is e.pooled_at_risk
+    with pytest.raises(FrozenInstanceError):
+        e.pooled_at_risk = e.entry_at_risk
+    with pytest.raises(FrozenInstanceError):
+        e.pooled_times = e.event_times

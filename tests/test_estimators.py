@@ -1,21 +1,28 @@
+from dataclasses import FrozenInstanceError
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import oracles
+from lbrc import empirical, estimators
 from lbrc.data import Dataset
 from lbrc.empirical import build_empirical
 from lbrc.estimators import (
+    FittedCurves,
     classic_cumulative_hazard,
     combined_cumulative_hazard,
     estimate_combined_risk,
     estimate_entry_survival,
     fit,
     huang_qin_cdf,
+    pooled_entry_cumhaz,
     product_limit_from_hazard,
+    safeguarded_cdf,
     tjw_product_limit,
 )
 from lbrc.stepfun import StepFunction
-from test_empirical import probe_points, random_dataset
+from test_empirical import assert_same_step, probe_points, random_dataset, special_datasets
 
 
 class TestHandExamples:
@@ -233,3 +240,72 @@ def test_safeguarded_close_to_plain_cdf():
     pts = np.linspace(0.05, b, 50)
     gap = np.abs(curves.cdf.at(pts) - curves.cdf_safeguarded.at(pts)).max()
     assert gap < 0.05
+
+
+def direct_fit(d):
+    """Every field of ``fit(d)``, each estimator called directly."""
+    emp = build_empirical(d)
+    entry = estimate_entry_survival(emp)
+    risk = estimate_combined_risk(d, entry)
+    return {
+        "entry_survival": entry,
+        "combined_risk": risk,
+        "classic_cumhaz": classic_cumulative_hazard(emp),
+        "combined_cumhaz": combined_cumulative_hazard(emp, risk),
+        "tjw_cdf": tjw_product_limit(d),
+        "cdf": huang_qin_cdf(emp, risk),
+        "cdf_safeguarded": safeguarded_cdf(d, risk),
+        "entry_cumhaz": pooled_entry_cumhaz(emp),
+    }
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_fit_fields_equal_direct_estimators(case):
+    rng = np.random.default_rng(500 + case)
+    samples = special_datasets() if case == 0 else [random_dataset(rng, int(rng.integers(1, 60)))]
+    for d in samples:
+        curves = fit(d)
+        want = direct_fit(d)
+        assert set(want) == {
+            name for name, attr in vars(FittedCurves).items() if isinstance(attr, cached_property)
+        }
+        # read in reverse order, so each curve is first built by a later one
+        for name in reversed(list(want)):
+            assert_same_step(getattr(curves, name), want[name], name)
+
+
+def test_fit_curves_are_kept_and_read_only():
+    curves = fit(Dataset([1.0, 2.0], [5.0, 6.0], [1, 0]))
+    assert curves.cdf is curves.cdf
+    with pytest.raises(FrozenInstanceError):
+        curves.cdf = curves.tjw_cdf
+
+
+def test_rn2_replication_builds_only_what_it_reads(monkeypatch):
+    # one replication of the Rn2 rate ladder reads the CDF and the count
+    # tables, so no other estimator or empirical curve may be built
+    from lbrc.influence import make_oracle_context, residual_cdf
+    from lbrc.simulate import sample_lbrc
+    from lbrc.truth import ExponentialModel
+
+    model = ExponentialModel(censor_rate=0.5, rate=1.0)
+    grid = model.default_grid()
+    d = sample_lbrc(model, 300, seed=5)
+    ctx = make_oracle_context(model, grid)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
+
+        return call
+
+    for module, name in (
+        (estimators, "tjw_product_limit"),
+        (estimators, "safeguarded_cdf"),
+        (estimators, "classic_cumulative_hazard"),
+        (estimators, "pooled_entry_cumhaz"),
+        (empirical, "classic_at_risk"),
+    ):
+        monkeypatch.setattr(module, name, refuse(name))
+    rep = residual_cdf(d, ctx, grid, fit(d))
+    assert np.isfinite(rep.residual_sup)

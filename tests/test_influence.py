@@ -370,7 +370,7 @@ class TestPluginVariance:
     def test_degenerate_dataset_zero_variance(self):
         d = Dataset([1.0] * 6, [0.5] * 6, [1] * 6)
         grid = EvalGrid.of_points([1.5])
-        assert plugin_variance(d, grid)[0] == pytest.approx(0.0, abs=1e-20)
+        assert plugin_variance(make_plugin_context(d, grid))[0] == pytest.approx(0.0, abs=1e-20)
 
     def test_variance_halves_when_n_doubles(self):
         t_med = MODEL.quantile(0.5)
@@ -378,25 +378,29 @@ class TestPluginVariance:
         means = []
         for si, n in enumerate((500, 1000)):
             vals = [
-                plugin_variance(
+                plugin_variance(make_plugin_context(
                     sample_lbrc(MODEL, n, np.random.SeedSequence(3, spawn_key=(si, r))), grid
-                )[0]
+                ))[0]
                 for r in range(60)
             ]
             means.append(np.mean(vals))
         ratio = means[1] / means[0]
         assert 0.4 <= ratio <= 0.6
 
+    def test_refuses_oracle_context(self):
+        with pytest.raises(ValueError):
+            plugin_variance(CTX)
+
     def test_nonnegative_over_grid(self):
         d = sample_lbrc(MODEL, 300, seed=8)
-        assert np.all(plugin_variance(d, GRID) >= 0)
+        assert np.all(plugin_variance(make_plugin_context(d, GRID)) >= 0)
 
     def test_matches_finite_difference_derivative(self):
         # n * plugin_variance is the variance over subjects of the derivative
         # of the reported CDF, so it matches the variance of the replicated
         # finite differences, with an error that shrinks as K grows
         d, times, grid = fd_sample()
-        target = d.n * plugin_variance(d, grid)
+        target = d.n * plugin_variance(make_plugin_context(d, grid))
         errors = []
         for copies in (500, 2000):
             fd_cdf = replicated_derivatives(d, times, copies)[2]
@@ -422,7 +426,7 @@ class TestPluginVariance:
         assert ctx.emp.pooled_jumps[-1] == ctx.emp.pooled_at_risk_counts[-1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            var = plugin_variance(d, grid)
+            var = plugin_variance(make_plugin_context(d, grid))
         assert np.all(np.isfinite(var))
         assert np.all(var >= 0)
         assert var[-1] == 0.0
