@@ -39,7 +39,6 @@ from .influence import (
     hazard_influence_riskpart,
     influence_means,
     lil_quantities,
-    make_function_context,
     make_oracle_context,
     make_plugin_context,
     plugin_variance,
@@ -87,7 +86,6 @@ __all__ = [
     "DIVERGENCE_CAP",
     "InfluenceContext",
     "make_oracle_context",
-    "make_function_context",
     "make_plugin_context",
     "subject_influence",
     "pooled_entry_influence",

@@ -95,7 +95,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_extra_grid(spec: str, upper: float):
+def _grid_count(spec: str, least: int):
+    """Parse a ``--grid`` token: None for 'jumps', else the count of 'n:<count>'."""
     spec = spec.strip()
     if spec == "jumps":
         return None
@@ -104,16 +105,18 @@ def _parse_extra_grid(spec: str, upper: float):
             count = int(spec[2:])
         except ValueError:
             raise ConfigError(f"--grid: not an integer: {spec[2:]!r}") from None
-        if count < 2:
-            raise ConfigError("--grid: need at least 2 points")
-        return np.linspace(0.0, upper, count)
+        if count < least:
+            noun = "point" if least == 1 else "points"
+            raise ConfigError(f"--grid: need at least {least} {noun}")
+        return count
     raise ConfigError(f"--grid: expected 'jumps' or 'n:<count>', got {spec!r}")
 
 
 def _cmd_estimate(args) -> int:
     d = parse_dataset(args.input)
     curves = fit(d)
-    extra = _parse_extra_grid(args.grid, float(d.y.max()))
+    count = _grid_count(args.grid, least=2)
+    extra = None if count is None else np.linspace(0.0, float(d.y.max()), count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = config_hash(
@@ -178,19 +181,8 @@ def _cmd_influence(args) -> int:
     events = np.unique(d.y[d.delta == 1])
     if events.size == 0:
         raise InvalidDataError("no observed events; intervals are undefined")
-    spec = args.grid.strip()
-    if spec == "jumps":
-        pts = events
-    elif spec.startswith("n:"):
-        try:
-            count = int(spec[2:])
-        except ValueError:
-            raise ConfigError(f"--grid: not an integer: {spec[2:]!r}") from None
-        if count < 1:
-            raise ConfigError("--grid: need at least 1 point")
-        pts = np.unique(np.linspace(events.min(), events.max(), count))
-    else:
-        raise ConfigError(f"--grid: expected 'jumps' or 'n:<count>', got {spec!r}")
+    count = _grid_count(args.grid, least=1)
+    pts = events if count is None else np.unique(np.linspace(events.min(), events.max(), count))
     grid = EvalGrid.of_points(pts)
 
     ctx = make_plugin_context(d, grid)

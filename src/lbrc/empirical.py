@@ -138,20 +138,14 @@ def build_empirical(d: Dataset) -> EmpiricalProcesses:
     The step-function curves of the result are built when first read.
     """
     n = d.n
-    a_sorted = np.sort(d.a)
-    v_sorted = np.sort(d.v)
 
     # pooled sample: entry delays always contribute mass; residual times
     # contribute mass only when uncensored, but enter the risk count always
-    pooled_mass_pts = np.concatenate([d.a, d.v[d.delta == 1]])
-    pooled_times = np.unique(np.concatenate([d.a, d.v]))
-    mass_sorted = np.sort(pooled_mass_pts)
-    below_mass = np.searchsorted(mass_sorted, pooled_times, side="left")
-    upto_mass = np.searchsorted(mass_sorted, pooled_times, side="right")
-    pooled_jumps = upto_mass - below_mass
-    geq_a = n - np.searchsorted(a_sorted, pooled_times, side="left")
-    geq_v = n - np.searchsorted(v_sorted, pooled_times, side="left")
-    pooled_at_risk_counts = geq_a + geq_v
+    pooled_times, where = np.unique(np.concatenate([d.a, d.v]), return_inverse=True)
+    below = np.cumsum(np.bincount(where, minlength=pooled_times.size))
+    pooled_at_risk_counts = 2 * n - np.concatenate(([0], below[:-1]))
+    carries_mass = np.concatenate([np.ones(n, dtype=bool), d.delta == 1])
+    pooled_jumps = np.bincount(where[carries_mass], minlength=pooled_times.size)
     is_mass = pooled_jumps > 0
 
     y_events = d.y[d.delta == 1]

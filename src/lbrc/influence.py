@@ -6,8 +6,10 @@ higher-order remainder.  This module evaluates the influence functions in two
 modes:
 
 * oracle mode computes against a known population (a truth model or raw
-  population callables), with Stieltjes integrals done by panel
-  Gauss-Legendre against the population densities;
+  population callables).  Its integrals are cumulative tables of the
+  population densities, built once by panel Gauss-Legendre; per-subject
+  values are table lookups, and the sample means of ``influence_means`` are
+  exact sums of table differences over the panels between data points;
 * plugin mode substitutes the fitted curves for population quantities, so
   every integral is an exact finite sum over data points.  This is the basis
   of the pointwise variance estimate and normal-approximation intervals.
@@ -38,8 +40,9 @@ but instead tabulates
 
 * cumulatives that are finite from 0 (those whose integrand stays bounded),
 * cumulatives of the divergent integrands anchored just below the smallest
-  data point, used only through differences whose lower endpoint is a data
-  point.
+  positive data point, used only through differences whose lower endpoint
+  is a data point, or on panels whose coefficient vanishes below the
+  anchor.
 
 All per-subject evaluation is vectorized over subjects.
 """
@@ -61,7 +64,7 @@ from .estimators import (
     fit,
     huang_qin_cdf,
 )
-from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges, panel_nodes
+from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
 from .stepfun import EvalGrid
 from .truth import TruthModel
 
@@ -69,7 +72,6 @@ __all__ = [
     "DIVERGENCE_CAP",
     "InfluenceContext",
     "make_oracle_context",
-    "make_function_context",
     "make_plugin_context",
     "subject_influence",
     "pooled_entry_influence",
@@ -124,31 +126,6 @@ def make_oracle_context(model: TruthModel, grid: EvalGrid) -> InfluenceContext:
     ctx.q_density = model.pooled_density
     ctx.entry_cdf_fn = model.entry_cdf
     ctx.rho = model.influence_weight
-    return ctx
-
-
-def make_function_context(
-    grid: EvalGrid,
-    r_fn,
-    s_a_fn,
-    k_fn,
-    q_density,
-    fu_density,
-    cdf_fn=None,
-) -> InfluenceContext:
-    """Oracle-style context from raw population callables (mainly for tests)."""
-    ctx = InfluenceContext("oracle", grid)
-    ctx.r_fn = r_fn
-    ctx.s_a_fn = s_a_fn
-    ctx.k_fn = k_fn
-    ctx.cdf_fn = cdf_fn
-    ctx.fu_density = fu_density
-    ctx.q_density = q_density
-    ctx.entry_cdf_fn = lambda u: 1.0 - np.asarray(s_a_fn(u), dtype=float)
-    ctx.rho = (
-        lambda u: np.asarray(fu_density(u), dtype=float)
-        / np.asarray(r_fn(u), dtype=float) ** 2
-    )
     return ctx
 
 
@@ -254,17 +231,29 @@ def _oracle_tables(ctx) -> dict:
     return ctx._cache["tables"]
 
 
-def _anchored_tables(ctx, anchor: float) -> dict:
-    hi = ctx.upper
-    anchor = min(anchor, 0.5 * hi)
-    edges = geometric_edges(anchor, hi, ratio=1.12)
-    g_table = SmoothCumulative(lambda u: np.asarray(ctx.rho(u), dtype=float), edges)
-    v_table = SmoothCumulative(
-        lambda u: np.asarray(ctx.rho(u), dtype=float)
-        * np.asarray(ctx.s_a_fn(u), dtype=float),
-        edges,
-    )
-    return {"g": g_table, "v": v_table, "anchor": anchor}
+def _anchor(ctx, a, v) -> float:
+    """Lower edge of the anchored tables: just below the smallest positive a or v.
+
+    No positive data point lies below it, so every difference of an anchored
+    cumulative that the influence values take has both ends at or above it.
+    """
+    positive = np.concatenate([a, v[v > 0]])
+    return min(0.999 * positive.min(initial=np.inf), 0.5 * ctx.upper)
+
+
+def _anchored_table(ctx, anchor: float, density) -> SmoothCumulative:
+    """Cumulative of a density that diverges at 0, from ``anchor`` to the window end."""
+    return SmoothCumulative(density, geometric_edges(anchor, ctx.upper, ratio=1.12))
+
+
+def _check_oracle_sample(a, v, delta):
+    """Refuse samples whose oracle influence values diverge."""
+    if np.any(a <= 0):
+        raise ComputeError("oracle influence needs positive entry delays")
+    if np.any((v == 0) & (delta == 1)):
+        raise ComputeError(
+            "residual time 0 with an observed event makes the risk correction diverge"
+        )
 
 
 def _masked_query(table: SmoothCumulative, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -304,22 +293,20 @@ def subject_influence(ctx: InfluenceContext, a, v, delta, times, *, event_gain=N
 
 
 def _oracle_subject_influence(ctx, a, v, delta, times):
-    if np.any(a <= 0):
-        raise ComputeError("oracle influence needs positive entry delays")
-    if np.any((v == 0) & (delta == 1)):
-        raise ComputeError(
-            "residual time 0 with an observed event makes the risk correction diverge"
-        )
+    _check_oracle_sample(a, v, delta)
     y = a + v
     hi = ctx.upper
     tables = _oracle_tables(ctx)
     m_t, p_t, w_t = tables["m"], tables["p"], tables["w"]
 
     pos_v = v > 0
-    candidates = np.concatenate([a, v[pos_v]])
-    anchor = 0.999 * candidates.min() if candidates.size else 0.5 * hi
-    anch = _anchored_tables(ctx, anchor)
-    g_t, v_tab = anch["g"], anch["v"]
+    anchor = _anchor(ctx, a, v)
+    g_t = _anchored_table(ctx, anchor, ctx.rho)
+    v_tab = _anchored_table(
+        ctx,
+        anchor,
+        lambda u: np.asarray(ctx.rho(u), dtype=float) * np.asarray(ctx.s_a_fn(u), dtype=float),
+    )
 
     a_in = a <= hi
     v_in = pos_v & (v <= hi)
@@ -356,7 +343,7 @@ def _oracle_subject_influence(ctx, a, v, delta, times):
         m_at_t = m_t.query(t)
         p_at_t = p_t.query(t)
         w_at_t = w_t.query(t)
-        in_anchor = t >= anch["anchor"]
+        in_anchor = t >= anchor
         g_at_t = g_t.query(t) if in_anchor else 0.0
         v_at_t = v_tab.query(t) if in_anchor else 0.0
 
@@ -475,66 +462,63 @@ def hazard_influence_riskpart(obs: LbrcObservation, t: float, ctx: InfluenceCont
 # exact aggregated sample means (oracle mode)
 
 
-def _refine_breaks(breaks: np.ndarray, rel: float = 0.4) -> np.ndarray:
-    """Split panels that are wide relative to their distance from zero.
-
-    The integrands behave like 1/u just above the smallest data points, so a
-    panel [p, q] with q - p large compared to p defeats fixed-order
-    quadrature; geometric subdivision restores spectral accuracy.
-    """
-    p, q = breaks[:-1], breaks[1:]
-    wide = (p > 0) & (q > p * (1.0 + rel))
-    if not wide.any():
-        return breaks
-    p, ratio = p[wide], q[wide] / p[wide]
-    steps = np.ceil(np.log(ratio) / np.log1p(rel)).astype(np.int64)
-    # interior split k / steps for k = 1 .. steps - 1 of each wide panel
-    inner = steps - 1
-    first = np.repeat(np.cumsum(inner) - inner, inner)
-    k = np.arange(first.size) - first + 1
-    extra = np.repeat(p, inner) * np.repeat(ratio, inner) ** (k / np.repeat(steps, inner))
-    return np.unique(np.concatenate([breaks, extra]))
-
-
 def influence_means(
     ctx: InfluenceContext, d: Dataset, times, want: str = "both"
 ) -> dict[str, np.ndarray]:
     """Sample means of the influence functions at each time, in oracle mode.
 
-    Uses the finite-sample algebraic identities that re-express the
-    per-subject sums as Stieltjes integrals of step functions against
-    population measures, so the cost is linear in the sample size.
-    Agreement with the direct per-subject sums is part of the test suite.
+    The per-subject sums are Stieltjes integrals of sample step functions
+    against population measures.  The breaks are 0, the times and the data
+    points up to the largest time.  Every step function is constant between
+    two breaks, so each integral is a sum over the panels of a constant times
+    the difference of an oracle cumulative table across the panel:
+
+    * entry influence: ``k dm`` with ``k`` the pooled at-risk fraction, minus
+      the exact sum of the pooled-sample jumps;
+    * direct hazard influence: ``r_bar dg`` with ``r_bar`` the at-risk
+      fraction and ``g`` the integral of the influence weight ``rho``, minus
+      the exact sum over events;
+    * risk correction: inside a panel the entry-influence mean is
+      ``phi_b + k (m(u) - m_b)``, so the panel integral of
+      ``rho (a_bar - S_A (1 + phi))``, with ``a_bar`` the fraction of entry
+      delays above ``u``, is ``(a_bar - c) dg + c dp - k dw`` with
+      ``c = 1 + phi_b - k m_b``, ``p`` the integral of ``rho (1 - S_A)`` and
+      ``w`` that of ``rho S_A m``.  Its coefficients change only at 0, the
+      times, ``a`` and ``v``, so it is summed over the coarser panels between
+      those breaks.
+
+    ``g`` diverges at 0 and is tabulated from just below the smallest
+    positive ``a`` or ``v``.  Left of that ``r_bar = 0`` and ``a_bar = c = 1``,
+    so those panels carry no ``dg`` term.  The cost is a few table lookups
+    per data point; once the context's tables exist, densities are evaluated
+    only to build the anchored ``g`` table.  Agreement with the direct
+    per-subject sums is part of the test suite.
 
     ``want`` selects components: "phi", "psi", or "both".
     """
     if ctx.mode != "oracle":
         raise ValueError("influence_means requires an oracle context")
+    _check_oracle_sample(d.a, d.v, d.delta)
     times = np.asarray(times, dtype=float).reshape(-1)
     tmax = float(times.max())
     n = d.n
     tables = _oracle_tables(ctx)
-    m_table = tables["m"]
 
-    a_sorted = np.sort(d.a)
-    v_sorted = np.sort(d.v)
-    y_sorted = np.sort(d.y)
-
-    data_pts = np.concatenate([d.a, d.v, d.y])
-    breaks = np.unique(
-        np.concatenate(
-            [[0.0, tmax], times, data_pts[(data_pts > 0) & (data_pts < tmax)]]
-        )
+    # the breaks are the points up to tmax; ``where`` places a, v, y, the
+    # times and 0 among them
+    points, where = np.unique(
+        np.concatenate([d.a, d.v, d.y, times, [0.0]]), return_inverse=True
     )
-    breaks = _refine_breaks(breaks)
-    t_idx = np.searchsorted(breaks, times)
-
-    gt_a = n - np.searchsorted(a_sorted, breaks[:-1], side="right")
-    gt_v = n - np.searchsorted(v_sorted, breaks[:-1], side="right")
-    le_a = np.searchsorted(a_sorted, breaks[:-1], side="right")
-    le_y = np.searchsorted(y_sorted, breaks[:-1], side="right")
-    bar_a = gt_a / n
-    k_panel = (gt_a + gt_v) / n
+    t_idx = where[3 * n : -1]
+    breaks = points[: t_idx.max() + 1]
+    left = breaks[:-1]
+    # #{a <= b}, #{v <= b} and #{y <= b} at the left break b of each panel
+    le_a, le_v, le_y = (
+        np.cumsum(np.bincount(where[k * n : (k + 1) * n], minlength=points.size))[: left.size]
+        for k in range(3)
+    )
+    bar_a = (n - le_a) / n
+    k_panel = (2 * n - le_a - le_v) / n
     r_bar_panel = (le_a - le_y) / n
 
     emp = build_empirical(d)
@@ -550,7 +534,7 @@ def influence_means(
         jump_terms = np.where(k_pop_pool > 0, dq_pool / np.where(k_pop_pool > 0, k_pop_pool, 1.0), 0.0)
     jump_prefix = np.concatenate(([0.0], np.cumsum(jump_terms)))
 
-    m_at_breaks = m_table.query(breaks)
+    m_at_breaks = tables["m"].query(breaks)
     phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
     phi_at_breaks = phi_smooth_prefix - jump_prefix[
         np.searchsorted(s_pool, breaks, side="right")
@@ -560,33 +544,37 @@ def influence_means(
     if want == "phi":
         return out
 
+    # g is tabulated from the anchor on; the panels left of it carry no dg
+    anchor = _anchor(ctx, d.a, d.v)
+    g_at_breaks = _anchored_table(ctx, anchor, ctx.rho).query(np.maximum(breaks, anchor))
+    dg = np.where(left >= anchor, np.diff(g_at_breaks), 0.0)
+
     # direct hazard influence mean
     ev_in = emp.event_times <= tmax
     u_ev = emp.event_times[ev_in]
     dn_ev = emp.event_counts[ev_in] / n
     r_pop_ev = np.asarray(ctx.r_fn(u_ev), dtype=float)
     event_prefix = np.concatenate(([0.0], np.cumsum(dn_ev / r_pop_ev)))
-
-    x, w = panel_nodes(breaks, nodes=10)
-    flat = x.ravel()
-    rho_x = np.asarray(ctx.rho(flat), dtype=float).reshape(x.shape)
-    sa_x = np.asarray(ctx.s_a_fn(flat), dtype=float).reshape(x.shape)
-    m_x = m_table.query(flat).reshape(x.shape)
-
-    rho_int = (w * rho_x).sum(axis=1)
-    psi1_prefix = np.concatenate(([0.0], np.cumsum(r_bar_panel * rho_int)))
+    psi1_prefix = np.concatenate(([0.0], np.cumsum(r_bar_panel * dg)))
     out["mean_psi1"] = psi1_prefix[t_idx] - event_prefix[
         np.searchsorted(u_ev, times, side="right")
     ]
 
-    # risk-correction influence mean: the within-panel entry-influence mean
-    # is its value at the panel edge plus the smooth pooled-measure increment
-    phi_on_nodes = phi_at_breaks[:-1, None] + k_panel[:, None] * (
-        m_x - m_at_breaks[:-1, None]
+    # risk-correction influence mean, over the coarse panels; p and w are
+    # read at their ends only
+    coarse = np.zeros(points.size, dtype=bool)
+    coarse[where[: 2 * n]] = True
+    coarse[where[3 * n :]] = True
+    coarse = np.flatnonzero(coarse[: breaks.size])
+    lo = coarse[:-1]
+    c = 1.0 + phi_at_breaks[lo] - k_panel[lo] * m_at_breaks[lo]
+    psi2_panel = (
+        (bar_a[lo] - c) * np.add.reduceat(dg, lo)
+        + c * np.diff(tables["p"].query(breaks[coarse]))
+        - k_panel[lo] * np.diff(tables["w"].query(breaks[coarse]))
     )
-    integrand = rho_x * (bar_a[:, None] - sa_x * (1.0 + phi_on_nodes))
-    psi2_prefix = np.concatenate(([0.0], np.cumsum((w * integrand).sum(axis=1))))
-    out["mean_psi2"] = psi2_prefix[t_idx]
+    psi2_prefix = np.concatenate(([0.0], np.cumsum(psi2_panel)))
+    out["mean_psi2"] = psi2_prefix[np.searchsorted(coarse, t_idx)]
     return out
 
 

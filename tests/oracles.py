@@ -5,11 +5,17 @@ with no sorting, merging, or shared code with the package internals.  The
 stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
+
+``make_function_context`` is the one exception: it builds an oracle influence
+context from raw population callables, so tests can run the package's oracle
+code against small hand-made populations.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from lbrc.influence import InfluenceContext
 
 
 def n_bar_at(d, t):
@@ -198,14 +204,18 @@ def pooled_kaplan_meier_at(points, x):
     return prod
 
 
-def refine_breaks_loop(breaks, rel=0.4):
-    """Panel-by-panel geometric refinement, the reference for ``_refine_breaks``."""
-    extra = []
-    for p, q in zip(breaks[:-1], breaks[1:]):
-        if p <= 0 or q <= p * (1.0 + rel):
-            continue
-        steps = int(np.ceil(np.log(q / p) / np.log1p(rel)))
-        extra.append(p * (q / p) ** (np.arange(1, steps) / steps))
-    if not extra:
-        return breaks
-    return np.unique(np.concatenate([breaks, *extra]))
+def make_function_context(grid, r_fn, s_a_fn, k_fn, q_density, fu_density, cdf_fn=None):
+    """Oracle influence context from raw population callables."""
+    ctx = InfluenceContext("oracle", grid)
+    ctx.r_fn = r_fn
+    ctx.s_a_fn = s_a_fn
+    ctx.k_fn = k_fn
+    ctx.cdf_fn = cdf_fn
+    ctx.fu_density = fu_density
+    ctx.q_density = q_density
+    ctx.entry_cdf_fn = lambda u: 1.0 - np.asarray(s_a_fn(u), dtype=float)
+    ctx.rho = (
+        lambda u: np.asarray(fu_density(u), dtype=float)
+        / np.asarray(r_fn(u), dtype=float) ** 2
+    )
+    return ctx

@@ -131,6 +131,28 @@ def test_brute_force_equality(seed):
         assert e.pooled_at_risk.at(t) == pytest.approx(oracles.k_tilde_at(d, t), abs=1e-12)
 
 
+@pytest.mark.parametrize("case", range(6))
+def test_count_tables_brute_force(case):
+    rng = np.random.default_rng(500 + case)
+    samples = special_datasets() if case == 0 else [random_dataset(rng, int(rng.integers(1, 60)))]
+    for d in samples:
+        e = build_empirical(d)
+        mass = sorted(oracles._pooled_mass_points(d))
+        assert np.array_equal(e.pooled_times, mass)
+        for s, jumps, at_risk in zip(mass, e.pooled_jumps, e.pooled_at_risk_counts):
+            assert jumps == sum(1 for i in range(d.n) if d.a[i] == s) + sum(
+                1 for i in range(d.n) if d.delta[i] == 1 and d.v[i] == s
+            )
+            assert at_risk == sum(1 for i in range(d.n) if d.a[i] >= s) + sum(
+                1 for i in range(d.n) if d.v[i] >= s
+            )
+        events = sorted({float(d.y[i]) for i in range(d.n) if d.delta[i] == 1})
+        assert np.array_equal(e.event_times, events)
+        assert list(e.event_counts) == [
+            sum(1 for i in range(d.n) if d.delta[i] == 1 and d.y[i] == u) for u in events
+        ]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_monotonicity_and_bounds(seed):
     rng = np.random.default_rng(100 + seed)

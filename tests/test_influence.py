@@ -17,13 +17,11 @@ from lbrc.estimators import (
     huang_qin_cdf,
 )
 from lbrc.influence import (
-    _refine_breaks,
     assumption3_diagnostic,
     hazard_influence_direct,
     hazard_influence_riskpart,
     influence_means,
     lil_quantities,
-    make_function_context,
     make_oracle_context,
     make_plugin_context,
     plugin_variance,
@@ -36,7 +34,7 @@ from lbrc.influence import (
 from lbrc.quadrature import panel_integrals
 from lbrc.simulate import sample_lbrc
 from lbrc.stepfun import EvalGrid
-from lbrc.truth import ExponentialModel
+from lbrc.truth import ExponentialModel, WeibullModel
 
 MODEL = ExponentialModel(censor_rate=0.5, rate=1.0)
 GRID = MODEL.default_grid()
@@ -46,7 +44,7 @@ CTX = make_oracle_context(MODEL, GRID)
 def upper_half_context():
     """Abstract population with no mass below 0.5 and unit risk."""
     grid = EvalGrid.of_points([1e-9, 0.5, 1.0])
-    return make_function_context(
+    return oracles.make_function_context(
         grid,
         r_fn=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         s_a_fn=lambda u: 1.0 - 0.5 * np.clip(np.asarray(u, dtype=float), 0.0, 1.0),
@@ -61,7 +59,7 @@ def unit_risk_uniform_context(lower=1e-9):
     grid = EvalGrid(np.linspace(lower, 1.0, 21), 1.0)
     ones = lambda u: np.ones_like(np.asarray(u, dtype=float))
     inside = lambda u: ((np.asarray(u, dtype=float) >= 0.0) & (np.asarray(u) <= 1.0)) * 1.0
-    return make_function_context(
+    return oracles.make_function_context(
         grid, r_fn=ones, s_a_fn=lambda u: 1.0 - inside(u) * np.asarray(u) * 0.5,
         k_fn=ones, q_density=inside, fu_density=inside,
     )
@@ -202,6 +200,58 @@ class TestAlgebraicIdentities:
         assert np.abs(phi.mean(axis=1) - means["mean_phi"]).max() < 1e-10
         assert np.abs(psi1.mean(axis=1) - means["mean_psi1"]).max() < 1e-10
         assert np.abs(psi2.mean(axis=1) - means["mean_psi2"]).max() < 1e-10
+
+    @staticmethod
+    def _zero_residual_sample():
+        d = sample_lbrc(MODEL, 300, seed=19)
+        v, delta = d.v.copy(), d.delta.copy()
+        v[[4, 50, 211]] = 0.0
+        delta[[4, 50, 211]] = 0
+        return Dataset(d.a, v, delta)
+
+    @staticmethod
+    def _times_on_data():
+        d = sample_lbrc(MODEL, 300, seed=21)
+        pts = np.concatenate([d.a[:3], d.v[:3], d.y[:3]])
+        return d, np.sort(pts[pts <= GRID.b])
+
+    @pytest.mark.parametrize("case", ["weibull-1.5", "zero-residuals", "times-on-data", "n=1"])
+    def test_means_match_per_subject_sums_cases(self, case):
+        ctx, ts = CTX, GRID.points[[0, 6, 12, 24]]
+        if case == "weibull-1.5":
+            model = WeibullModel(censor_rate=0.5, shape=1.5)
+            ctx = make_oracle_context(model, model.default_grid())
+            ts = ctx.grid.points[[0, 6, 12, 24]]
+            d = sample_lbrc(model, 300, seed=17)
+        elif case == "zero-residuals":
+            d = self._zero_residual_sample()
+        elif case == "times-on-data":
+            d, ts = self._times_on_data()
+        else:
+            d = Dataset([0.7], [0.4], [1])
+        phi, psi1, psi2 = subject_influence(ctx, d.a, d.v, d.delta, ts)
+        means = influence_means(ctx, d, ts)
+        assert np.abs(phi.mean(axis=1) - means["mean_phi"]).max() < 1e-10
+        assert np.abs(psi1.mean(axis=1) - means["mean_psi1"]).max() < 1e-10
+        assert np.abs(psi2.mean(axis=1) - means["mean_psi2"]).max() < 1e-10
+
+    def test_means_read_tables_not_densities(self):
+        # once the oracle tables exist, a call evaluates rho only to build the
+        # anchored table of its sample, and S_A not at all
+        ctx = make_oracle_context(MODEL, GRID)
+        d = sample_lbrc(MODEL, 4000, seed=3)
+        influence_means(ctx, d, GRID.points)
+        points = {"rho": 0, "s_a_fn": 0}
+        for name in points:
+
+            def counted(u, fn=getattr(ctx, name), name=name):
+                points[name] += np.size(u)
+                return fn(u)
+
+            setattr(ctx, name, counted)
+        influence_means(ctx, d, GRID.points)
+        assert points["rho"] < d.n
+        assert points["s_a_fn"] < d.n
 
     def test_entry_influence_identity_two_sided(self):
         # mean entry influence == smooth pooled integral minus exact jump sum,
@@ -478,6 +528,16 @@ class TestErrorPaths:
         with pytest.raises(ComputeError):
             subject_influence(CTX, [0.5], [0.0], [1], [0.5])
 
+    @pytest.mark.parametrize("a, v, delta", [([0.0], [1.0], [1]), ([0.5], [0.0], [1])])
+    def test_divergent_sample_rejected_by_means(self, a, v, delta):
+        d = sample_lbrc(MODEL, 300, seed=5)
+        d = Dataset(np.append(d.a, a), np.append(d.v, v), np.append(d.delta, delta))
+        with pytest.raises(ComputeError):
+            influence_means(CTX, d, GRID.points)
+        for op in (residual_hazard, residual_cdf, residual_entry_survival):
+            with pytest.raises(ComputeError):
+                op(d, CTX, GRID)
+
     def test_zero_residual_censored_is_fine(self):
         phi, psi1, psi2 = subject_influence(CTX, [0.5], [0.0], [0], [1.0])
         assert np.isfinite(phi).all() and np.isfinite(psi1).all() and np.isfinite(psi2).all()
@@ -485,26 +545,3 @@ class TestErrorPaths:
     def test_time_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             subject_influence(CTX, [0.5], [1.0], [1], [GRID.b + 1.0])
-
-
-class TestRefineBreaks:
-    """The vectorized refinement reproduces the panel loop bit for bit."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        pieces = [
-            [0.0],
-            rng.exponential(1.0, 40),
-            np.round(rng.uniform(0.0, 3.0, 30), 1),  # ties
-            np.exp(rng.uniform(-40.0, 5.0, 10)),  # very wide panels near 0
-        ]
-        breaks = np.sort(np.concatenate(pieces))
-        got = _refine_breaks(breaks)
-        assert np.array_equal(got, oracles.refine_breaks_loop(breaks))
-        assert got.size > np.unique(breaks).size
-
-    def test_no_wide_panel_returns_input(self):
-        breaks = np.array([0.0, 1.0, 1.2, 1.3])
-        assert _refine_breaks(breaks) is breaks
-        assert oracles.refine_breaks_loop(breaks) is breaks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lbrc.influence import _anchored_tables, _oracle_tables, make_oracle_context
+from lbrc.influence import _anchored_table, _oracle_tables, make_oracle_context
 from lbrc.quadrature import SmoothCumulative, origin_graded_edges
 from lbrc.truth import ExponentialModel, WeibullModel
 
@@ -36,7 +36,11 @@ def _points(hi, panels):
 def oracle(request):
     model = SCENARIOS[request.param]
     ctx = make_oracle_context(model, model.default_grid())
-    return ctx, _oracle_tables(ctx), _anchored_tables(ctx, ANCHOR)
+    anchored = {
+        "g": _anchored_table(ctx, ANCHOR, ctx.rho),
+        "v": _anchored_table(ctx, ANCHOR, lambda u: ctx.rho(u) * ctx.s_a_fn(u)),
+    }
+    return ctx, _oracle_tables(ctx), anchored
 
 
 class TestOracleTables:
