@@ -7,7 +7,7 @@ and plugin modes, and ships a seeded simulation harness that measures the
 empirical decay rates of the representation remainders.
 """
 
-from .data import Dataset, LbrcObservation
+from .data import Dataset
 from .empirical import EmpiricalProcesses, build_empirical
 from .errors import (
     ComputeError,
@@ -31,18 +31,16 @@ from .estimators import (
 )
 from .influence import (
     DIVERGENCE_CAP,
-    InfluenceContext,
     LilCurves,
+    OracleContext,
+    PluginContext,
     RepresentationReport,
     assumption3_diagnostic,
-    hazard_influence_direct,
-    hazard_influence_riskpart,
     influence_means,
     lil_quantities,
     make_oracle_context,
     make_plugin_context,
     plugin_variance,
-    pooled_entry_influence,
     residual_cdf,
     residual_entry_survival,
     residual_hazard,
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset",
-    "LbrcObservation",
     "EmpiricalProcesses",
     "build_empirical",
     "LbrcError",
@@ -84,13 +81,11 @@ __all__ = [
     "huang_qin_cdf",
     "safeguarded_cdf",
     "DIVERGENCE_CAP",
-    "InfluenceContext",
+    "OracleContext",
+    "PluginContext",
     "make_oracle_context",
     "make_plugin_context",
     "subject_influence",
-    "pooled_entry_influence",
-    "hazard_influence_direct",
-    "hazard_influence_riskpart",
     "influence_means",
     "RepresentationReport",
     "residual_hazard",

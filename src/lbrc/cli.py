@@ -166,10 +166,7 @@ def _cmd_rate(args) -> int:
     write_rate_report_csv(out, report, config_hash(cfg["raw"]))
     for n, med in zip(report.sample_sizes, report.medians):
         print(f"n={int(n)}: median sup residual = {med:.6g}")
-    line = f"slope={report.slope:.4f} target={report.target_exponent}"
-    if report.convention is not None:
-        line += f" convention={report.convention} alt_slope={report.alt_slope:.4f}"
-    print(line)
+    print(f"slope={report.slope:.4f} target={report.target_exponent}")
     print(f"wrote {out}")
     return 0
 
@@ -186,7 +183,7 @@ def _cmd_influence(args) -> int:
     grid = EvalGrid.of_points(pts)
 
     ctx = make_plugin_context(d, grid)
-    cdf_vals = ctx.cdf.at(grid.points)
+    cdf_vals = ctx.curves.cdf.at(grid.points)
     var = plugin_variance(ctx)
     se = np.sqrt(var)
     z = float(special.ndtri(0.5 + args.level / 2.0))

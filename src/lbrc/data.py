@@ -1,4 +1,4 @@
-"""Observation containers for length-biased right-censored samples.
+"""The observation container for length-biased right-censored samples.
 
 One subject record is ``(a, v, delta)``: the entry delay ``a`` (time from
 onset to sampling), the observed residual time ``v`` (time from sampling to
@@ -9,35 +9,11 @@ are not stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidDataError
 
-__all__ = ["LbrcObservation", "Dataset"]
-
-
-@dataclass(frozen=True)
-class LbrcObservation:
-    """A single subject: entry delay, residual follow-up, event indicator."""
-
-    a: float
-    v: float
-    delta: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.a) or self.a < 0:
-            raise InvalidDataError(f"entry delay must be finite and >= 0, got {self.a}")
-        if not np.isfinite(self.v) or self.v < 0:
-            raise InvalidDataError(f"residual time must be finite and >= 0, got {self.v}")
-        if self.delta not in (0, 1):
-            raise InvalidDataError(f"event indicator must be 0 or 1, got {self.delta}")
-
-    @property
-    def y(self) -> float:
-        """Total observed time from onset."""
-        return self.a + self.v
+__all__ = ["Dataset"]
 
 
 class Dataset:
@@ -79,22 +55,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.n
-
-    def row(self, i: int) -> LbrcObservation:
-        return LbrcObservation(float(self.a[i]), float(self.v[i]), int(self.delta[i]))
-
-    @property
-    def observations(self) -> list[LbrcObservation]:
-        return [self.row(i) for i in range(self.n)]
-
-    @classmethod
-    def from_observations(cls, obs) -> "Dataset":
-        obs = list(obs)
-        return cls(
-            [o.a for o in obs],
-            [o.v for o in obs],
-            [o.delta for o in obs],
-        )
 
     @property
     def n_events(self) -> int:

@@ -54,18 +54,25 @@ def _drop_flat(times: np.ndarray, values: np.ndarray, initial: float) -> tuple[n
     return times[keep], values[keep]
 
 
+def _pooled_ratio(emp: EmpiricalProcesses) -> np.ndarray:
+    """Pooled jump count over pooled at-risk count at each pooled mass point.
+
+    A zero at-risk count gives 0: 0/0 factors are skipped.
+    """
+    k = emp.pooled_at_risk_counts.astype(float)
+    dq = emp.pooled_jumps.astype(float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(k > 0, dq / np.where(k > 0, k, 1.0), 0.0)
+
+
 def estimate_entry_survival(emp: EmpiricalProcesses) -> StepFunction:
     """Kaplan-Meier survival of the entry delay, fitted on the pooled sample.
 
     At each pooled mass point the running product picks up the factor
     ``1 - (pooled jump count) / (pooled at-risk count)``; a zero at-risk
-    count contributes no factor (0/0 convention).
+    count contributes no factor (0/0 is skipped).
     """
-    k = emp.pooled_at_risk_counts.astype(float)
-    dq = emp.pooled_jumps.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(k > 0, dq / np.where(k > 0, k, 1.0), 0.0)
-    survival = np.cumprod(1.0 - ratio)
+    survival = np.cumprod(1.0 - _pooled_ratio(emp))
     times, vals = _drop_flat(emp.pooled_times, survival, 1.0)
     return StepFunction(times, vals, 1.0)
 
@@ -80,22 +87,25 @@ def estimate_combined_risk(d: Dataset, entry_survival: StepFunction) -> StepFunc
     return exit_survival(d).combine(entry_survival, np.subtract)
 
 
-def _hazard_from_events(
-    event_times: np.ndarray,
-    event_counts: np.ndarray,
-    n: int,
-    risk: StepFunction,
-) -> StepFunction:
-    if event_times.size == 0:
+def _hazard_steps(emp: EmpiricalProcesses, risk: StepFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Hazard increments at the distinct event times, and their denominators.
+
+    The denominator is ``risk`` floored at 1/n; the increment is the event
+    fraction over it.
+    """
+    denom = np.maximum(risk.at(emp.event_times), 1.0 / emp.n)
+    return (emp.event_counts / emp.n) / denom, denom
+
+
+def _hazard_from_events(emp: EmpiricalProcesses, risk: StepFunction) -> StepFunction:
+    if emp.event_times.size == 0:
         return StepFunction.constant(0.0)
-    denom = np.maximum(risk.at(event_times), 1.0 / n)
-    steps = (event_counts / n) / denom
-    return StepFunction(event_times, np.cumsum(steps), 0.0)
+    return StepFunction(emp.event_times, np.cumsum(_hazard_steps(emp, risk)[0]), 0.0)
 
 
 def combined_cumulative_hazard(emp: EmpiricalProcesses, risk: StepFunction) -> StepFunction:
     """Cumulative hazard with the pooled-risk denominator, floored at 1/n."""
-    return _hazard_from_events(emp.event_times, emp.event_counts, emp.n, risk)
+    return _hazard_from_events(emp, risk)
 
 
 def classic_cumulative_hazard(emp: EmpiricalProcesses) -> StepFunction:
@@ -103,17 +113,14 @@ def classic_cumulative_hazard(emp: EmpiricalProcesses) -> StepFunction:
 
     Equals Nelson-Aalen when every entry delay is zero.
     """
-    return _hazard_from_events(emp.event_times, emp.event_counts, emp.n, emp.at_risk)
+    return _hazard_from_events(emp, emp.at_risk)
 
 
 def pooled_entry_cumhaz(emp: EmpiricalProcesses) -> StepFunction:
     """Cumulative hazard of the entry delay from the pooled sample."""
     if emp.pooled_times.size == 0:
         return StepFunction.constant(0.0)
-    k = emp.pooled_at_risk_counts.astype(float)
-    dq = emp.pooled_jumps.astype(float)
-    ratio = np.where(k > 0, dq / np.where(k > 0, k, 1.0), 0.0)
-    return StepFunction(emp.pooled_times, np.cumsum(ratio), 0.0)
+    return StepFunction(emp.pooled_times, np.cumsum(_pooled_ratio(emp)), 0.0)
 
 
 def product_limit_from_hazard(hazard: StepFunction) -> StepFunction:
@@ -175,14 +182,14 @@ def huang_qin_cdf(
 ) -> StepFunction:
     """Pooled-risk product-limit CDF: product of one-minus-hazard-increments.
 
-    Built directly from merged event counts; coincides with
-    ``product_limit_from_hazard(combined_cumulative_hazard(...))``.
+    Built from the hazard increments themselves, not from differences of
+    their running sum, so it equals
+    ``product_limit_from_hazard(combined_cumulative_hazard(...))`` only up to
+    rounding.
     """
     if emp.event_times.size == 0:
         return StepFunction.constant(0.0)
-    denom = np.maximum(risk.at(emp.event_times), 1.0 / emp.n)
-    increments = (emp.event_counts / emp.n) / denom
-    factors = np.clip(1.0 - increments, 0.0, 1.0)
+    factors = np.clip(1.0 - _hazard_steps(emp, risk)[0], 0.0, 1.0)
     survival = np.cumprod(factors)
     times, vals = _drop_flat(emp.event_times, 1.0 - survival, 0.0)
     return StepFunction(times, vals, 0.0)

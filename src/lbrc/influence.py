@@ -3,16 +3,20 @@
 The fitted cumulative hazard and CDF admit i.i.d. representations: estimator
 minus truth equals a sample mean of per-subject influence values plus a
 higher-order remainder.  This module evaluates the influence functions in two
-modes:
+modes, each with its own frozen context type:
 
-* oracle mode computes against a known population (a truth model or raw
-  population callables).  Its integrals are cumulative tables of the
-  population densities, built once by panel Gauss-Legendre; per-subject
-  values are table lookups, and the sample means of ``influence_means`` are
-  exact sums of table differences over the panels between data points;
-* plugin mode substitutes the fitted curves for population quantities, so
-  every integral is an exact finite sum over data points.  This is the basis
-  of the pointwise variance estimate and normal-approximation intervals.
+* ``OracleContext`` computes against a known population (a truth model, or
+  any object with the same population functions).  Its integrals are
+  cumulative tables of the population densities, built once by panel
+  Gauss-Legendre; per-subject values are table lookups, and the sample means
+  of ``influence_means`` are exact sums of table differences over the panels
+  between data points;
+* ``PluginContext`` substitutes the fitted curves of one sample
+  (``FittedCurves``) for population quantities, so every integral is an exact
+  finite sum over data points.  This is the basis of the pointwise variance
+  estimate and normal-approximation intervals.
+
+Functions taking a context dispatch on its type.
 
 Plugin values are the exact derivatives of the reported step-function
 estimates, not the continuous-hazard formulas evaluated at them.  The pooled
@@ -24,6 +28,10 @@ product-limit weight ``1 / (1 - dL(u))``.  For a continuous hazard both
 weights are 1; at the fitted hazard the early events, with small risk sets and
 large jumps, carry most of the variance, and dropping the weights understates
 it.
+
+The CDF remainder takes the sign of the delta method: the product-limit map
+has derivative ``1 - F`` in the hazard, so ``F_hat - F = -(1 - F) mean(psi)``
+plus the remainder ``Rn2``, as ``Lambda_hat - Lambda = -mean(psi) + Rn1``.
 
 The influence values have a borderline-heavy tail.  The risk function vanishes
 at the time origin under entry-delay sampling, so the event term
@@ -50,33 +58,26 @@ All per-subject evaluation is vectorized over subjects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
 
-from .data import Dataset, LbrcObservation
+from .data import Dataset
 from .empirical import build_empirical
 from .errors import ComputeError, WindowError
-from .estimators import (
-    FittedCurves,
-    estimate_combined_risk,
-    estimate_entry_survival,
-    fit,
-    huang_qin_cdf,
-)
+from .estimators import FittedCurves, _hazard_steps, fit
 from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
 from .stepfun import EvalGrid
 from .truth import TruthModel
 
 __all__ = [
     "DIVERGENCE_CAP",
-    "InfluenceContext",
+    "OracleContext",
+    "PluginContext",
     "make_oracle_context",
     "make_plugin_context",
     "subject_influence",
-    "pooled_entry_influence",
-    "hazard_influence_direct",
-    "hazard_influence_riskpart",
     "influence_means",
     "RepresentationReport",
     "residual_hazard",
@@ -93,101 +94,114 @@ DIVERGENCE_CAP = 1.0e4
 _TABLE_PANELS = 1600
 
 
-class InfluenceContext:
-    """Population (oracle) or data-derived (plugin) evaluation context.
+@dataclass(frozen=True)
+class OracleContext:
+    """Oracle mode: influence values against a known population.
 
-    Oracle contexts carry callables for the risk function, entry survival and
-    pooled at-risk function, plus the densities of the pooled cumulative and
-    the event subdistribution.  Plugin contexts carry the fitted counterparts
-    and exact jump tables.  The evaluation window is the grid's [lower, b] span.
+    ``model`` supplies the population functions ``risk``, ``entry_survival``,
+    ``pooled_at_risk``, ``cdf``, ``entry_cdf``, ``influence_weight``,
+    ``pooled_density`` and ``event_subdist_density``; every ``TruthModel``
+    has them.  The evaluation window is the grid's [lower, b] span.
     """
 
-    def __init__(self, mode: str, grid: EvalGrid):
-        self.mode = mode
-        self.grid = grid
-        self.lower = grid.lower
-        self.upper = grid.b
-        self.r_fn = None
-        self.s_a_fn = None
-        self.k_fn = None
-        self.cdf_fn = None
-        self.model: TruthModel | None = None
-        self._cache: dict = {}
+    model: TruthModel
+    grid: EvalGrid
+
+    @cached_property
+    def tables(self) -> tuple[SmoothCumulative, SmoothCumulative, SmoothCumulative]:
+        """Cumulatives from 0 of ``m``, ``p`` and ``w``, built on first read.
+
+        ``m`` integrates the pooled density over the squared pooled at-risk
+        function, ``p`` the influence weight ``rho`` times ``1 - S_A``, and
+        ``w`` the product ``rho S_A m``.
+        """
+        model = self.model
+        edges = origin_graded_edges(self.grid.b, _TABLE_PANELS)
+        m_table = SmoothCumulative(
+            lambda u: np.asarray(model.pooled_density(u), dtype=float)
+            / np.asarray(model.pooled_at_risk(u), dtype=float) ** 2,
+            edges,
+        )
+        p_table = SmoothCumulative(
+            lambda u: np.asarray(model.influence_weight(u), dtype=float)
+            * np.asarray(model.entry_cdf(u), dtype=float),
+            edges,
+        )
+        w_table = SmoothCumulative(
+            lambda u: np.asarray(model.influence_weight(u), dtype=float)
+            * np.asarray(model.entry_survival(u), dtype=float)
+            * m_table.query(u),
+            edges,
+        )
+        return m_table, p_table, w_table
 
 
-def make_oracle_context(model: TruthModel, grid: EvalGrid) -> InfluenceContext:
-    ctx = InfluenceContext("oracle", grid)
-    ctx.model = model
-    ctx.r_fn = model.risk
-    ctx.s_a_fn = model.entry_survival
-    ctx.k_fn = model.pooled_at_risk
-    ctx.cdf_fn = model.cdf
-    ctx.fu_density = model.event_subdist_density
-    ctx.q_density = model.pooled_density
-    ctx.entry_cdf_fn = model.entry_cdf
-    ctx.rho = model.influence_weight
-    return ctx
+@dataclass(frozen=True)
+class PluginContext:
+    """Plugin mode: the fitted curves of one sample stand in for the population.
+
+    The evaluation window is the grid's [lower, b] span.  The event and pooled
+    tables below are built the first time they are read and kept.
+    """
+
+    curves: FittedCurves
+    grid: EvalGrid
+
+    @property
+    def dataset(self) -> Dataset:
+        return self.curves.empirical.dataset
+
+    @cached_property
+    def hazard(self) -> tuple[np.ndarray, np.ndarray]:
+        """Hazard steps at the distinct event times, and the fitted risk
+        floored at 1/n that they divide by."""
+        return _hazard_steps(self.curves.empirical, self.curves.combined_risk)
+
+    @cached_property
+    def event_w(self) -> np.ndarray:
+        """Event fraction over squared floored risk at each distinct event time."""
+        emp = self.curves.empirical
+        return emp.event_counts / emp.n / self.hazard[1] ** 2
+
+    @cached_property
+    def pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Kaplan-Meier gains and the second-moment prefix of the pooled sample.
+
+        The prefix sums (pooled jump)/(pooled at-risk)^2, each term weighted
+        by its gain ``1/(1 - dq/kq)``, the derivative factor of its
+        Kaplan-Meier factor.  Every stored pooled time is a mass point, so
+        kq >= dq >= 1.  A zero factor (dq = kq, only at the last pooled time)
+        stays 0 under every perturbation of the sample, so its gain is 0.
+        """
+        emp = self.curves.empirical
+        kq = emp.pooled_at_risk_counts.astype(float)
+        dq = emp.pooled_jumps.astype(float)
+        open_factor = dq < kq
+        gain = np.where(open_factor, kq / np.where(open_factor, kq - dq, 1.0), 0.0)
+        return gain, np.concatenate(([0.0], np.cumsum(emp.n * dq / kq**2 * gain)))
+
+    @cached_property
+    def event_entry_m(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fitted entry survival and pooled prefix at each distinct event time."""
+        u = self.curves.empirical.event_times
+        return self.curves.entry_survival.at(u), _plugin_m(self, u)
 
 
-def make_plugin_context(d: Dataset, grid: EvalGrid) -> InfluenceContext:
+def make_oracle_context(model: TruthModel, grid: EvalGrid) -> OracleContext:
+    return OracleContext(model, grid)
+
+
+def make_plugin_context(d: Dataset, grid: EvalGrid) -> PluginContext:
     """Context with every population quantity replaced by its fitted curve."""
-    ctx = InfluenceContext("plugin", grid)
-    emp = build_empirical(d)
-    entry_surv = estimate_entry_survival(emp)
-    risk = estimate_combined_risk(d, entry_surv)
-    n = d.n
-
-    ctx.dataset = d
-    ctx.emp = emp
-    ctx.entry_surv = entry_surv
-    ctx.risk = risk
-    ctx.cdf = huang_qin_cdf(emp, risk)
-    ctx.r_fn = risk.at
-    ctx.s_a_fn = entry_surv.at
-    ctx.k_fn = emp.pooled_at_risk.at
-    ctx.cdf_fn = ctx.cdf.at
-
-    # exact jump tables over distinct event times
-    u = emp.event_times
-    dn = emp.event_counts / n
-    r_floor = np.maximum(risk.at(u), 1.0 / n) if u.size else np.empty(0)
-    ctx.event_times = u
-    ctx.event_dn = dn
-    ctx.event_risk = r_floor
-    ctx.event_w = dn / r_floor**2 if u.size else np.empty(0)
-    ctx.event_entry_surv = entry_surv.at(u) if u.size else np.empty(0)
-
-    # pooled-sample prefix of (pooled jump)/(pooled at-risk)^2, each term
-    # weighted by 1/(1 - dq/kq), the derivative factor of its Kaplan-Meier
-    # factor.  Every stored pooled time is a mass point, so kq >= dq >= 1.  A
-    # zero factor (dq = kq, only at the last pooled time) stays 0 under every
-    # perturbation of the sample, so its weight is 0.
-    kq = emp.pooled_at_risk_counts.astype(float)
-    dq = emp.pooled_jumps.astype(float)
-    open_factor = dq < kq
-    ctx.pooled_times = emp.pooled_times
-    ctx.pooled_gain = np.where(open_factor, kq / np.where(open_factor, kq - dq, 1.0), 0.0)
-    ctx.pooled_m_prefix = np.concatenate(([0.0], np.cumsum(n * dq / kq**2 * ctx.pooled_gain)))
-
-    ctx.event_m = _plugin_m(ctx, u) if u.size else np.empty(0)
-    ctx.pref_w, ctx.pref_ws, ctx.pref_wsm = _event_prefixes(ctx, ctx.event_w)
-    return ctx
+    return PluginContext(FittedCurves(build_empirical(d)), grid)
 
 
-def _plugin_m(ctx, x):
+def _plugin_m(ctx: PluginContext, x):
     """Plugin pooled-hazard second-moment prefix evaluated at x."""
-    idx = np.searchsorted(ctx.pooled_times, np.asarray(x, dtype=float), side="right")
-    return ctx.pooled_m_prefix[idx]
-
-
-def _event_prefixes(ctx, w):
-    """Prefix sums over events of w, w * S_A and w * S_A * m."""
-    ws = w * ctx.event_entry_surv
-    return (
-        np.concatenate(([0.0], np.cumsum(w))),
-        np.concatenate(([0.0], np.cumsum(ws))),
-        np.concatenate(([0.0], np.cumsum(ws * ctx.event_m))),
+    idx = np.searchsorted(
+        ctx.curves.empirical.pooled_times, np.asarray(x, dtype=float), side="right"
     )
+    return ctx.pooled[1][idx]
 
 
 def _at_mass(times, values, x, idx_right):
@@ -205,45 +219,19 @@ def _at_mass(times, values, x, idx_right):
 # oracle tables
 
 
-def _oracle_tables(ctx) -> dict:
-    if "tables" not in ctx._cache:
-        hi = ctx.upper
-
-        def kappa(u):
-            return np.asarray(ctx.q_density(u), dtype=float) / np.asarray(
-                ctx.k_fn(u), dtype=float
-            ) ** 2
-
-        edges = origin_graded_edges(hi, _TABLE_PANELS)
-        m_table = SmoothCumulative(kappa, edges)
-        p_table = SmoothCumulative(
-            lambda u: np.asarray(ctx.rho(u), dtype=float)
-            * np.asarray(ctx.entry_cdf_fn(u), dtype=float),
-            edges,
-        )
-        w_table = SmoothCumulative(
-            lambda u: np.asarray(ctx.rho(u), dtype=float)
-            * np.asarray(ctx.s_a_fn(u), dtype=float)
-            * m_table.query(u),
-            edges,
-        )
-        ctx._cache["tables"] = {"kappa": kappa, "m": m_table, "p": p_table, "w": w_table}
-    return ctx._cache["tables"]
-
-
-def _anchor(ctx, a, v) -> float:
+def _anchor(ctx: OracleContext, a, v) -> float:
     """Lower edge of the anchored tables: just below the smallest positive a or v.
 
     No positive data point lies below it, so every difference of an anchored
     cumulative that the influence values take has both ends at or above it.
     """
     positive = np.concatenate([a, v[v > 0]])
-    return min(0.999 * positive.min(initial=np.inf), 0.5 * ctx.upper)
+    return min(0.999 * positive.min(initial=np.inf), 0.5 * ctx.grid.b)
 
 
-def _anchored_table(ctx, anchor: float, density) -> SmoothCumulative:
+def _anchored_table(ctx: OracleContext, anchor: float, density) -> SmoothCumulative:
     """Cumulative of a density that diverges at 0, from ``anchor`` to the window end."""
-    return SmoothCumulative(density, geometric_edges(anchor, ctx.upper, ratio=1.12))
+    return SmoothCumulative(density, geometric_edges(anchor, ctx.grid.b, ratio=1.12))
 
 
 def _check_oracle_sample(a, v, delta):
@@ -267,14 +255,16 @@ def _masked_query(table: SmoothCumulative, x: np.ndarray, mask: np.ndarray) -> n
 # per-subject evaluation
 
 
-def subject_influence(ctx: InfluenceContext, a, v, delta, times, *, event_gain=None):
+def subject_influence(
+    ctx: OracleContext | PluginContext, a, v, delta, times, *, event_gain=None
+):
     """Influence values for each subject at each time.
 
     Returns three arrays of shape ``(len(times), n)``: the pooled-entry
     influence, the direct hazard influence, and the estimated-risk hazard
     correction.
 
-    In plugin mode ``event_gain`` (one value per distinct event time)
+    With a plugin context ``event_gain`` (one value per distinct event time)
     multiplies every term of each event's hazard increment; left at None the
     hazard influence is returned.  ``plugin_variance`` passes the
     product-limit weights through it.
@@ -283,29 +273,30 @@ def subject_influence(ctx: InfluenceContext, a, v, delta, times, *, event_gain=N
     v = np.asarray(v, dtype=float).reshape(-1)
     delta = np.asarray(delta).reshape(-1).astype(float)
     times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size and times.max() > ctx.upper + 1e-12:
+    if times.size and times.max() > ctx.grid.b + 1e-12:
         raise ValueError("evaluation time beyond the context window")
-    if ctx.mode == "oracle":
+    if isinstance(ctx, OracleContext):
         if event_gain is not None:
             raise ValueError("event_gain applies to plugin contexts only")
         return _oracle_subject_influence(ctx, a, v, delta, times)
     return _plugin_subject_influence(ctx, a, v, delta, times, event_gain)
 
 
-def _oracle_subject_influence(ctx, a, v, delta, times):
+def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     _check_oracle_sample(a, v, delta)
     y = a + v
-    hi = ctx.upper
-    tables = _oracle_tables(ctx)
-    m_t, p_t, w_t = tables["m"], tables["p"], tables["w"]
+    hi = ctx.grid.b
+    model = ctx.model
+    m_t, p_t, w_t = ctx.tables
 
     pos_v = v > 0
     anchor = _anchor(ctx, a, v)
-    g_t = _anchored_table(ctx, anchor, ctx.rho)
+    g_t = _anchored_table(ctx, anchor, model.influence_weight)
     v_tab = _anchored_table(
         ctx,
         anchor,
-        lambda u: np.asarray(ctx.rho(u), dtype=float) * np.asarray(ctx.s_a_fn(u), dtype=float),
+        lambda u: np.asarray(model.influence_weight(u), dtype=float)
+        * np.asarray(model.entry_survival(u), dtype=float),
     )
 
     a_in = a <= hi
@@ -321,9 +312,9 @@ def _oracle_subject_influence(ctx, a, v, delta, times):
     v_a = _masked_query(v_tab, a, a_in)
     v_v = _masked_query(v_tab, v, v_in)
 
-    k_a = np.asarray(ctx.k_fn(a), dtype=float)
-    k_v = np.asarray(ctx.k_fn(v), dtype=float)
-    r_y = np.asarray(ctx.r_fn(y), dtype=float)
+    k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
+    k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
+    r_y = np.asarray(model.risk(y), dtype=float)
     tmax = float(times.max()) if times.size else 0.0
     if np.any((a <= tmax) & (k_a <= 0)) or np.any(
         (v <= tmax) & (delta == 1) & (k_v <= 0)
@@ -375,26 +366,27 @@ def _oracle_subject_influence(ctx, a, v, delta, times):
     return phi, psi1, psi2
 
 
-def _plugin_subject_influence(ctx, a, v, delta, times, event_gain=None):
+def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain=None):
     phi = np.zeros((times.size, a.size))
     psi1 = np.zeros_like(phi)
     psi2 = np.zeros_like(phi)
 
-    u = ctx.event_times
+    emp = ctx.curves.empirical
+    u = emp.event_times
     y = a + v
-    s = ctx.pooled_times
+    s = emp.pooled_times
+    pooled_gain, pooled_m_prefix = ctx.pooled
     idx_pa = np.searchsorted(s, a, side="right")
     idx_pv = np.searchsorted(s, v, side="right")
-    m_a = ctx.pooled_m_prefix[idx_pa]
-    m_v = ctx.pooled_m_prefix[idx_pv]
-    k_a = np.asarray(ctx.k_fn(a), dtype=float)
-    k_v = np.asarray(ctx.k_fn(v), dtype=float)
+    m_a = pooled_m_prefix[idx_pa]
+    m_v = pooled_m_prefix[idx_pv]
+    k_a = emp.pooled_at_risk.at(a)
+    k_v = emp.pooled_at_risk.at(v)
     # the pooled jump at a point carries the Kaplan-Meier factor of its mass
-    gain_a = _at_mass(s, ctx.pooled_gain, a, idx_pa)
-    gain_v = _at_mass(s, ctx.pooled_gain, v, idx_pv)
+    gain_a = _at_mass(s, pooled_gain, a, idx_pa)
+    gain_v = _at_mass(s, pooled_gain, v, idx_pv)
     inv_k_a = np.where(k_a > 0, gain_a / np.where(k_a > 0, k_a, 1.0), 0.0)
     inv_k_v = np.where(k_v > 0, gain_v / np.where(k_v > 0, k_v, 1.0), 0.0)
-    r_y = np.maximum(np.asarray(ctx.r_fn(y), dtype=float), 1.0 / ctx.dataset.n)
 
     idx_a_left = np.searchsorted(u, a, side="left")
     idx_a_right = np.searchsorted(u, a, side="right")
@@ -402,12 +394,18 @@ def _plugin_subject_influence(ctx, a, v, delta, times, event_gain=None):
     idx_v_right = np.searchsorted(u, v, side="right")
     idx_y_right = np.searchsorted(u, y, side="right")
 
-    own_event = delta / r_y
-    if event_gain is None:
-        pref_w, pref_ws, pref_wsm = ctx.pref_w, ctx.pref_ws, ctx.pref_wsm
-    else:
-        pref_w, pref_ws, pref_wsm = _event_prefixes(ctx, ctx.event_w * event_gain)
+    # an uncensored exit time is a distinct event time, with its floored risk
+    own_event = delta / _at_mass(u, ctx.hazard[1], y, idx_y_right)
+    w = ctx.event_w
+    if event_gain is not None:
+        w = w * event_gain
         own_event = own_event * _at_mass(u, event_gain, y, idx_y_right)
+    # prefix sums over events of w, w * S_A and w * S_A * m
+    entry_surv, m_u = ctx.event_entry_m
+    ws = w * entry_surv
+    pref_w, pref_ws, pref_wsm = (
+        np.concatenate(([0.0], np.cumsum(x))) for x in (w, ws, ws * m_u)
+    )
 
     for j, t in enumerate(times):
         kt = int(np.searchsorted(u, t, side="right"))
@@ -440,30 +438,12 @@ def _plugin_subject_influence(ctx, a, v, delta, times, event_gain=None):
     return phi, psi1, psi2
 
 
-def pooled_entry_influence(obs: LbrcObservation, t: float, ctx: InfluenceContext) -> float:
-    """Influence of one subject on the pooled entry-survival estimate."""
-    phi, _, _ = subject_influence(ctx, [obs.a], [obs.v], [obs.delta], [t])
-    return float(phi[0, 0])
-
-
-def hazard_influence_direct(obs: LbrcObservation, t: float, ctx: InfluenceContext) -> float:
-    """Direct hazard-estimation influence of one subject."""
-    _, psi1, _ = subject_influence(ctx, [obs.a], [obs.v], [obs.delta], [t])
-    return float(psi1[0, 0])
-
-
-def hazard_influence_riskpart(obs: LbrcObservation, t: float, ctx: InfluenceContext) -> float:
-    """Hazard influence correction from the estimated risk function."""
-    _, _, psi2 = subject_influence(ctx, [obs.a], [obs.v], [obs.delta], [t])
-    return float(psi2[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # exact aggregated sample means (oracle mode)
 
 
 def influence_means(
-    ctx: InfluenceContext, d: Dataset, times, want: str = "both"
+    ctx: OracleContext, d: Dataset, times, want: str = "both"
 ) -> dict[str, np.ndarray]:
     """Sample means of the influence functions at each time, in oracle mode.
 
@@ -496,13 +476,14 @@ def influence_means(
 
     ``want`` selects components: "phi", "psi", or "both".
     """
-    if ctx.mode != "oracle":
+    if not isinstance(ctx, OracleContext):
         raise ValueError("influence_means requires an oracle context")
     _check_oracle_sample(d.a, d.v, d.delta)
     times = np.asarray(times, dtype=float).reshape(-1)
     tmax = float(times.max())
     n = d.n
-    tables = _oracle_tables(ctx)
+    model = ctx.model
+    m_table, p_table, w_table = ctx.tables
 
     # the breaks are the points up to tmax; ``where`` places a, v, y, the
     # times and 0 among them
@@ -529,12 +510,12 @@ def influence_means(
     in_range = emp.pooled_times <= tmax
     s_pool = emp.pooled_times[in_range]
     dq_pool = emp.pooled_jumps[in_range] / n
-    k_pop_pool = np.asarray(ctx.k_fn(s_pool), dtype=float)
+    k_pop_pool = np.asarray(model.pooled_at_risk(s_pool), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         jump_terms = np.where(k_pop_pool > 0, dq_pool / np.where(k_pop_pool > 0, k_pop_pool, 1.0), 0.0)
     jump_prefix = np.concatenate(([0.0], np.cumsum(jump_terms)))
 
-    m_at_breaks = tables["m"].query(breaks)
+    m_at_breaks = m_table.query(breaks)
     phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
     phi_at_breaks = phi_smooth_prefix - jump_prefix[
         np.searchsorted(s_pool, breaks, side="right")
@@ -546,14 +527,16 @@ def influence_means(
 
     # g is tabulated from the anchor on; the panels left of it carry no dg
     anchor = _anchor(ctx, d.a, d.v)
-    g_at_breaks = _anchored_table(ctx, anchor, ctx.rho).query(np.maximum(breaks, anchor))
+    g_at_breaks = _anchored_table(ctx, anchor, model.influence_weight).query(
+        np.maximum(breaks, anchor)
+    )
     dg = np.where(left >= anchor, np.diff(g_at_breaks), 0.0)
 
     # direct hazard influence mean
     ev_in = emp.event_times <= tmax
     u_ev = emp.event_times[ev_in]
     dn_ev = emp.event_counts[ev_in] / n
-    r_pop_ev = np.asarray(ctx.r_fn(u_ev), dtype=float)
+    r_pop_ev = np.asarray(model.risk(u_ev), dtype=float)
     event_prefix = np.concatenate(([0.0], np.cumsum(dn_ev / r_pop_ev)))
     psi1_prefix = np.concatenate(([0.0], np.cumsum(r_bar_panel * dg)))
     out["mean_psi1"] = psi1_prefix[t_idx] - event_prefix[
@@ -570,8 +553,8 @@ def influence_means(
     c = 1.0 + phi_at_breaks[lo] - k_panel[lo] * m_at_breaks[lo]
     psi2_panel = (
         (bar_a[lo] - c) * np.add.reduceat(dg, lo)
-        + c * np.diff(tables["p"].query(breaks[coarse]))
-        - k_panel[lo] * np.diff(tables["w"].query(breaks[coarse]))
+        + c * np.diff(p_table.query(breaks[coarse]))
+        - k_panel[lo] * np.diff(w_table.query(breaks[coarse]))
     )
     psi2_prefix = np.concatenate(([0.0], np.cumsum(psi2_panel)))
     out["mean_psi2"] = psi2_prefix[np.searchsorted(coarse, t_idx)]
@@ -591,17 +574,15 @@ class RepresentationReport:
     influence_mean: np.ndarray
     residual: np.ndarray
     residual_sup: float
-    convention: str | None = None
-    alt_residual_sup: float | None = None
 
 
-def _require_model(ctx: InfluenceContext):
-    if ctx.mode != "oracle" or ctx.model is None:
-        raise ValueError("representation residuals need a model-backed oracle context")
+def _require_model(ctx):
+    if not (isinstance(ctx, OracleContext) and isinstance(ctx.model, TruthModel)):
+        raise ValueError("representation residuals need an oracle context of a truth model")
 
 
 def residual_hazard(
-    d: Dataset, ctx: InfluenceContext, grid: EvalGrid, curves: FittedCurves | None = None
+    d: Dataset, ctx: OracleContext, grid: EvalGrid, curves: FittedCurves | None = None
 ) -> RepresentationReport:
     """Remainder of the hazard representation over the grid."""
     _require_model(ctx)
@@ -618,14 +599,14 @@ def residual_hazard(
 
 
 def residual_cdf(
-    d: Dataset, ctx: InfluenceContext, grid: EvalGrid, curves: FittedCurves | None = None
+    d: Dataset, ctx: OracleContext, grid: EvalGrid, curves: FittedCurves | None = None
 ) -> RepresentationReport:
-    """Remainder of the CDF representation, under both sign conventions.
+    """Remainder of the CDF representation over the grid.
 
-    The stated representation carries a plus sign on the influence average,
-    while the delta-method expansion of the product-limit map suggests a
-    minus sign; both are computed and the smaller-remainder convention is
-    reported, with the other kept alongside.
+    The product-limit map has derivative ``1 - F`` in the hazard, so the
+    delta method turns the hazard representation into
+    ``F_hat - F = -(1 - F) mean(psi) + Rn2``, and the remainder is
+    ``gap + (1 - F) mean(psi)`` with ``gap = F_hat - F``.
     """
     _require_model(ctx)
     curves = curves if curves is not None else fit(d)
@@ -633,19 +614,14 @@ def residual_cdf(
     mean_psi = means["mean_psi1"] + means["mean_psi2"]
     f_true = np.asarray(ctx.model.cdf(grid.points), dtype=float)
     gap = curves.cdf.at(grid.points) - f_true
-    res_minus = gap + (1.0 - f_true) * mean_psi
-    res_plus = gap - (1.0 - f_true) * mean_psi
-    sup_minus = float(np.abs(res_minus).max())
-    sup_plus = float(np.abs(res_plus).max())
-    if sup_minus <= sup_plus:
-        return RepresentationReport(
-            "Rn2", grid, mean_psi, res_minus, sup_minus, "minus", sup_plus
-        )
-    return RepresentationReport("Rn2", grid, mean_psi, res_plus, sup_plus, "plus", sup_minus)
+    residual = gap + (1.0 - f_true) * mean_psi
+    return RepresentationReport(
+        "Rn2", grid, mean_psi, residual, float(np.abs(residual).max())
+    )
 
 
 def residual_entry_survival(
-    d: Dataset, ctx: InfluenceContext, grid: EvalGrid, curves: FittedCurves | None = None
+    d: Dataset, ctx: OracleContext, grid: EvalGrid, curves: FittedCurves | None = None
 ) -> RepresentationReport:
     """Remainder of the pooled entry-survival representation."""
     _require_model(ctx)
@@ -667,45 +643,40 @@ def residual_entry_survival(
 class LilCurves:
     """Pointwise fluctuation-scale curves for the CDF estimate.
 
-    ``v`` follows the stated convention ``v^2 = (1 - F) d``; ``v_alt``
-    carries the delta-method convention ``v = (1 - F) sqrt(d)``.  Both are
-    reported because the first power is unusual for a variance-style
-    quantity.
+    ``d`` integrates the influence weight ``rho`` over the window: the scale
+    of the hazard influence mean.  The CDF takes the delta-method sign,
+    ``F_hat - F = -(1 - F) mean(psi) + Rn2`` (see ``residual_cdf``), and ``v``
+    follows the stated form ``v^2 = (1 - F) d``.
     """
 
     d: np.ndarray
     v: np.ndarray
-    v_alt: np.ndarray
 
 
-def lil_quantities(ctx: InfluenceContext, grid: EvalGrid) -> LilCurves:
+def lil_quantities(ctx: OracleContext | PluginContext, grid: EvalGrid) -> LilCurves:
     """Fluctuation curves, integrated from the window's lower edge."""
     pts = grid.points
-    if ctx.mode == "oracle":
+    if isinstance(ctx, OracleContext):
         if grid.lower < grid.b:
             table = SmoothCumulative(
-                lambda u: np.asarray(ctx.rho(u), dtype=float),
-                geometric_edges(grid.lower, grid.b, ratio=1.05),
+                ctx.model.influence_weight, geometric_edges(grid.lower, grid.b, ratio=1.05)
             )
             d_vals = table.query(pts)
         else:
             d_vals = np.zeros(pts.size)
-        if ctx.cdf_fn is not None:
-            f_vals = np.asarray(ctx.cdf_fn(pts), dtype=float)
-        else:
-            f_vals = np.full(pts.size, np.nan)
+        f_vals = np.asarray(ctx.model.cdf(pts), dtype=float)
     else:
-        u = ctx.event_times
+        u = ctx.curves.empirical.event_times
         pref = np.concatenate(([0.0], np.cumsum(ctx.event_w)))
         hi_idx = np.searchsorted(u, pts, side="right")
         lo_idx = np.searchsorted(u, grid.lower, side="right")
         d_vals = pref[hi_idx] - pref[lo_idx]
-        f_vals = ctx.cdf.at(pts)
+        f_vals = ctx.curves.cdf.at(pts)
     surv = np.clip(1.0 - f_vals, 0.0, 1.0)
-    return LilCurves(d=d_vals, v=np.sqrt(surv * d_vals), v_alt=surv * np.sqrt(d_vals))
+    return LilCurves(d=d_vals, v=np.sqrt(surv * d_vals))
 
 
-def plugin_variance(ctx: InfluenceContext) -> np.ndarray:
+def plugin_variance(ctx: PluginContext) -> np.ndarray:
     """Pointwise variance of the fitted CDF via plugin influence values.
 
     The summand of each subject is the exact derivative of the reported
@@ -713,7 +684,7 @@ def plugin_variance(ctx: InfluenceContext) -> np.ndarray:
     derivative in the jump ``dL(u)`` is ``(1 - F(t)) / (1 - dL(u))``, so every
     event's hazard-increment terms carry the weight ``1 / (1 - dL(u))``; the
     entry-survival influence inside the hazard influence carries the
-    Kaplan-Meier factor in the same way (see ``make_plugin_context``).  With
+    Kaplan-Meier factor in the same way (see ``PluginContext.pooled``).  With
     a continuous hazard both weights would be 1 and the summand would be
     ``(1 - F) * psi``.  A clamped factor (``dL(u) >= 1``) gets weight 0: it
     makes ``F`` identically 1 from ``u`` on, where the variance is 0.
@@ -721,23 +692,23 @@ def plugin_variance(ctx: InfluenceContext) -> np.ndarray:
     ``ctx`` is a plugin context; its dataset and grid fix the sample and the
     evaluation points.
     """
-    if ctx.mode != "plugin":
+    if not isinstance(ctx, PluginContext):
         raise ValueError("plugin_variance requires a plugin context")
     d, grid = ctx.dataset, ctx.grid
-    factor = 1.0 - ctx.event_dn / ctx.event_risk
+    factor = 1.0 - ctx.hazard[0]
     open_factor = factor > 0
     gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
     _, psi1, psi2 = subject_influence(
         ctx, d.a, d.v, d.delta, grid.points, event_gain=gain
     )
     psi = psi1 + psi2
-    scale = 1.0 - ctx.cdf.at(grid.points)
+    scale = 1.0 - ctx.curves.cdf.at(grid.points)
     summand = scale[:, None] * psi
     return summand.var(axis=1) / d.n
 
 
 def assumption3_diagnostic(
-    ctx: InfluenceContext, b: float, cap: float = DIVERGENCE_CAP
+    ctx: OracleContext | PluginContext, b: float, cap: float = DIVERGENCE_CAP
 ) -> float:
     """Window admissibility integral: event measure over cubed risk.
 
@@ -746,22 +717,24 @@ def assumption3_diagnostic(
     rate measurement.
     """
     b = float(b)
-    if b <= ctx.lower:
+    lower = ctx.grid.lower
+    if b <= lower:
         raise ValueError("b must exceed the window's lower edge")
-    if ctx.mode == "oracle":
+    if isinstance(ctx, OracleContext):
+        model = ctx.model
         val, _ = integrate.quad(
             lambda u: float(
-                np.asarray(ctx.fu_density(u), dtype=float)
-                / np.asarray(ctx.r_fn(u), dtype=float) ** 3
+                np.asarray(model.event_subdist_density(u), dtype=float)
+                / np.asarray(model.risk(u), dtype=float) ** 3
             ),
-            ctx.lower,
+            lower,
             b,
             limit=200,
         )
     else:
-        u = ctx.event_times
-        mask = (u > ctx.lower) & (u <= b)
-        val = float(np.sum(ctx.event_dn[mask] / ctx.event_risk[mask] ** 3))
+        emp = ctx.curves.empirical
+        mask = (emp.event_times > lower) & (emp.event_times <= b)
+        val = float(np.sum(emp.event_counts[mask] / emp.n / ctx.hazard[1][mask] ** 3))
     val = float(val)
     if not np.isfinite(val) or val > cap:
         raise WindowError(

@@ -252,9 +252,6 @@ def write_rate_report_csv(path, report, cfg_hash: str) -> None:
         fh.write(f"# seed={report.seed}\n")
         fh.write(f"# slope={_fmt(report.slope)}\n")
         fh.write(f"# target_exponent={_fmt(report.target_exponent)}\n")
-        if report.convention is not None:
-            fh.write(f"# convention={report.convention}\n")
-            fh.write(f"# alt_slope={_fmt(report.alt_slope)}\n")
         for n, med in zip(report.sample_sizes, report.medians):
             fh.write(f"# median n={int(n)}: {_fmt(med)}\n")
         fh.write("n,rep,sup_residual\n")

@@ -24,37 +24,31 @@ __all__ = [
 # halvings of the first uniform panel in ``origin_graded_edges``
 _ORIGIN_HALVINGS = 20
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Gauss-Legendre order of every panel, and the rule on [-1, 1]
+NODES = 15
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(NODES)
 
 
-def _gl(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        _GL_CACHE[nodes] = (x, w)
-    return _GL_CACHE[nodes]
-
-
-def panel_nodes(edges: np.ndarray, nodes: int = 15) -> tuple[np.ndarray, np.ndarray]:
+def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights for each panel of ``edges``.
 
-    Returns arrays of shape ``(n_panels, nodes)``.
+    Returns arrays of shape ``(n_panels, NODES)``.
     """
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x, w = _gl(nodes)
-    return mid[:, None] + half[:, None] * x[None, :], half[:, None] * w[None, :]
+    return mid[:, None] + half[:, None] * _GL_X[None, :], half[:, None] * _GL_W[None, :]
 
 
-def _node_values(density, edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panel weights and ``density`` at the panel nodes, both ``(n_panels, nodes)``."""
-    x, w = panel_nodes(edges, nodes)
+def _node_values(density, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel weights and ``density`` at the panel nodes, both ``(n_panels, NODES)``."""
+    x, w = panel_nodes(edges)
     return w, np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
 
 
-def panel_integrals(density, edges: np.ndarray, nodes: int = 15) -> np.ndarray:
+def panel_integrals(density, edges: np.ndarray) -> np.ndarray:
     """Integral of ``density`` over each panel of ``edges``."""
-    w, vals = _node_values(density, edges, nodes)
+    w, vals = _node_values(density, edges)
     return (w * vals).sum(axis=1)
 
 
@@ -78,19 +72,21 @@ def geometric_edges(lo: float, hi: float, ratio: float = 1.15) -> np.ndarray:
     return lo * (hi / lo) ** (np.arange(count + 1) / count)
 
 
-def _antiderivative_matrix(nodes: int) -> np.ndarray:
+def _antiderivative_matrix() -> np.ndarray:
     """Map density values at the Gauss-Legendre nodes of [-1, 1] to the
     Legendre coefficients of the interpolant's antiderivative from -1.
 
-    Returns shape ``(nodes, nodes + 1)``.  The discrete Legendre transform is
-    exact for the degree ``nodes - 1`` interpolant, and the antiderivative at
+    Returns shape ``(NODES, NODES + 1)``.  The discrete Legendre transform is
+    exact for the degree ``NODES - 1`` interpolant, and the antiderivative at
     +1 equals the Gauss-Legendre sum of the node values.
     """
-    x, w = _gl(nodes)
-    degree = np.arange(nodes)
-    basis = np.polynomial.legendre.legvander(x, nodes - 1)  # (node, degree)
-    transform = (degree + 0.5)[:, None] * basis.T * w[None, :]  # (degree, node)
+    degree = np.arange(NODES)
+    basis = np.polynomial.legendre.legvander(_GL_X, NODES - 1)  # (node, degree)
+    transform = (degree + 0.5)[:, None] * basis.T * _GL_W[None, :]  # (degree, node)
     return np.polynomial.legendre.legint(transform, lbnd=-1.0, axis=0).T
+
+
+_ANTIDERIVATIVE = _antiderivative_matrix()
 
 
 class SmoothCumulative:
@@ -104,17 +100,18 @@ class SmoothCumulative:
     where the density is not smooth on an edge.
     """
 
-    def __init__(self, density, edges, nodes: int = 15):
+    nodes = NODES
+
+    def __init__(self, density, edges):
         self.edges = np.asarray(edges, dtype=float)
         if self.edges.size < 2 or not np.all(np.diff(self.edges) > 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
-        self.nodes = nodes
-        w, vals = _node_values(density, self.edges, nodes)
+        w, vals = _node_values(density, self.edges)
         self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
         half = 0.5 * np.diff(self.edges)
         # (coefficient, panel): each query gathers one row per coefficient
         self._coef = np.ascontiguousarray(
-            ((half[:, None] * vals) @ _antiderivative_matrix(nodes)).T
+            ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
         )
         self._inv_half = 1.0 / half
 

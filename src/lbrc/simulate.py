@@ -101,36 +101,26 @@ class RateReport:
     slope: float
     target_exponent: float
     seed: int
-    convention: str | None = None
-    alt_slope: float | None = None
-    alt_medians: np.ndarray | None = None
 
 
 def _rep_sup(model, grid, which, n, seed_seq, ctx):
     d = sample_lbrc(model, n, seed_seq)
     curves = fit(d)
     if which == "Rn1":
-        return (residual_hazard(d, ctx, grid, curves).residual_sup,)
+        return residual_hazard(d, ctx, grid, curves).residual_sup
     if which == "Rn2":
-        rep = residual_cdf(d, ctx, grid, curves)
-        if rep.convention == "minus":
-            return (rep.residual_sup, rep.alt_residual_sup)
-        return (rep.alt_residual_sup, rep.residual_sup)
+        return residual_cdf(d, ctx, grid, curves).residual_sup
     if which == "Rn3":
-        return (residual_entry_survival(d, ctx, grid, curves).residual_sup,)
+        return residual_entry_survival(d, ctx, grid, curves).residual_sup
     if which == "Lemma33":
-        return (
-            sup_diff_vs_smooth(
-                curves.entry_cumhaz, model.entry_cumhaz, 0.0, grid.b, grid.points
-            ),
+        return sup_diff_vs_smooth(
+            curves.entry_cumhaz, model.entry_cumhaz, 0.0, grid.b, grid.points
         )
     if which == "Lemma35":
-        return (sup_norm_diff(curves.cdf_safeguarded, curves.cdf, grid),)
+        return sup_norm_diff(curves.cdf_safeguarded, curves.cdf, grid)
     if which == "Lemma37":
-        return (
-            sup_diff_vs_smooth(
-                curves.combined_cumhaz, model.cumhaz, 0.0, grid.b, grid.points
-            ),
+        return sup_diff_vs_smooth(
+            curves.combined_cumhaz, model.cumhaz, 0.0, grid.b, grid.points
         )
     raise ConfigError(f"unknown experiment selector {which!r}")
 
@@ -150,16 +140,14 @@ def _run_block(args):
     model, grid_points, grid_b, which, seed, si, n, rep_lo, rep_hi = args
     grid = EvalGrid(grid_points, grid_b)
     ctx = _cached_context(model, grid)
-    out = np.empty((rep_hi - rep_lo, 2))
-    out.fill(np.nan)
+    out = np.empty(rep_hi - rep_lo)
     for r in range(rep_lo, rep_hi):
-        vals = _rep_sup(model, grid, which, n, _child_seed(seed, si, r), ctx)
-        if not all(np.isfinite(v) for v in vals):
+        out[r - rep_lo] = _rep_sup(model, grid, which, n, _child_seed(seed, si, r), ctx)
+        if not np.isfinite(out[r - rep_lo]):
             raise ComputeError(
                 f"non-finite sup residual at n={n}, replication {r} "
                 f"(seed spawn key ({si}, {r}))"
             )
-        out[r - rep_lo, : len(vals)] = vals
     return si, rep_lo, out
 
 
@@ -199,7 +187,7 @@ def rate_experiment(
         )
     assumption3_diagnostic(ctx, grid.b, cap=cap)
 
-    sup = np.full((len(sizes), reps, 2), np.nan)
+    sup = np.empty((len(sizes), reps))
     block = max(1, reps // max(1, 2 * threads))
     tasks = [
         (model, grid.points, grid.b, which, seed, si, n, lo, min(lo + block, reps))
@@ -215,51 +203,13 @@ def rate_experiment(
             si, rep_lo, vals = _run_block(task)
             sup[si, rep_lo : rep_lo + vals.shape[0]] = vals
 
+    medians = np.median(sup, axis=1)
+    if np.any(medians <= 0):
+        raise ComputeError("zero median sup residual; rate fit undefined")
     log_n = np.log(np.asarray(sizes, dtype=float))
-
-    def slope_of(samples):
-        med = np.median(samples, axis=1)
-        if np.any(med <= 0):
-            raise ComputeError("zero median sup residual; rate fit undefined")
-        return med, float(np.polyfit(log_n, np.log(med), 1)[0])
-
-    if which == "Rn2":
-        med_minus, slope_minus = slope_of(sup[:, :, 0])
-        med_plus, slope_plus = slope_of(sup[:, :, 1])
-        if slope_minus <= slope_plus:
-            return RateReport(
-                which,
-                np.asarray(sizes),
-                sup[:, :, 0],
-                med_minus,
-                slope_minus,
-                TARGET_EXPONENTS[which],
-                seed,
-                convention="minus",
-                alt_slope=slope_plus,
-                alt_medians=med_plus,
-            )
-        return RateReport(
-            which,
-            np.asarray(sizes),
-            sup[:, :, 1],
-            med_plus,
-            slope_plus,
-            TARGET_EXPONENTS[which],
-            seed,
-            convention="plus",
-            alt_slope=slope_minus,
-            alt_medians=med_minus,
-        )
-    medians, slope = slope_of(sup[:, :, 0])
+    slope = float(np.polyfit(log_n, np.log(medians), 1)[0])
     return RateReport(
-        which,
-        np.asarray(sizes),
-        sup[:, :, 0],
-        medians,
-        slope,
-        TARGET_EXPONENTS[which],
-        seed,
+        which, np.asarray(sizes), sup, medians, slope, TARGET_EXPONENTS[which], seed
     )
 
 

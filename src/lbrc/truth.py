@@ -70,11 +70,6 @@ class TruthModel:
         raise NotImplementedError
 
     # -- generic population functions ------------------------------------
-    @property
-    def alpha(self) -> float:
-        """P(exit time >= entry delay): structurally one in this design."""
-        return 1.0
-
     def cdf(self, t):
         return 1.0 - self.survival(t)
 

@@ -6,16 +6,17 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-``make_function_context`` is the one exception: it builds an oracle influence
-context from raw population callables, so tests can run the package's oracle
-code against small hand-made populations.
+``FunctionPopulation`` is the one exception: it gives an oracle influence
+context raw population callables, so tests can run the package's oracle code
+against small hand-made populations.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable
 
-from lbrc.influence import InfluenceContext
+import numpy as np
 
 
 def n_bar_at(d, t):
@@ -204,18 +205,40 @@ def pooled_kaplan_meier_at(points, x):
     return prod
 
 
-def make_function_context(grid, r_fn, s_a_fn, k_fn, q_density, fu_density, cdf_fn=None):
-    """Oracle influence context from raw population callables."""
-    ctx = InfluenceContext("oracle", grid)
-    ctx.r_fn = r_fn
-    ctx.s_a_fn = s_a_fn
-    ctx.k_fn = k_fn
-    ctx.cdf_fn = cdf_fn
-    ctx.fu_density = fu_density
-    ctx.q_density = q_density
-    ctx.entry_cdf_fn = lambda u: 1.0 - np.asarray(s_a_fn(u), dtype=float)
-    ctx.rho = (
-        lambda u: np.asarray(fu_density(u), dtype=float)
-        / np.asarray(r_fn(u), dtype=float) ** 2
-    )
-    return ctx
+@dataclass(frozen=True)
+class FunctionPopulation:
+    """Population from raw callables, with the methods an oracle context reads.
+
+    Its lifetime CDF is not given, so ``cdf`` reads NaN.
+    """
+
+    r_fn: Callable
+    s_a_fn: Callable
+    k_fn: Callable
+    q_density: Callable
+    fu_density: Callable
+
+    def risk(self, u):
+        return self.r_fn(u)
+
+    def entry_survival(self, u):
+        return self.s_a_fn(u)
+
+    def pooled_at_risk(self, u):
+        return self.k_fn(u)
+
+    def pooled_density(self, u):
+        return self.q_density(u)
+
+    def event_subdist_density(self, u):
+        return self.fu_density(u)
+
+    def entry_cdf(self, u):
+        return 1.0 - np.asarray(self.s_a_fn(u), dtype=float)
+
+    def influence_weight(self, u):
+        r = np.asarray(self.r_fn(u), dtype=float)
+        return np.asarray(self.fu_density(u), dtype=float) / r**2
+
+    def cdf(self, u):
+        return np.full(np.shape(u), np.nan)

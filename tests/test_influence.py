@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy import integrate
 
 import oracles
 
-from lbrc.data import Dataset, LbrcObservation
+from lbrc import influence
+from lbrc.data import Dataset
 from lbrc.errors import ComputeError, WindowError
 from lbrc.empirical import build_empirical
 from lbrc.estimators import (
@@ -18,14 +20,11 @@ from lbrc.estimators import (
 )
 from lbrc.influence import (
     assumption3_diagnostic,
-    hazard_influence_direct,
-    hazard_influence_riskpart,
     influence_means,
     lil_quantities,
     make_oracle_context,
     make_plugin_context,
     plugin_variance,
-    pooled_entry_influence,
     residual_cdf,
     residual_entry_survival,
     residual_hazard,
@@ -44,14 +43,14 @@ CTX = make_oracle_context(MODEL, GRID)
 def upper_half_context():
     """Abstract population with no mass below 0.5 and unit risk."""
     grid = EvalGrid.of_points([1e-9, 0.5, 1.0])
-    return oracles.make_function_context(
-        grid,
+    population = oracles.FunctionPopulation(
         r_fn=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         s_a_fn=lambda u: 1.0 - 0.5 * np.clip(np.asarray(u, dtype=float), 0.0, 1.0),
         k_fn=lambda u: np.ones_like(np.asarray(u, dtype=float)),
         q_density=lambda u: 2.0 * ((np.asarray(u, dtype=float) >= 0.5) & (np.asarray(u) <= 1.0)),
         fu_density=lambda u: 2.0 * ((np.asarray(u, dtype=float) >= 0.5) & (np.asarray(u) <= 1.0)),
     )
+    return make_oracle_context(population, grid)
 
 
 def unit_risk_uniform_context(lower=1e-9):
@@ -59,10 +58,11 @@ def unit_risk_uniform_context(lower=1e-9):
     grid = EvalGrid(np.linspace(lower, 1.0, 21), 1.0)
     ones = lambda u: np.ones_like(np.asarray(u, dtype=float))
     inside = lambda u: ((np.asarray(u, dtype=float) >= 0.0) & (np.asarray(u) <= 1.0)) * 1.0
-    return oracles.make_function_context(
-        grid, r_fn=ones, s_a_fn=lambda u: 1.0 - inside(u) * np.asarray(u) * 0.5,
+    population = oracles.FunctionPopulation(
+        r_fn=ones, s_a_fn=lambda u: 1.0 - inside(u) * np.asarray(u) * 0.5,
         k_fn=ones, q_density=inside, fu_density=inside,
     )
+    return make_oracle_context(population, grid)
 
 
 def fd_sample():
@@ -77,11 +77,11 @@ def fd_sample():
     times = np.array([MODEL.quantile(0.5), MODEL.quantile(0.8)])
     grid = EvalGrid.of_points(times)
     ctx = make_plugin_context(d, grid)
-    u = ctx.event_times[ctx.event_times <= times.max()]
-    assert np.all(ctx.event_times.min() <= times)
-    assert np.all(ctx.risk.at(u) > 1.0 / d.n)
-    assert np.all(ctx.event_dn[: u.size] / ctx.event_risk[: u.size] < 1.0)
-    emp = ctx.emp
+    emp = ctx.curves.empirical
+    u = emp.event_times[emp.event_times <= times.max()]
+    assert np.all(emp.event_times.min() <= times)
+    assert np.all(ctx.curves.combined_risk.at(u) > 1.0 / d.n)
+    assert np.all(ctx.hazard[0][: u.size] < 1.0)
     pooled = emp.pooled_times <= times.max()
     assert np.all(emp.pooled_jumps[pooled] < emp.pooled_at_risk_counts[pooled])
     return d, times, grid
@@ -120,21 +120,58 @@ def replicated_derivatives(d, times, copies):
     return out * (copies * d.n + 1)
 
 
+def _step_fields(f):
+    return f.jump_times, f.values, f.initial_value, f.at_values
+
+
+class TestContexts:
+    SAMPLES = {
+        "seed-0": sample_lbrc(MODEL, 200, seed=0),
+        "seed-1": sample_lbrc(MODEL, 200, seed=1),
+        "weibull-seed-2": sample_lbrc(WeibullModel(censor_rate=0.5, shape=1.5), 200, seed=2),
+        "n=1": Dataset([0.7], [0.4], [1]),
+        "all-tied": Dataset([1.0] * 6, [0.5] * 6, [1] * 6),
+        "all-censored": Dataset([0.3, 1.0, 0.6], [0.2, 0.5, 0.9], [0, 0, 0]),
+    }
+
+    @pytest.mark.parametrize("case", list(SAMPLES))
+    def test_plugin_fields_match_fit(self, case):
+        d = self.SAMPLES[case]
+        ctx = make_plugin_context(d, GRID)
+        curves = fit(d)
+        for name in ("cdf", "entry_survival", "combined_risk"):
+            got, want = getattr(ctx.curves, name), getattr(curves, name)
+            for x, y in zip(_step_fields(got), _step_fields(want)):
+                assert np.array_equal(x, y), name
+        for name in ("pooled_times", "pooled_jumps", "pooled_at_risk_counts",
+                     "event_times", "event_counts"):
+            assert np.array_equal(
+                getattr(ctx.curves.empirical, name), getattr(curves.empirical, name)
+            ), name
+        assert ctx.hazard[0].shape == ctx.event_w.shape == curves.empirical.event_times.shape
+
+    def test_contexts_are_frozen(self):
+        plugin = make_plugin_context(self.SAMPLES["seed-0"], GRID)
+        oracle = make_oracle_context(MODEL, GRID)
+        for ctx, cached in ((plugin, "pooled"), (oracle, "tables")):
+            with pytest.raises(FrozenInstanceError):
+                ctx.grid = GRID
+            with pytest.raises(FrozenInstanceError):
+                setattr(ctx, cached, None)
+
+
 class TestTrivialZeroes:
     def test_entry_influence_zero_below_all_mass(self):
-        ctx = upper_half_context()
-        obs = LbrcObservation(0.9, 0.7, 1)
-        assert pooled_entry_influence(obs, 0.3, ctx) == pytest.approx(0.0, abs=1e-12)
+        phi, _, _ = subject_influence(upper_half_context(), [0.9], [0.7], [1], [0.3])
+        assert phi[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_influence_zero_below_entry_and_mass(self):
-        ctx = upper_half_context()
-        obs = LbrcObservation(0.45, 0.6, 1)
-        assert hazard_influence_direct(obs, 0.4, ctx) == pytest.approx(0.0, abs=1e-12)
+        _, psi1, _ = subject_influence(upper_half_context(), [0.45], [0.6], [1], [0.4])
+        assert psi1[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_risk_correction_zero_below_mass(self):
-        ctx = upper_half_context()
-        obs = LbrcObservation(0.1, 0.2, 1)
-        assert hazard_influence_riskpart(obs, 0.45, ctx) == pytest.approx(0.0, abs=1e-10)
+        _, _, psi2 = subject_influence(upper_half_context(), [0.1], [0.2], [1], [0.45])
+        assert psi2[0, 0] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestOracleAgainstDirectQuadrature:
@@ -238,20 +275,41 @@ class TestAlgebraicIdentities:
     def test_means_read_tables_not_densities(self):
         # once the oracle tables exist, a call evaluates rho only to build the
         # anchored table of its sample, and S_A not at all
-        ctx = make_oracle_context(MODEL, GRID)
+        points = {"influence_weight": 0, "entry_survival": 0}
+
+        class Counting:
+            def __getattr__(self, name):
+                fn = getattr(MODEL, name)
+
+                def counted(u):
+                    points[name] += np.size(u)
+                    return fn(u)
+
+                return counted if name in points else fn
+
+        ctx = make_oracle_context(Counting(), GRID)
         d = sample_lbrc(MODEL, 4000, seed=3)
         influence_means(ctx, d, GRID.points)
-        points = {"rho": 0, "s_a_fn": 0}
-        for name in points:
-
-            def counted(u, fn=getattr(ctx, name), name=name):
-                points[name] += np.size(u)
-                return fn(u)
-
-            setattr(ctx, name, counted)
+        points.update(dict.fromkeys(points, 0))
         influence_means(ctx, d, GRID.points)
-        assert points["rho"] < d.n
-        assert points["s_a_fn"] < d.n
+        assert points["influence_weight"] < d.n
+        assert points["entry_survival"] < d.n
+
+    def test_second_call_builds_only_the_anchored_table(self, monkeypatch):
+        ctx = make_oracle_context(MODEL, GRID)
+        d = sample_lbrc(MODEL, 500, seed=3)
+        influence_means(ctx, d, GRID.points)
+        built = []
+
+        class Counted(influence.SmoothCumulative):
+            def __init__(self, density, edges):
+                built.append(edges[0])
+                super().__init__(density, edges)
+
+        monkeypatch.setattr(influence, "SmoothCumulative", Counted)
+        influence_means(ctx, d, GRID.points)
+        assert len(built) == 1
+        assert 0.0 < built[0] < min(d.a.min(), d.v[d.v > 0].min())
 
     def test_entry_influence_identity_two_sided(self):
         # mean entry influence == smooth pooled integral minus exact jump sum,
@@ -340,10 +398,7 @@ class TestRepresentationResiduals:
                 d = sample_lbrc(MODEL, n, np.random.SeedSequence(5, spawn_key=(si, r)))
                 curves = fit(d)
                 sups["Rn1"][si].append(residual_hazard(d, CTX, GRID, curves).residual_sup)
-                rep2 = residual_cdf(d, CTX, GRID, curves)
-                sups["Rn2"][si].append(
-                    rep2.residual_sup if rep2.convention == "minus" else rep2.alt_residual_sup
-                )
+                sups["Rn2"][si].append(residual_cdf(d, CTX, GRID, curves).residual_sup)
                 sups["Rn3"][si].append(
                     residual_entry_survival(d, CTX, GRID, curves).residual_sup
                 )
@@ -352,12 +407,16 @@ class TestRepresentationResiduals:
             assert large < small, name
 
     def test_cdf_convention_minus_decays(self):
-        # the delta-method sign: remainder under the minus convention decays,
-        # under the plus convention it tracks twice the influence mean
+        # the delta-method sign: the remainder is gap + (1 - F) mean(psi); with
+        # the plus sign it would track twice the influence mean instead
         d = sample_lbrc(MODEL, 2000, seed=71)
-        rep = residual_cdf(d, CTX, GRID)
-        assert rep.convention == "minus"
-        assert rep.residual_sup < rep.alt_residual_sup
+        curves = fit(d)
+        rep = residual_cdf(d, CTX, GRID, curves)
+        f_true = MODEL.cdf(GRID.points)
+        gap = curves.cdf.at(GRID.points) - f_true
+        assert np.array_equal(rep.residual, gap + (1.0 - f_true) * rep.influence_mean)
+        plus = gap - (1.0 - f_true) * rep.influence_mean
+        assert rep.residual_sup < np.abs(plus).max()
 
     def test_riskpart_mean_matches_risk_gap_integral(self):
         # the risk-correction mean approximates the integral of the pooled
@@ -406,7 +465,6 @@ class TestLilQuantities:
         lil = lil_quantities(CTX, GRID)
         f = MODEL.cdf(GRID.points)
         assert np.allclose(lil.v, np.sqrt((1 - f) * lil.d), atol=1e-9)
-        assert np.allclose(lil.v_alt, (1 - f) * np.sqrt(lil.d), atol=1e-9)
 
     def test_plugin_lil_smoke(self):
         d = sample_lbrc(MODEL, 500, seed=40)
@@ -472,8 +530,9 @@ class TestPluginVariance:
         ctx = make_plugin_context(d, grid)
         # the last event has a unit hazard jump, and the last pooled factor
         # of the entry-survival fit is 0
-        assert ctx.event_dn[-1] / ctx.event_risk[-1] == 1.0
-        assert ctx.emp.pooled_jumps[-1] == ctx.emp.pooled_at_risk_counts[-1]
+        assert ctx.hazard[0][-1] == 1.0
+        emp = ctx.curves.empirical
+        assert emp.pooled_jumps[-1] == emp.pooled_at_risk_counts[-1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             var = plugin_variance(make_plugin_context(d, grid))

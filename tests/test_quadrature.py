@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from lbrc.influence import _anchored_table, _oracle_tables, make_oracle_context
+from lbrc.influence import _anchored_table, make_oracle_context
 from lbrc.quadrature import SmoothCumulative, origin_graded_edges
 from lbrc.truth import ExponentialModel, WeibullModel
 
@@ -37,38 +37,50 @@ def oracle(request):
     model = SCENARIOS[request.param]
     ctx = make_oracle_context(model, model.default_grid())
     anchored = {
-        "g": _anchored_table(ctx, ANCHOR, ctx.rho),
-        "v": _anchored_table(ctx, ANCHOR, lambda u: ctx.rho(u) * ctx.s_a_fn(u)),
+        "g": _anchored_table(ctx, ANCHOR, model.influence_weight),
+        "v": _anchored_table(
+            ctx, ANCHOR, lambda u: model.influence_weight(u) * model.entry_survival(u)
+        ),
     }
-    return ctx, _oracle_tables(ctx), anchored
+    return model, ctx, dict(zip("mpw", ctx.tables)), anchored
+
+
+def _kappa(model):
+    return lambda u: model.pooled_density(u) / model.pooled_at_risk(u) ** 2
 
 
 class TestOracleTables:
     def test_m_and_p(self, oracle):
-        ctx, tables, _ = oracle
-        pts = _points(ctx.upper, 1600)
+        model, ctx, tables, _ = oracle
+        pts = _points(ctx.grid.b, 1600)
         densities = {
-            "m": tables["kappa"],
-            "p": lambda u: ctx.rho(u) * ctx.entry_cdf_fn(u),
+            "m": _kappa(model),
+            "p": lambda u: model.influence_weight(u) * model.entry_cdf(u),
         }
         for name, density in densities.items():
             want = [_quad(density, 0.0, s) for s in pts]
             assert np.abs(tables[name].query(pts) - want).max() < TOL, name
 
     def test_w(self, oracle):
-        ctx, tables, _ = oracle
-        pts = _points(ctx.upper, 1600)[[1, 3, 5, 6, 8]]
+        model, ctx, tables, _ = oracle
+        pts = _points(ctx.grid.b, 1600)[[1, 3, 5, 6, 8]]
 
         def density(u):
-            return ctx.rho(u) * ctx.s_a_fn(u) * _quad(tables["kappa"], 0.0, u)
+            return (
+                model.influence_weight(u) * model.entry_survival(u)
+                * _quad(_kappa(model), 0.0, u)
+            )
 
         want = [_quad(density, 0.0, s) for s in pts]
         assert np.abs(tables["w"].query(pts) - want).max() < TOL
 
     def test_anchored_g_and_v(self, oracle):
-        ctx, _, anchored = oracle
-        pts = np.array([ANCHOR, 1.0007 * ANCHOR, 2 * ANCHOR, 0.3, ctx.upper])
-        densities = {"g": ctx.rho, "v": lambda u: ctx.rho(u) * ctx.s_a_fn(u)}
+        model, ctx, _, anchored = oracle
+        pts = np.array([ANCHOR, 1.0007 * ANCHOR, 2 * ANCHOR, 0.3, ctx.grid.b])
+        densities = {
+            "g": model.influence_weight,
+            "v": lambda u: model.influence_weight(u) * model.entry_survival(u),
+        }
         for name, density in densities.items():
             want = [_quad(density, ANCHOR, s) for s in pts]
             assert np.abs(anchored[name].query(pts) - want).max() < TOL, name

@@ -3,6 +3,8 @@ import pytest
 from scipy import integrate, stats
 
 from lbrc.errors import ConfigError, WindowError
+from lbrc.estimators import fit
+from lbrc.influence import make_oracle_context, residual_cdf
 from lbrc.simulate import (
     TARGET_EXPONENTS,
     consistency_check,
@@ -125,11 +127,12 @@ class TestRateExperiment:
         )
         assert np.array_equal(serial.sup_residuals, parallel.sup_residuals)
 
-    def test_rn2_reports_convention(self):
+    def test_rn2_sups_match_residual_cdf(self):
         rep = rate_experiment(MODEL, [100, 300], 50, "Rn2", self.GRID, seed=9)
-        assert rep.convention in ("minus", "plus")
-        assert rep.alt_slope is not None
-        assert rep.slope <= rep.alt_slope
+        assert rep.sup_residuals.shape == (2, 50)
+        d = sample_lbrc(MODEL, 300, np.random.SeedSequence(9, spawn_key=(1, 7)))
+        ctx = make_oracle_context(MODEL, self.GRID)
+        assert rep.sup_residuals[1, 7] == residual_cdf(d, ctx, self.GRID, fit(d)).residual_sup
 
 
 class TestConsistencyCheck:

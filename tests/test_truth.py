@@ -103,11 +103,6 @@ def test_event_fraction_complements_censoring(model):
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
-def test_alpha_is_one(model):
-    assert model.alpha == 1.0
-
-
-@pytest.mark.parametrize("model", MODELS, ids=str)
 def test_risk_vanishes_at_origin(model):
     small = np.array([1e-9, 1e-6, 1e-3])
     vals = model.risk(small)
