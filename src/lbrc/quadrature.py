@@ -147,6 +147,3 @@ class SmoothCumulative:
             b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
         out = self.cum[idx] + np.where(sq == self.edges[idx], 0.0, b0)
         return float(out[0]) if scalar else out
-
-    def __call__(self, s):
-        return self.query(s)

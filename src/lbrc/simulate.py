@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ComputeError, ConfigError
+from .errors import ComputeError, ConfigError, WindowError
 from .estimators import fit
 from .influence import (
     DIVERGENCE_CAP,
@@ -103,7 +103,8 @@ class RateReport:
     seed: int
 
 
-def _rep_sup(model, grid, which, n, seed_seq, ctx):
+def _rep_sup(ctx, which, n, seed_seq):
+    model, grid = ctx.model, ctx.grid
     d = sample_lbrc(model, n, seed_seq)
     curves = fit(d)
     if which == "Rn1":
@@ -125,24 +126,11 @@ def _rep_sup(model, grid, which, n, seed_seq, ctx):
     raise ConfigError(f"unknown experiment selector {which!r}")
 
 
-_CTX_CACHE: dict = {}
-
-
-def _cached_context(model: TruthModel, grid: EvalGrid):
-    key = (model.key(), float(grid.lower), float(grid.b), tuple(grid.points.tolist()))
-    if key not in _CTX_CACHE:
-        _CTX_CACHE.clear()
-        _CTX_CACHE[key] = make_oracle_context(model, grid)
-    return _CTX_CACHE[key]
-
-
 def _run_block(args):
-    model, grid_points, grid_b, which, seed, si, n, rep_lo, rep_hi = args
-    grid = EvalGrid(grid_points, grid_b)
-    ctx = _cached_context(model, grid)
+    ctx, which, seed, si, n, rep_lo, rep_hi = args
     out = np.empty(rep_hi - rep_lo)
     for r in range(rep_lo, rep_hi):
-        out[r - rep_lo] = _rep_sup(model, grid, which, n, _child_seed(seed, si, r), ctx)
+        out[r - rep_lo] = _rep_sup(ctx, which, n, _child_seed(seed, si, r))
         if not np.isfinite(out[r - rep_lo]):
             raise ComputeError(
                 f"non-finite sup residual at n={n}, replication {r} "
@@ -179,18 +167,19 @@ def rate_experiment(
     ctx = make_oracle_context(model, grid)
     h95 = model.h_quantile(0.95)
     if grid.b >= h95:
-        from .errors import WindowError
-
         raise WindowError(
             f"window upper edge {grid.b:.6g} reaches the 95th percentile "
             f"{h95:.6g} of the observed-time distribution"
         )
     assumption3_diagnostic(ctx, grid.b, cap=cap)
+    if which in ("Rn1", "Rn2", "Rn3"):
+        # built here once: every task ships the context with its tables
+        ctx.tables
 
     sup = np.empty((len(sizes), reps))
     block = max(1, reps // max(1, 2 * threads))
     tasks = [
-        (model, grid.points, grid.b, which, seed, si, n, lo, min(lo + block, reps))
+        (ctx, which, seed, si, n, lo, min(lo + block, reps))
         for si, n in enumerate(sizes)
         for lo in range(0, reps, block)
     ]

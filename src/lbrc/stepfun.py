@@ -96,10 +96,6 @@ class StepFunction:
     def constant(cls, value: float) -> "StepFunction":
         return cls(np.empty(0), np.empty(0), value)
 
-    @property
-    def is_cadlag(self) -> bool:
-        return self.at_values is None
-
     def at(self, t):
         """Value at ``t`` (vectorized).  Honors explicit at-jump values."""
         t = np.asarray(t, dtype=float)
@@ -129,9 +125,6 @@ class StepFunction:
         idx = np.searchsorted(self.jump_times, tq, side="left") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
         return float(out[0]) if scalar else out
-
-    def __call__(self, t):
-        return self.at(t)
 
     def combine(self, other: "StepFunction", op: Callable) -> "StepFunction":
         """Pointwise combination with another step function.

@@ -5,7 +5,8 @@ length-biased draw from the underlying lifetime distribution, the entry delay
 is uniform on (0, lifetime), and the entry delay and the residual lifetime
 share the marginal density ``S(t)/mu``.  Residual censoring is an independent
 exponential clock.  Everything the simulation harness and the influence
-oracle need follows in closed form or by cached quadrature:
+oracle need follows in closed form or by quadrature tables kept on the model
+instance, built on first read:
 
 * ``risk(t) = S(t) * wc(t) / mu``            (probability of being under
   observation and event-free at t, with ``wc`` the censoring-survival
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, optimize, special
@@ -168,9 +170,6 @@ class TruthModel:
         pts = self.quantile(np.linspace(lo, hi, count))
         return EvalGrid(pts, float(pts[-1]))
 
-    def key(self) -> tuple:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ExponentialModel(TruthModel):
@@ -258,17 +257,11 @@ class ExponentialModel(TruthModel):
         lc = 0.0 if self.censor_rate is None else self.censor_rate
         return 1.0 / self.rate + 1.0 / (self.rate + lc)
 
-    def key(self) -> tuple:
-        return ("exponential", self.rate, self.censor_rate)
-
-
-# cached cumulative integrals for the Weibull family, keyed by model + span
-_WEIBULL_TABLES: dict[tuple, dict[str, SmoothCumulative]] = {}
-
 
 @dataclass(frozen=True)
 class WeibullModel(TruthModel):
-    """Weibull lifetimes; censored subdistributions use cached quadrature."""
+    """Weibull lifetimes; censored subdistributions use quadrature tables kept
+    on the model instance, built on first read."""
 
     shape: float = 1.5
     scale: float = 1.0
@@ -322,46 +315,41 @@ class WeibullModel(TruthModel):
         out = special.gammaincc(1.0 / self.shape, self._z(t))
         return out if out.ndim else float(out)
 
+    @cached_property
     def _tables(self) -> dict[str, SmoothCumulative]:
         span = float(self.lb_quantile(1.0 - 1e-12)) * 1.5
-        key = self.key() + (span,)
-        if key not in _WEIBULL_TABLES:
-            edges = origin_graded_edges(span, 4000)
-            _WEIBULL_TABLES[key] = {
-                "event_subdist": SmoothCumulative(self.event_subdist_density, edges),
-                "residual_event": SmoothCumulative(
-                    lambda u: self.survival(u) * self.censor_survival(u) / self.mu, edges
-                ),
-                "exit_cdf": SmoothCumulative(self.exit_density, edges),
-            }
-        return _WEIBULL_TABLES[key]
+        edges = origin_graded_edges(span, 4000)
+        return {
+            "event_subdist": SmoothCumulative(self.event_subdist_density, edges),
+            "residual_event": SmoothCumulative(
+                lambda u: self.survival(u) * self.censor_survival(u) / self.mu, edges
+            ),
+            "exit_cdf": SmoothCumulative(self.exit_density, edges),
+        }
 
     def event_subdist(self, t):
         if self.censor_rate is None:
             # uncensored: the exit time is the length-biased lifetime itself
             out = special.gammainc(1.0 + 1.0 / self.shape, self._z(t))
             return out if out.ndim else float(out)
-        return self._tables()["event_subdist"].query(t)
+        return self._tables["event_subdist"].query(t)
 
     def residual_event_subdist(self, t):
         if self.censor_rate is None:
             out = 1.0 - self.entry_survival(t)
             return out if np.ndim(out) else float(out)
-        return self._tables()["residual_event"].query(t)
+        return self._tables["residual_event"].query(t)
 
     def exit_cdf(self, t):
         if self.censor_rate is None:
             return self.event_subdist(t)
-        return self._tables()["exit_cdf"].query(t)
+        return self._tables["exit_cdf"].query(t)
 
     def event_fraction(self) -> float:
         if self.censor_rate is None:
             return 1.0
         val, _ = integrate.quad(self.event_subdist_density, 0.0, np.inf, limit=200)
         return float(val)
-
-    def key(self) -> tuple:
-        return ("weibull", self.shape, self.scale, self.censor_rate)
 
 
 def make_model(family: str, censor_rate=None, **params) -> TruthModel:

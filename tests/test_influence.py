@@ -1,3 +1,4 @@
+import pickle
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -295,21 +296,26 @@ class TestAlgebraicIdentities:
         assert points["influence_weight"] < d.n
         assert points["entry_survival"] < d.n
 
-    def test_second_call_builds_only_the_anchored_table(self, monkeypatch):
+    def test_second_call_builds_only_the_anchored_table(self, table_builds):
         ctx = make_oracle_context(MODEL, GRID)
         d = sample_lbrc(MODEL, 500, seed=3)
         influence_means(ctx, d, GRID.points)
-        built = []
-
-        class Counted(influence.SmoothCumulative):
-            def __init__(self, density, edges):
-                built.append(edges[0])
-                super().__init__(density, edges)
-
-        monkeypatch.setattr(influence, "SmoothCumulative", Counted)
+        built = table_builds(influence)
         influence_means(ctx, d, GRID.points)
         assert len(built) == 1
-        assert 0.0 < built[0] < min(d.a.min(), d.v[d.v > 0].min())
+        assert 0.0 < built[0][0] < min(d.a.min(), d.v[d.v > 0].min())
+
+    def test_pickled_context_carries_its_tables(self, table_builds):
+        ctx = make_oracle_context(MODEL, GRID)
+        ctx.tables
+        copy = pickle.loads(pickle.dumps(ctx))
+        d = sample_lbrc(MODEL, 500, seed=3)
+        built = table_builds(influence)
+        got = influence_means(copy, d, GRID.points)
+        assert len(built) == 1
+        want = influence_means(ctx, d, GRID.points)
+        for key in ("mean_phi", "mean_psi1", "mean_psi2"):
+            assert np.array_equal(got[key], want[key]), key
 
     def test_entry_influence_identity_two_sided(self):
         # mean entry influence == smooth pooled integral minus exact jump sum,

@@ -88,7 +88,7 @@ class TestOracleTables:
 
 def test_weibull_truth_tables():
     model = SCENARIOS["weibull-1.5"]
-    tables = model._tables()
+    tables = model._tables
     densities = {
         "event_subdist": model.event_subdist_density,
         "residual_event": lambda u: model.survival(u) * model.censor_survival(u) / model.mu,

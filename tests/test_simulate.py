@@ -120,10 +120,12 @@ class TestRateExperiment:
         assert rep1.target_exponent == TARGET_EXPONENTS["Lemma35"]
         assert rep1.slope < 0
 
-    def test_threads_do_not_change_results(self):
-        serial = rate_experiment(MODEL, [60, 120], 50, "Lemma33", self.GRID, seed=5)
+    @pytest.mark.parametrize("which", ["Lemma33", "Rn2"])
+    def test_threads_do_not_change_results(self, which):
+        # Rn2 reads the oracle tables, so its pool workers use shipped ones
+        serial = rate_experiment(MODEL, [60, 120], 50, which, self.GRID, seed=5)
         parallel = rate_experiment(
-            MODEL, [60, 120], 50, "Lemma33", self.GRID, seed=5, threads=2
+            MODEL, [60, 120], 50, which, self.GRID, seed=5, threads=2
         )
         assert np.array_equal(serial.sup_residuals, parallel.sup_residuals)
 

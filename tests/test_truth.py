@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from lbrc import truth
 from lbrc.errors import ConfigError
 from lbrc.truth import ExponentialModel, WeibullModel, make_model
 
@@ -170,3 +171,21 @@ def test_zero_censor_rate_normalizes_to_none():
     model = ExponentialModel(censor_rate=0.0, rate=1.0)
     assert model.censor_rate is None
     assert model.event_fraction() == 1.0
+
+
+def test_weibull_tables_built_once_per_model(table_builds):
+    built = table_builds(truth)
+    model = WeibullModel(censor_rate=0.5, shape=1.5, scale=1.0)
+    for t in (0.3, [0.1, 0.7], 1.2):
+        model.exit_cdf(t)
+        model.event_subdist(t)
+        model.residual_event_subdist(t)
+    assert len(built) == 3
+
+
+def test_built_tables_leave_equality_and_hash_alone():
+    model = WeibullModel(censor_rate=0.5, shape=1.5, scale=1.0)
+    model.exit_cdf(0.5)
+    fresh = WeibullModel(censor_rate=0.5, shape=1.5, scale=1.0)
+    assert model == fresh
+    assert hash(model) == hash(fresh)
