@@ -11,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import ComputeError, ConfigError, InvalidDataError, LbrcError, WindowError
 from .estimators import fit
@@ -172,6 +171,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_influence(args) -> int:
+    from scipy import special
+
     if not 0.0 < args.level < 1.0:
         raise ConfigError(f"--level must be in (0, 1), got {args.level}")
     d = parse_dataset(args.input)
@@ -190,7 +191,7 @@ def _cmd_influence(args) -> int:
     lo = np.clip(cdf_vals - z * se, 0.0, 1.0)
     hi = np.clip(cdf_vals + z * se, 0.0, 1.0)
     lil = lil_quantities(ctx, grid)
-    rows = list(zip(grid.points, cdf_vals, se, lo, hi, lil.d, lil.v))
+    rows = zip(*(x.tolist() for x in (grid.points, cdf_vals, se, lo, hi, lil.d, lil.v)))
     cfg = config_hash({"input": args.input, "level": args.level, "grid": args.grid})
     write_influence_csv(args.out, rows, d.n, args.level, cfg)
     print(f"wrote {args.out}")

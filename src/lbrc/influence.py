@@ -61,7 +61,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from .data import Dataset
 from .empirical import build_empirical
@@ -92,6 +91,9 @@ __all__ = [
 DIVERGENCE_CAP = 1.0e4
 
 _TABLE_PANELS = 1600
+
+# values per (rows, n) array in one block of ``plugin_variance`` (16 MiB)
+_BLOCK_VALUES = 2**21
 
 
 @dataclass(frozen=True)
@@ -202,6 +204,22 @@ def _plugin_m(ctx: PluginContext, x):
         ctx.curves.empirical.pooled_times, np.asarray(x, dtype=float), side="right"
     )
     return ctx.pooled[1][idx]
+
+
+class _SortedQueries:
+    """One query array, sorted once, for elementwise lookups."""
+
+    def __init__(self, x: np.ndarray):
+        self.order = np.argsort(x)
+        self.sorted = x[self.order]
+
+    def map(self, lookup):
+        """``lookup(x)`` for an elementwise ``lookup``, run on the sorted
+        values and scattered back to the query order."""
+        found = lookup(self.sorted)
+        out = np.empty_like(found)
+        out[self.order] = found
+        return out
 
 
 def _at_mass(times, values, x, idx_right):
@@ -376,23 +394,27 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
     y = a + v
     s = emp.pooled_times
     pooled_gain, pooled_m_prefix = ctx.pooled
-    idx_pa = np.searchsorted(s, a, side="right")
-    idx_pv = np.searchsorted(s, v, side="right")
+    # every lookup below runs on sorted queries: a search over sorted values
+    # walks the table in order and is several times faster, and its result
+    # depends only on the query value
+    by_a, by_v, by_y = (_SortedQueries(x) for x in (a, v, y))
+    idx_pa = by_a.map(lambda x: np.searchsorted(s, x, side="right"))
+    idx_pv = by_v.map(lambda x: np.searchsorted(s, x, side="right"))
     m_a = pooled_m_prefix[idx_pa]
     m_v = pooled_m_prefix[idx_pv]
-    k_a = emp.pooled_at_risk.at(a)
-    k_v = emp.pooled_at_risk.at(v)
+    k_a = by_a.map(emp.pooled_at_risk.at)
+    k_v = by_v.map(emp.pooled_at_risk.at)
     # the pooled jump at a point carries the Kaplan-Meier factor of its mass
     gain_a = _at_mass(s, pooled_gain, a, idx_pa)
     gain_v = _at_mass(s, pooled_gain, v, idx_pv)
     inv_k_a = np.where(k_a > 0, gain_a / np.where(k_a > 0, k_a, 1.0), 0.0)
     inv_k_v = np.where(k_v > 0, gain_v / np.where(k_v > 0, k_v, 1.0), 0.0)
 
-    idx_a_left = np.searchsorted(u, a, side="left")
-    idx_a_right = np.searchsorted(u, a, side="right")
-    idx_v_left = np.searchsorted(u, v, side="left")
-    idx_v_right = np.searchsorted(u, v, side="right")
-    idx_y_right = np.searchsorted(u, y, side="right")
+    idx_a_left = by_a.map(lambda x: np.searchsorted(u, x, side="left"))
+    idx_a_right = by_a.map(lambda x: np.searchsorted(u, x, side="right"))
+    idx_v_left = by_v.map(lambda x: np.searchsorted(u, x, side="left"))
+    idx_v_right = by_v.map(lambda x: np.searchsorted(u, x, side="right"))
+    idx_y_right = by_y.map(lambda x: np.searchsorted(u, x, side="right"))
 
     # an uncensored exit time is a distinct event time, with its floored risk
     own_event = delta / _at_mass(u, ctx.hazard[1], y, idx_y_right)
@@ -691,6 +713,14 @@ def plugin_variance(ctx: PluginContext) -> np.ndarray:
 
     ``ctx`` is a plugin context; its dataset and grid fix the sample and the
     evaluation points.
+
+    The grid is reduced in blocks of rows: each block is one
+    ``subject_influence`` call whose arrays hold at most ``_BLOCK_VALUES``
+    values (one row when n exceeds that), and only the variance of each row is
+    kept.  Memory is therefore bounded by the block whatever the grid; the
+    time is still proportional to (grid times) x n.  The variance of a row does
+    not depend on the block it sits in, so the result is the same bits as one
+    call over the whole grid.
     """
     if not isinstance(ctx, PluginContext):
         raise ValueError("plugin_variance requires a plugin context")
@@ -698,13 +728,16 @@ def plugin_variance(ctx: PluginContext) -> np.ndarray:
     factor = 1.0 - ctx.hazard[0]
     open_factor = factor > 0
     gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
-    _, psi1, psi2 = subject_influence(
-        ctx, d.a, d.v, d.delta, grid.points, event_gain=gain
-    )
-    psi = psi1 + psi2
     scale = 1.0 - ctx.curves.cdf.at(grid.points)
-    summand = scale[:, None] * psi
-    return summand.var(axis=1) / d.n
+    out = np.empty(grid.points.size)
+    rows = max(1, _BLOCK_VALUES // d.n)
+    for lo in range(0, grid.points.size, rows):
+        hi = lo + rows
+        psi1, psi2 = subject_influence(
+            ctx, d.a, d.v, d.delta, grid.points[lo:hi], event_gain=gain
+        )[1:]
+        out[lo:hi] = (scale[lo:hi, None] * (psi1 + psi2)).var(axis=1)
+    return out / d.n
 
 
 def assumption3_diagnostic(
@@ -721,6 +754,8 @@ def assumption3_diagnostic(
     if b <= lower:
         raise ValueError("b must exceed the window's lower edge")
     if isinstance(ctx, OracleContext):
+        from scipy import integrate
+
         model = ctx.model
         val, _ = integrate.quad(
             lambda u: float(

@@ -111,11 +111,11 @@ def parse_dataset(path) -> Dataset:
 
 
 def write_dataset_csv(path, d: Dataset) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("a,v,delta\n")
-        for i in range(d.n):
-            fh.write(f"{_fmt(d.a[i])},{_fmt(d.v[i])},{int(d.delta[i])}\n")
+    rows = zip(d.a.tolist(), d.v.tolist(), d.delta.tolist())
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(
+            ["a,v,delta\n"] + [f"{a!r},{v!r},{dlt}\n" for a, v, dlt in rows]
+        )
 
 
 def write_curve_csv(
@@ -125,14 +125,10 @@ def write_curve_csv(
     pts = step.jump_times
     if extra_points is not None:
         pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# estimator={name}\n")
-        fh.write(f"# n={n_obs}\n")
-        fh.write(f"# config={cfg_hash}\n")
-        fh.write("t,value\n")
-        for t, val in zip(pts, step.at(pts)):
-            fh.write(f"{_fmt(t)},{_fmt(val)}\n")
+    head = [f"# estimator={name}\n", f"# n={n_obs}\n", f"# config={cfg_hash}\n", "t,value\n"]
+    rows = zip(pts.tolist(), step.at(pts).tolist())
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(head + [f"{t!r},{val!r}\n" for t, val in rows])
 
 
 _CONFIG_KEYS = {
@@ -245,29 +241,30 @@ def _to_int(key: str, value: str) -> int:
 
 
 def write_rate_report_csv(path, report, cfg_hash: str) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# which={report.which}\n")
-        fh.write(f"# config={cfg_hash}\n")
-        fh.write(f"# seed={report.seed}\n")
-        fh.write(f"# slope={_fmt(report.slope)}\n")
-        fh.write(f"# target_exponent={_fmt(report.target_exponent)}\n")
-        for n, med in zip(report.sample_sizes, report.medians):
-            fh.write(f"# median n={int(n)}: {_fmt(med)}\n")
-        fh.write("n,rep,sup_residual\n")
-        for si, n in enumerate(report.sample_sizes):
-            for r in range(report.sup_residuals.shape[1]):
-                fh.write(f"{int(n)},{r},{_fmt(report.sup_residuals[si, r])}\n")
+    sizes = [int(n) for n in report.sample_sizes.tolist()]
+    lines = [
+        f"# which={report.which}\n",
+        f"# config={cfg_hash}\n",
+        f"# seed={report.seed}\n",
+        f"# slope={_fmt(report.slope)}\n",
+        f"# target_exponent={_fmt(report.target_exponent)}\n",
+    ]
+    lines += [f"# median n={n}: {med!r}\n" for n, med in zip(sizes, report.medians.tolist())]
+    lines.append("n,rep,sup_residual\n")
+    for n, sups in zip(sizes, report.sup_residuals.tolist()):
+        lines += [f"{n},{r},{sup!r}\n" for r, sup in enumerate(sups)]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def write_influence_csv(path, rows, n_obs: int, level: float, cfg_hash: str) -> None:
     """Rows of (t, cdf, se, ci_low, ci_high, d, v)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("# estimator=huang-qin\n")
-        fh.write(f"# n={n_obs}\n")
-        fh.write(f"# level={_fmt(level)}\n")
-        fh.write(f"# config={cfg_hash}\n")
-        fh.write("t,cdf,se,ci_low,ci_high,d,v\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    head = [
+        "# estimator=huang-qin\n",
+        f"# n={n_obs}\n",
+        f"# level={_fmt(level)}\n",
+        f"# config={cfg_hash}\n",
+        "t,cdf,se,ci_low,ci_high,d,v\n",
+    ]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(head + [",".join(map(_fmt, row)) + "\n" for row in rows])

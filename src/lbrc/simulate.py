@@ -126,17 +126,20 @@ def _rep_sup(ctx, which, n, seed_seq):
     raise ConfigError(f"unknown experiment selector {which!r}")
 
 
-def _run_block(args):
-    ctx, which, seed, si, n, rep_lo, rep_hi = args
-    out = np.empty(rep_hi - rep_lo)
-    for r in range(rep_lo, rep_hi):
-        out[r - rep_lo] = _rep_sup(ctx, which, n, _child_seed(seed, si, r))
-        if not np.isfinite(out[r - rep_lo]):
-            raise ComputeError(
-                f"non-finite sup residual at n={n}, replication {r} "
-                f"(seed spawn key ({si}, {r}))"
-            )
-    return si, rep_lo, out
+def _run_task(args):
+    """Replications ``first, first + stride, ...`` below ``reps`` at every size."""
+    ctx, which, seed, sizes, first, stride, reps = args
+    reps_here = range(first, reps, stride)
+    out = np.empty((len(sizes), len(reps_here)))
+    for si, n in enumerate(sizes):
+        for j, r in enumerate(reps_here):
+            out[si, j] = _rep_sup(ctx, which, n, _child_seed(seed, si, r))
+            if not np.isfinite(out[si, j]):
+                raise ComputeError(
+                    f"non-finite sup residual at n={n}, replication {r} "
+                    f"(seed spawn key ({si}, {r}))"
+                )
+    return out
 
 
 def rate_experiment(
@@ -176,21 +179,18 @@ def rate_experiment(
         # built here once: every task ships the context with its tables
         ctx.tables
 
+    # each task pickles the context once, so there are few of them: task k
+    # runs the replications r = k (mod stride) at every size
     sup = np.empty((len(sizes), reps))
-    block = max(1, reps // max(1, 2 * threads))
-    tasks = [
-        (ctx, which, seed, si, n, lo, min(lo + block, reps))
-        for si, n in enumerate(sizes)
-        for lo in range(0, reps, block)
-    ]
+    stride = min(reps, max(1, 2 * threads))
+    tasks = [(ctx, which, seed, sizes, k, stride, reps) for k in range(stride)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for si, rep_lo, vals in pool.map(_run_block, tasks):
-                sup[si, rep_lo : rep_lo + vals.shape[0]] = vals
+            results = list(pool.map(_run_task, tasks))
     else:
-        for task in tasks:
-            si, rep_lo, vals = _run_block(task)
-            sup[si, rep_lo : rep_lo + vals.shape[0]] = vals
+        results = map(_run_task, tasks)
+    for k, vals in enumerate(results):
+        sup[:, k::stride] = vals
 
     medians = np.median(sup, axis=1)
     if np.any(medians <= 0):

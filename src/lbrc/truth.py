@@ -16,6 +16,10 @@ instance, built on first read:
 
 so that ``event_subdist_density / risk = f / S``, the plain hazard, which is
 the identity everything else leans on.
+
+scipy is imported inside the methods that call it (the incomplete gamma
+functions, ``quad`` and ``brentq``), so importing this module, and the
+package, loads no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .errors import ConfigError
 from .stepfun import EvalGrid
@@ -150,6 +153,8 @@ class TruthModel:
 
     def mean_exit_time(self) -> float:
         """E[entry delay + observed residual time]."""
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda u: self.entry_survival(u) * (1.0 + self.censor_survival(u)),
             0.0,
@@ -162,6 +167,8 @@ class TruthModel:
         """Quantile of the total observed time distribution."""
         if not 0 < q < 1:
             raise ConfigError(f"quantile level must be in (0, 1), got {q}")
+        from scipy import optimize
+
         hi = float(self.lb_quantile(q)) + 1.0
         return float(optimize.brentq(lambda t: self.exit_cdf(t) - q, 0.0, hi, xtol=1e-12))
 
@@ -212,6 +219,8 @@ class ExponentialModel(TruthModel):
         return out if out.ndim else float(out)
 
     def lb_quantile(self, p):
+        from scipy import special
+
         p = np.asarray(p, dtype=float)
         out = special.gammaincinv(2.0, p) / self.rate
         return out if out.ndim else float(out)
@@ -307,11 +316,15 @@ class WeibullModel(TruthModel):
         return out if out.ndim else float(out)
 
     def lb_quantile(self, p):
+        from scipy import special
+
         p = np.asarray(p, dtype=float)
         out = self.scale * special.gammaincinv(1.0 + 1.0 / self.shape, p) ** (1.0 / self.shape)
         return out if out.ndim else float(out)
 
     def entry_survival(self, t):
+        from scipy import special
+
         out = special.gammaincc(1.0 / self.shape, self._z(t))
         return out if out.ndim else float(out)
 
@@ -330,6 +343,8 @@ class WeibullModel(TruthModel):
     def event_subdist(self, t):
         if self.censor_rate is None:
             # uncensored: the exit time is the length-biased lifetime itself
+            from scipy import special
+
             out = special.gammainc(1.0 + 1.0 / self.shape, self._z(t))
             return out if out.ndim else float(out)
         return self._tables["event_subdist"].query(t)
@@ -348,6 +363,8 @@ class WeibullModel(TruthModel):
     def event_fraction(self) -> float:
         if self.censor_rate is None:
             return 1.0
+        from scipy import integrate
+
         val, _ = integrate.quad(self.event_subdist_density, 0.0, np.inf, limit=200)
         return float(val)
 

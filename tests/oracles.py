@@ -6,9 +6,11 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-``FunctionPopulation`` is the one exception: it gives an oracle influence
+Two helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
-against small hand-made populations.
+against small hand-made populations.  ``plugin_variance_one_shot`` is the
+plugin variance computed over the whole grid in one ``subject_influence``
+call, the reference for the blocked ``plugin_variance``.
 """
 
 from __future__ import annotations
@@ -242,3 +244,25 @@ class FunctionPopulation:
 
     def cdf(self, u):
         return np.full(np.shape(u), np.nan)
+
+
+def plugin_variance_one_shot(ctx):
+    """``plugin_variance`` from one ``subject_influence`` call over the grid.
+
+    It holds three (times, n) arrays at once.  The in-place sum and product
+    give the same bits as ``scale[:, None] * (psi1 + psi2)``.
+    """
+    from lbrc.influence import subject_influence
+
+    d, grid = ctx.dataset, ctx.grid
+    factor = 1.0 - ctx.hazard[0]
+    open_factor = factor > 0
+    gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
+    phi, psi, psi2 = subject_influence(
+        ctx, d.a, d.v, d.delta, grid.points, event_gain=gain
+    )
+    del phi
+    psi += psi2
+    del psi2
+    psi *= (1.0 - ctx.curves.cdf.at(grid.points))[:, None]
+    return psi.var(axis=1) / d.n

@@ -1,12 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from lbrc.cli import main
+from lbrc.data import Dataset
 from lbrc.errors import InvalidDataError
-from lbrc.io import parse_dataset, write_dataset_csv
-from lbrc.simulate import sample_lbrc
+from lbrc.io import (
+    _fmt,
+    parse_dataset,
+    write_curve_csv,
+    write_dataset_csv,
+    write_influence_csv,
+    write_rate_report_csv,
+)
+from lbrc.simulate import RateReport, sample_lbrc
+from lbrc.stepfun import StepFunction
 from lbrc.truth import ExponentialModel
+
+# floats whose shortest repr is easy to get wrong: a rounding sum, the
+# smallest subnormal, negative zero, a large integral value and one
+SPECIAL = [0.1 + 0.2, 5e-324, -0.0, 1e16, 1.0]
 
 
 class TestParseDataset:
@@ -274,3 +292,51 @@ class TestInfluenceCommand:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+
+class TestWriters:
+    @staticmethod
+    def body(path):
+        return [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
+
+    def test_dataset_rows(self, tmp_path):
+        a, v, delta = SPECIAL, SPECIAL[::-1], [1, 0, 1, 0, 1]
+        write_dataset_csv(tmp_path / "d.csv", Dataset(a, v, delta))
+        expected = [f"{_fmt(x)},{_fmt(y)},{dlt}" for x, y, dlt in zip(a, v, delta)]
+        assert self.body(tmp_path / "d.csv") == ["a,v,delta"] + expected
+
+    def test_curve_rows(self, tmp_path):
+        times = sorted(SPECIAL)
+        write_curve_csv(tmp_path / "c.csv", StepFunction(times, SPECIAL, 0.0), "x", 5, "h")
+        expected = [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, SPECIAL)]
+        assert self.body(tmp_path / "c.csv") == ["t,value"] + expected
+
+    def test_influence_rows(self, tmp_path):
+        rows = [SPECIAL + SPECIAL[:2], SPECIAL[::-1] + SPECIAL[:2]]
+        write_influence_csv(tmp_path / "i.csv", rows, 5, 0.95, "h")
+        expected = [",".join(_fmt(x) for x in row) for row in rows]
+        assert self.body(tmp_path / "i.csv") == ["t,cdf,se,ci_low,ci_high,d,v"] + expected
+
+    def test_rate_report_rows(self, tmp_path):
+        sup = np.array([SPECIAL, SPECIAL[::-1]])
+        report = RateReport("Rn2", np.array([100, 200]), sup, np.array(SPECIAL[:2]),
+                            SPECIAL[0], -0.75, 7)
+        write_rate_report_csv(tmp_path / "r.csv", report, "h")
+        text = (tmp_path / "r.csv").read_text().splitlines()
+        assert f"# slope={_fmt(SPECIAL[0])}" in text
+        assert f"# median n=100: {_fmt(SPECIAL[0])}" in text
+        assert f"# median n=200: {_fmt(SPECIAL[1])}" in text
+        expected = [f"{n},{r},{_fmt(sup[si, r])}"
+                    for si, n in enumerate((100, 200)) for r in range(5)]
+        assert self.body(tmp_path / "r.csv") == ["n,rep,sup_residual"] + expected
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is imported by the functions that use it, not by the package
+    code = ("import sys, lbrc, lbrc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"

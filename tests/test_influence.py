@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -119,6 +120,12 @@ def replicated_derivatives(d, times, copies):
             np.append(a, d.a[i]), np.append(v, d.v[i]), np.append(delta, d.delta[i])
         ) - base
     return out * (copies * d.n + 1)
+
+
+def weibull_jumps_context():
+    """Plugin context of a 4000-row Weibull-1.5 sample on its event times."""
+    d = sample_lbrc(WeibullModel(censor_rate=0.5, shape=1.5), 4000, seed=21)
+    return make_plugin_context(d, EvalGrid.of_points(np.unique(d.y[d.delta == 1])))
 
 
 def _step_fields(f):
@@ -545,6 +552,61 @@ class TestPluginVariance:
         assert np.all(np.isfinite(var))
         assert np.all(var >= 0)
         assert var[-1] == 0.0
+
+    @pytest.mark.parametrize("case", ["weibull-jumps", "n=1", "all-tied", "one-row-blocks"])
+    def test_blocks_match_one_shot(self, case, monkeypatch):
+        if case == "weibull-jumps":
+            ctx = weibull_jumps_context()
+            rows = influence._BLOCK_VALUES // ctx.dataset.n
+            assert ctx.grid.points.size > rows
+            assert ctx.grid.points.size % rows != 0  # the last block is ragged
+        elif case == "n=1":
+            ctx = make_plugin_context(Dataset([0.7], [0.4], [1]), EvalGrid.of_points([1.1]))
+        elif case == "all-tied":
+            d = Dataset([1.0] * 6, [0.5] * 6, [1] * 6)
+            ctx = make_plugin_context(d, EvalGrid.of_points([0.5, 1.0, 1.5]))
+        else:
+            monkeypatch.setattr(influence, "_BLOCK_VALUES", 1)
+            ctx = make_plugin_context(sample_lbrc(MODEL, 300, seed=8), GRID)
+        assert np.array_equal(plugin_variance(ctx), oracles.plugin_variance_one_shot(ctx))
+
+    def test_memory_bounded_by_block(self):
+        # one call over all 2,964 event times would hold three (times, n)
+        # arrays of 95 MB each, plus temporaries
+        ctx = weibull_jumps_context()
+        tracemalloc.start()
+        try:
+            plugin_variance(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+
+    def test_permuted_sample_permutes_columns(self):
+        # ties, zero residuals, and entry delays or residuals equal to data
+        # times: every lookup hits an edge case of its search
+        base = sample_lbrc(MODEL, 300, seed=12)
+        a, v = np.round(base.a, 2), np.round(base.v, 2)
+        delta = base.delta.copy()
+        v[:6] = 0.0
+        delta[:3] = 0
+        a[10:15] = a[20:25] + v[20:25]
+        v[15:20] = a[30:35]
+        v[35:40] = v[40:45]
+        d = Dataset(a, v, delta)
+        times = np.unique(np.concatenate([d.y[d.delta == 1][:40], d.a[:20]]))
+        times = times[times > 0]
+        ctx = make_plugin_context(d, EvalGrid.of_points(times))
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(d.n)
+        gains = (None, rng.random(ctx.curves.empirical.event_times.size) + 0.5)
+        for gain in gains:
+            full = subject_influence(ctx, d.a, d.v, d.delta, times, event_gain=gain)
+            permuted = subject_influence(
+                ctx, d.a[perm], d.v[perm], d.delta[perm], times, event_gain=gain
+            )
+            for whole, part in zip(full, permuted):
+                assert np.array_equal(whole[:, perm], part)
 
 
 

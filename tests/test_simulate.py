@@ -120,14 +120,26 @@ class TestRateExperiment:
         assert rep1.target_exponent == TARGET_EXPONENTS["Lemma35"]
         assert rep1.slope < 0
 
-    @pytest.mark.parametrize("which", ["Lemma33", "Rn2"])
-    def test_threads_do_not_change_results(self, which):
-        # Rn2 reads the oracle tables, so its pool workers use shipped ones
-        serial = rate_experiment(MODEL, [60, 120], 50, which, self.GRID, seed=5)
+    @pytest.mark.parametrize(
+        "which, reps, threads",
+        [("Lemma33", 50, 2), ("Rn2", 50, 2), ("Rn2", 53, 3)],
+        ids=["Lemma33", "Rn2", "Rn2-reps53-threads3"],
+    )
+    def test_threads_do_not_change_results(self, which, reps, threads):
+        # Rn2 reads the oracle tables, so its pool workers use shipped ones;
+        # 53 replications in 6 interleaved tasks leave the tasks uneven
+        serial = rate_experiment(MODEL, [60, 120], reps, which, self.GRID, seed=5)
         parallel = rate_experiment(
-            MODEL, [60, 120], 50, which, self.GRID, seed=5, threads=2
+            MODEL, [60, 120], reps, which, self.GRID, seed=5, threads=threads
         )
         assert np.array_equal(serial.sup_residuals, parallel.sup_residuals)
+        if which == "Rn2":
+            # the last replication sits in its own column
+            seed_seq = np.random.SeedSequence(5, spawn_key=(1, reps - 1))
+            d = sample_lbrc(MODEL, 120, seed_seq)
+            ctx = make_oracle_context(MODEL, self.GRID)
+            sup = residual_cdf(d, ctx, self.GRID, fit(d)).residual_sup
+            assert parallel.sup_residuals[1, reps - 1] == sup
 
     def test_rn2_sups_match_residual_cdf(self):
         rep = rate_experiment(MODEL, [100, 300], 50, "Rn2", self.GRID, seed=9)
