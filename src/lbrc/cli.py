@@ -179,6 +179,9 @@ def _cmd_influence(args) -> int:
     events = np.unique(d.y[d.delta == 1])
     if events.size == 0:
         raise InvalidDataError("no observed events; intervals are undefined")
+    events = events[events > 0]  # the evaluation window starts at a positive time
+    if events.size == 0:
+        raise InvalidDataError("no observed events at positive times; intervals are undefined")
     count = _grid_count(args.grid, least=1)
     pts = events if count is None else np.unique(np.linspace(events.min(), events.max(), count))
     grid = EvalGrid.of_points(pts)

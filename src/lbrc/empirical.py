@@ -1,23 +1,26 @@
-"""Raw empirical processes of an LBRC sample.
+"""Empirical processes of an LBRC sample: count tables and two classic curves.
 
-Two families of counting processes drive every estimator here:
+``build_empirical`` counts the processes that drive every estimator at the
+points where they change:
 
-* classic processes over total observed times: the event-fraction curve
-  (fraction of subjects with an observed event by ``t``) and the
-  closed-interval at-risk proportion (fraction with entry delay <= t <= exit);
-* pooled processes over the *combined* sample of entry delays and residual
-  times, which share a marginal distribution under stationary length-biased
-  sampling and can therefore be stacked into one 2n-point sample.
+* the pooled sample of entry delays and residual times, which share a
+  marginal distribution under stationary length-biased sampling and can
+  therefore be stacked into one 2n-point sample: its mass points, with their
+  jump and at-risk counts;
+* the distinct uncensored exit times, with their event counts.
 
-"At risk" curves use ">= t" (closed) semantics: the subject leaving at ``t``
-still counts at ``t``.  They are stored as step functions whose at-jump value
-is the left limit of the strictly-greater count.
+The classic processes over total observed times are step functions built on
+demand: the exit survival (``exit_survival``) and the closed-interval at-risk
+proportion, the fraction with entry delay <= t <= exit (``classic_at_risk``).
+
+"At risk" counts and curves use ">= t" (closed) semantics: the subject leaving
+at ``t`` still counts at ``t``.  The curves store this as an at-jump value,
+the left limit of the strictly-greater count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .stepfun import StepFunction
 __all__ = [
     "EmpiricalProcesses",
     "build_empirical",
-    "event_cdf",
     "classic_at_risk",
     "exit_survival",
 ]
@@ -55,13 +57,14 @@ def _geq_count_step(points: np.ndarray, n: int) -> StepFunction:
 
 @dataclass(frozen=True)
 class EmpiricalProcesses:
-    """All raw counting processes of one dataset, plus integer count tables.
+    """The integer count tables of one dataset.
 
-    The integer arrays (`pooled_times`, `pooled_jumps`,
-    `pooled_at_risk_counts`, `event_times`, `event_counts`) carry exact counts
-    for product-limit factors and are built with the object.  The step-function
-    fields are the user-facing curves; each is built from `dataset` the first
-    time it is read and kept from then on.
+    ``pooled_times`` are the mass points of the pooled sample, with their
+    jump counts ``pooled_jumps`` and closed at-risk counts
+    ``pooled_at_risk_counts`` (#{a >= s} + #{v >= s}); ``event_times`` are the
+    distinct uncensored exit times, with ``event_counts``.  Product-limit
+    factors and influence values need the pooled processes only at these
+    points, where the counts are exact.
     """
 
     dataset: Dataset
@@ -75,48 +78,6 @@ class EmpiricalProcesses:
     def n(self) -> int:
         return self.dataset.n
 
-    @cached_property
-    def event_cdf(self) -> StepFunction:
-        return event_cdf(self.dataset)
-
-    @cached_property
-    def at_risk(self) -> StepFunction:
-        return classic_at_risk(self.dataset)
-
-    @cached_property
-    def exit_survival(self) -> StepFunction:
-        return exit_survival(self.dataset)
-
-    @cached_property
-    def entry_cdf(self) -> StepFunction:
-        return _cdf_step(self.dataset.a, self.n)
-
-    @cached_property
-    def residual_event_cdf(self) -> StepFunction:
-        d = self.dataset
-        return _cdf_step(d.v[d.delta == 1], self.n)
-
-    @cached_property
-    def pooled_cdf(self) -> StepFunction:
-        return self.entry_cdf.combine(self.residual_event_cdf, np.add)
-
-    @cached_property
-    def entry_at_risk(self) -> StepFunction:
-        return _geq_count_step(self.dataset.a, self.n)
-
-    @cached_property
-    def residual_at_risk(self) -> StepFunction:
-        return _geq_count_step(self.dataset.v, self.n)
-
-    @cached_property
-    def pooled_at_risk(self) -> StepFunction:
-        return self.entry_at_risk.combine(self.residual_at_risk, np.add)
-
-
-def event_cdf(d: Dataset) -> StepFunction:
-    """Fraction of subjects with an observed event by time t."""
-    return _cdf_step(d.y[d.delta == 1], d.n)
-
 
 def exit_survival(d: Dataset) -> StepFunction:
     """Fraction of subjects with total observed time >= t (closed)."""
@@ -129,14 +90,11 @@ def classic_at_risk(d: Dataset) -> StepFunction:
     Implemented as (#{a <= t} - #{y < t}) / n via two half-open counting
     processes, so the subject exiting at t is still at risk at t.
     """
-    return _cdf_step(d.a, d.n).combine(exit_survival(d), np.add) - 1.0
+    return _cdf_step(d.a, d.n).combine(exit_survival(d), lambda x, y: x + y - 1.0)
 
 
 def build_empirical(d: Dataset) -> EmpiricalProcesses:
-    """Count the pooled and event tables of the sample in one pass.
-
-    The step-function curves of the result are built when first read.
-    """
+    """Count the pooled and event tables of the sample in one pass."""
     n = d.n
 
     # pooled sample: entry delays always contribute mass; residual times

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .empirical import EmpiricalProcesses, build_empirical, exit_survival
+from .empirical import EmpiricalProcesses, build_empirical, classic_at_risk, exit_survival
 from .stepfun import StepFunction
 
 __all__ = [
@@ -57,12 +57,9 @@ def _drop_flat(times: np.ndarray, values: np.ndarray, initial: float) -> tuple[n
 def _pooled_ratio(emp: EmpiricalProcesses) -> np.ndarray:
     """Pooled jump count over pooled at-risk count at each pooled mass point.
 
-    A zero at-risk count gives 0: 0/0 factors are skipped.
+    Both counts are at least 1 at a mass point, so no factor is 0/0.
     """
-    k = emp.pooled_at_risk_counts.astype(float)
-    dq = emp.pooled_jumps.astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(k > 0, dq / np.where(k > 0, k, 1.0), 0.0)
+    return emp.pooled_jumps / emp.pooled_at_risk_counts
 
 
 def estimate_entry_survival(emp: EmpiricalProcesses) -> StepFunction:
@@ -113,7 +110,7 @@ def classic_cumulative_hazard(emp: EmpiricalProcesses) -> StepFunction:
 
     Equals Nelson-Aalen when every entry delay is zero.
     """
-    return _hazard_from_events(emp, emp.at_risk)
+    return _hazard_from_events(emp, classic_at_risk(emp.dataset))
 
 
 def pooled_entry_cumhaz(emp: EmpiricalProcesses) -> StepFunction:

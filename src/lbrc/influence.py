@@ -167,20 +167,26 @@ class PluginContext:
 
     @cached_property
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Kaplan-Meier gains and the second-moment prefix of the pooled sample.
+        """Jump weights and the second-moment prefix of the pooled sample.
 
-        The prefix sums (pooled jump)/(pooled at-risk)^2, each term weighted
-        by its gain ``1/(1 - dq/kq)``, the derivative factor of its
-        Kaplan-Meier factor.  Every stored pooled time is a mass point, so
-        kq >= dq >= 1.  A zero factor (dq = kq, only at the last pooled time)
-        stays 0 under every perturbation of the sample, so its gain is 0.
+        At a pooled mass point (jump count dq, at-risk count kq, so kq >= dq
+        >= 1) the gain ``1/(1 - dq/kq)`` is the derivative factor of its
+        Kaplan-Meier factor; a zero factor (dq = kq, only at the last pooled
+        time) stays 0 under every perturbation of the sample, so its gain is
+        0.  The jump weight is the gain over ``(n - #{a < s})/n + (n - #{v <
+        s})/n``, two fractions rounded apart as the closed at-risk curves
+        ``_geq_count_step`` sum them (``kq / n`` rounds differently).  The
+        prefix sums (pooled jump)/(pooled at-risk)^2 weighted by the gain.
         """
         emp = self.curves.empirical
+        d, n, s = emp.dataset, emp.n, emp.pooled_times
         kq = emp.pooled_at_risk_counts.astype(float)
         dq = emp.pooled_jumps.astype(float)
         open_factor = dq < kq
         gain = np.where(open_factor, kq / np.where(open_factor, kq - dq, 1.0), 0.0)
-        return gain, np.concatenate(([0.0], np.cumsum(emp.n * dq / kq**2 * gain)))
+        below_a, below_v = (np.searchsorted(np.sort(x), s, side="left") for x in (d.a, d.v))
+        k = (n - below_a) / n + (n - below_v) / n
+        return gain / k, np.concatenate(([0.0], np.cumsum(n * dq / kq**2 * gain)))
 
     @cached_property
     def event_entry_m(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,17 +226,6 @@ class _SortedQueries:
         out = np.empty_like(found)
         out[self.order] = found
         return out
-
-
-def _at_mass(times, values, x, idx_right):
-    """``values`` at the mass point equal to each x, 1 where x is none.
-
-    ``idx_right`` is ``searchsorted(times, x, side="right")``.
-    """
-    if times.size == 0:
-        return np.ones(x.shape)
-    j = np.maximum(idx_right - 1, 0)
-    return np.where((idx_right > 0) & (times[j] == x), values[j], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +277,11 @@ def subject_influence(
     influence, the direct hazard influence, and the estimated-risk hazard
     correction.
 
-    With a plugin context ``event_gain`` (one value per distinct event time)
-    multiplies every term of each event's hazard increment; left at None the
-    hazard influence is returned.  ``plugin_variance`` passes the
+    With a plugin context the subjects are those of the context's sample, in
+    any order: each a, uncensored v and uncensored y must be a data point of
+    it, or ``ValueError`` is raised.  ``event_gain`` (one value per distinct
+    event time) multiplies every term of each event's hazard increment; left
+    at None the hazard influence is returned.  ``plugin_variance`` passes the
     product-limit weights through it.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
@@ -393,35 +390,46 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
     u = emp.event_times
     y = a + v
     s = emp.pooled_times
-    pooled_gain, pooled_m_prefix = ctx.pooled
+    pooled_weight, pooled_m_prefix = ctx.pooled
     # every lookup below runs on sorted queries: a search over sorted values
     # walks the table in order and is several times faster, and its result
     # depends only on the query value
     by_a, by_v, by_y = (_SortedQueries(x) for x in (a, v, y))
     idx_pa = by_a.map(lambda x: np.searchsorted(s, x, side="right"))
     idx_pv = by_v.map(lambda x: np.searchsorted(s, x, side="right"))
-    m_a = pooled_m_prefix[idx_pa]
-    m_v = pooled_m_prefix[idx_pv]
-    k_a = by_a.map(emp.pooled_at_risk.at)
-    k_v = by_v.map(emp.pooled_at_risk.at)
-    # the pooled jump at a point carries the Kaplan-Meier factor of its mass
-    gain_a = _at_mass(s, pooled_gain, a, idx_pa)
-    gain_v = _at_mass(s, pooled_gain, v, idx_pv)
-    inv_k_a = np.where(k_a > 0, gain_a / np.where(k_a > 0, k_a, 1.0), 0.0)
-    inv_k_v = np.where(k_v > 0, gain_v / np.where(k_v > 0, k_v, 1.0), 0.0)
-
     idx_a_left = by_a.map(lambda x: np.searchsorted(u, x, side="left"))
     idx_a_right = by_a.map(lambda x: np.searchsorted(u, x, side="right"))
     idx_v_left = by_v.map(lambda x: np.searchsorted(u, x, side="left"))
     idx_v_right = by_v.map(lambda x: np.searchsorted(u, x, side="right"))
     idx_y_right = by_y.map(lambda x: np.searchsorted(u, x, side="right"))
 
+    # in the context's own sample every a and every uncensored v is a pooled
+    # mass point, and every uncensored y a distinct event time, each found
+    # just below its right search position
+    event = delta == 1
+    at_y = idx_y_right[event] - 1
+    if not (
+        np.array_equal(s[idx_pa - 1], a)
+        and np.array_equal(s[idx_pv[event] - 1], v[event])
+        and np.all(at_y >= 0)
+        and np.array_equal(u[at_y], y[event])
+    ):
+        raise ValueError(
+            "plugin influence needs each a, uncensored v and uncensored y to be "
+            "a data point of the context's sample"
+        )
+    m_a = pooled_m_prefix[idx_pa]
+    m_v = pooled_m_prefix[idx_pv]
+    # the pooled jump at a point carries the Kaplan-Meier factor of its mass
+    inv_k_a = pooled_weight[idx_pa - 1]
+    inv_k_v = np.where(event, pooled_weight[idx_pv - 1], 0.0)
     # an uncensored exit time is a distinct event time, with its floored risk
-    own_event = delta / _at_mass(u, ctx.hazard[1], y, idx_y_right)
+    own_event = np.zeros(a.size)
+    own_event[event] = 1.0 / ctx.hazard[1][at_y]
     w = ctx.event_w
     if event_gain is not None:
         w = w * event_gain
-        own_event = own_event * _at_mass(u, event_gain, y, idx_y_right)
+        own_event[event] *= event_gain[at_y]
     # prefix sums over events of w, w * S_A and w * S_A * m
     entry_surv, m_u = ctx.event_entry_m
     ws = w * entry_surv
@@ -436,7 +444,7 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
         y_le = y <= t
 
         jump_a = np.where(a_le, inv_k_a, 0.0)
-        jump_v = np.where(v_le & (delta == 1), inv_k_v, 0.0)
+        jump_v = np.where(v_le, inv_k_v, 0.0)
         m_at_t = float(_plugin_m(ctx, t))
         phi[j] = (
             np.where(a_le, m_a, m_at_t) + np.where(v_le, m_v, m_at_t) - jump_a - jump_v
@@ -455,7 +463,7 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
         t3 = pref_wsm[ia_t] + m_a * (pref_ws[kt] - pref_ws[ia_t])
         t4 = pref_wsm[iv_t] + m_v * (pref_ws[kt] - pref_ws[iv_t])
         t5 = inv_k_a * (pref_ws[kt] - pref_ws[ja_t])
-        t6 = delta * inv_k_v * (pref_ws[kt] - pref_ws[jv_t])
+        t6 = inv_k_v * (pref_ws[kt] - pref_ws[jv_t])
         psi2[j] = t1 + t2 - (t3 + t4) + t5 + t6
     return phi, psi1, psi2
 

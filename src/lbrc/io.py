@@ -48,7 +48,7 @@ def parse_dataset(path) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise InvalidDataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -166,7 +166,7 @@ def parse_rate_config(path) -> dict:
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

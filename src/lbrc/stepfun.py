@@ -1,6 +1,6 @@
 """Piecewise-constant curves on the real line.
 
-Every empirical process and every fitted curve in this package is a step
+Every empirical curve and every fitted curve in this package is a step
 function with finitely many jumps.  The canonical storage is right-continuous
 (cadlag): ``values[i]`` is the value on ``[jump_times[i], jump_times[i+1])``
 and ``initial_value`` is the value left of the first jump.  Some curves used
@@ -73,26 +73,6 @@ class StepFunction:
         object.__setattr__(self, "initial_value", float(self.initial_value))
 
     @classmethod
-    def from_jumps(cls, times, increments, initial_value=0.0) -> "StepFunction":
-        """Cumulative cadlag function from (possibly tied, unsorted) jumps.
-
-        Jumps at identical times accumulate into one.
-        """
-        times = _as_float_array(times)
-        increments = _as_float_array(increments)
-        if times.shape != increments.shape:
-            raise ValueError("times and increments must have equal length")
-        if times.size == 0:
-            return cls(np.empty(0), np.empty(0), initial_value)
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        increments = increments[order]
-        uniq, start = np.unique(times, return_index=True)
-        sums = np.add.reduceat(increments, start)
-        vals = initial_value + np.cumsum(sums)
-        return cls(uniq, vals, initial_value)
-
-    @classmethod
     def constant(cls, value: float) -> "StepFunction":
         return cls(np.empty(0), np.empty(0), value)
 
@@ -147,26 +127,6 @@ class StepFunction:
             return np.full(times.shape, self.initial_value)
         idx = np.searchsorted(self.jump_times, times, side="right") - 1
         return np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
-
-    def __add__(self, other):
-        if isinstance(other, StepFunction):
-            return self.combine(other, np.add)
-        return self.affine(float(other), 1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, StepFunction):
-            return self.combine(other, np.subtract)
-        return self.affine(-float(other), 1.0)
-
-    def affine(self, shift: float, scale: float) -> "StepFunction":
-        """Return ``shift + scale * f``."""
-        ats = None if self.at_values is None else shift + scale * self.at_values
-        return StepFunction(
-            self.jump_times,
-            shift + scale * self.values,
-            shift + scale * self.initial_value,
-            ats,
-        )
 
     def increments(self) -> np.ndarray:
         """Right-value increments at each jump (ignores at-jump overrides)."""

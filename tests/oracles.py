@@ -21,32 +21,8 @@ from typing import Callable
 import numpy as np
 
 
-def n_bar_at(d, t):
-    return sum(1 for i in range(d.n) if d.delta[i] == 1 and d.y[i] <= t) / d.n
-
-
 def r_bar_at(d, t):
     return sum(1 for i in range(d.n) if d.a[i] <= t <= d.y[i]) / d.n
-
-
-def q_tilde_at(d, t):
-    total = 0
-    for i in range(d.n):
-        if d.a[i] <= t:
-            total += 1
-        if d.delta[i] == 1 and d.v[i] <= t:
-            total += 1
-    return total / d.n
-
-
-def k_tilde_at(d, t):
-    total = 0
-    for i in range(d.n):
-        if d.a[i] >= t:
-            total += 1
-        if d.v[i] >= t:
-            total += 1
-    return total / d.n
 
 
 def _pooled_mass_points(d):

@@ -13,6 +13,7 @@ from lbrc.errors import InvalidDataError
 from lbrc.io import (
     _fmt,
     parse_dataset,
+    parse_rate_config,
     write_curve_csv,
     write_dataset_csv,
     write_influence_csv,
@@ -41,6 +42,16 @@ class TestParseDataset:
         d = parse_dataset(p)
         assert d.v[0] == 2.0
         assert d.y[0] == 3.0
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        text = "a,v,delta\n1.0,2.0,1\n0.5,0.25,0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want, got = parse_dataset(plain), parse_dataset(marked)
+        for name in ("a", "v", "delta", "y"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_negative_entry_rejected_with_row(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -250,6 +261,14 @@ class TestRateExperimentCommand:
         assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_config_byte_order_mark_ignored(self, tmp_path):
+        cfg, marked = tmp_path / "exp.cfg", tmp_path / "bom.cfg"
+        write_config(cfg)
+        marked.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+        want, got = parse_rate_config(cfg), parse_rate_config(marked)
+        assert got["raw"] == want["raw"]
+        assert np.array_equal(got["grid"].points, want["grid"].points)
+
     def test_window_refusal_exits_2(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         write_config(cfg, grid="quantiles:0.10:0.999:8")
@@ -266,6 +285,26 @@ class TestInfluenceCommand:
         assert lines[0] == "t,cdf,se,ci_low,ci_high,d,v"
         vals = [float(x) for x in lines[1].split(",")]
         assert all(np.isfinite(vals))
+
+    @pytest.mark.parametrize("grid", ["n:20", "jumps"])
+    def test_event_at_time_zero(self, tmp_path, capsys, grid):
+        # a = v = 0 with an event is valid data; the window starts at the
+        # first positive event time
+        src = tmp_path / "d.csv"
+        src.write_text("a,v,delta\n0,0,1\n0.5,0.5,1\n1,2,1\n0.5,1,0\n")
+        out = tmp_path / "ci.csv"
+        assert main(["influence", str(src), "--grid", grid, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+        assert float(rows[1].split(",")[0]) == 1.0
+
+    def test_events_only_at_time_zero(self, tmp_path, capsys):
+        src = tmp_path / "d.csv"
+        src.write_text("a,v,delta\n0,0,1\n0.5,1,0\n")
+        assert main(["influence", str(src), "--out", str(tmp_path / "ci.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "no observed events at positive times" in err
+        assert "Traceback" not in err
 
     def test_invalid_level(self, tmp_path):
         src = tmp_path / "d.csv"

@@ -1,5 +1,4 @@
 from dataclasses import FrozenInstanceError
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,9 +10,10 @@ from lbrc.empirical import (
     _geq_count_step,
     build_empirical,
     classic_at_risk,
-    event_cdf,
     exit_survival,
 )
+from lbrc.influence import make_plugin_context
+from lbrc.stepfun import EvalGrid
 
 
 def random_dataset(rng, n, tie_prob=0.3, censor_prob=0.3, allow_zero_v=True):
@@ -53,24 +53,26 @@ def probe_points(d):
     return pts[pts >= 0]
 
 
+def event_fraction(e):
+    """The event-fraction curve N-bar at each distinct event time."""
+    return np.cumsum(e.event_counts) / e.n
+
+
 def test_event_cdf_single_event():
-    d = Dataset([1.0], [2.0], [1])
-    nb = event_cdf(d)
-    assert nb.at(2.9) == 0.0
-    assert nb.at(3.0) == 1.0
+    e = build_empirical(Dataset([1.0], [2.0], [1]))
+    assert e.event_times.tolist() == [3.0]
+    assert event_fraction(e).tolist() == [1.0]
 
 
 def test_event_cdf_single_censored():
-    d = Dataset([1.0], [2.0], [0])
-    nb = event_cdf(d)
-    assert nb.at(100.0) == 0.0
+    e = build_empirical(Dataset([1.0], [2.0], [0]))
+    assert e.event_times.size == e.event_counts.size == 0
 
 
 def test_event_cdf_two_events():
-    d = Dataset([1.0, 1.0], [1.0, 3.0], [1, 1])
-    nb = event_cdf(d)
-    assert nb.at(2.0) == 0.5
-    assert nb.at(4.0) == 1.0
+    e = build_empirical(Dataset([1.0, 1.0], [1.0, 3.0], [1, 1]))
+    assert e.event_times.tolist() == [2.0, 4.0]
+    assert event_fraction(e).tolist() == [0.5, 1.0]
 
 
 def test_at_risk_closed_interval():
@@ -96,26 +98,24 @@ def test_at_risk_vanishes_beyond_exits():
 
 
 def test_pooled_counts_one_observation():
-    d = Dataset([1.0], [2.0], [1])
-    e = build_empirical(d)
-    assert e.pooled_cdf.at(1.0) == 1.0
-    assert e.pooled_cdf.at(2.0) == 2.0
-    assert e.pooled_at_risk.at(1.0) == 2.0
-    assert e.pooled_at_risk.at(2.0) == 1.0
-    assert e.pooled_at_risk.at(2.1) == 0.0
+    e = build_empirical(Dataset([1.0], [2.0], [1]))
+    assert e.pooled_times.tolist() == [1.0, 2.0]
+    assert np.cumsum(e.pooled_jumps).tolist() == [1, 2]
+    assert e.pooled_at_risk_counts.tolist() == [2, 1]
 
 
 def test_pooled_counts_censored_residual():
-    d = Dataset([1.0], [2.0], [0])
-    e = build_empirical(d)
-    assert e.residual_event_cdf.at(10.0) == 0.0
-    assert e.residual_at_risk.at(2.0) == 1.0
+    # a censored residual time carries no mass but is at risk up to itself
+    e = build_empirical(Dataset([1.0], [2.0], [0]))
+    assert e.pooled_times.tolist() == [1.0]
+    assert e.pooled_jumps.tolist() == [1]
+    assert e.pooled_at_risk_counts.tolist() == [2]
 
 
 def test_pooled_at_risk_mixed():
-    d = Dataset([1.0, 2.0], [5.0, 6.0], [1, 1])
-    e = build_empirical(d)
-    assert e.pooled_at_risk.at(1.5) == pytest.approx(1.5)
+    e = build_empirical(Dataset([1.0, 2.0], [5.0, 6.0], [1, 1]))
+    assert e.pooled_times.tolist() == [1.0, 2.0, 5.0, 6.0]
+    assert (e.pooled_at_risk_counts / e.n).tolist() == [2.0, 1.5, 1.0, 0.5]
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -123,12 +123,9 @@ def test_brute_force_equality(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 51))
     d = random_dataset(rng, n)
-    e = build_empirical(d)
+    rb = classic_at_risk(d)
     for t in probe_points(d):
-        assert e.event_cdf.at(t) == pytest.approx(oracles.n_bar_at(d, t), abs=1e-12)
-        assert e.at_risk.at(t) == pytest.approx(oracles.r_bar_at(d, t), abs=1e-12)
-        assert e.pooled_cdf.at(t) == pytest.approx(oracles.q_tilde_at(d, t), abs=1e-12)
-        assert e.pooled_at_risk.at(t) == pytest.approx(oracles.k_tilde_at(d, t), abs=1e-12)
+        assert rb.at(t) == pytest.approx(oracles.r_bar_at(d, t), abs=1e-12)
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -159,69 +156,50 @@ def test_monotonicity_and_bounds(seed):
     d = random_dataset(rng, int(rng.integers(2, 40)))
     e = build_empirical(d)
     pts = probe_points(d)
-    q = e.pooled_cdf.at(pts)
-    k = e.pooled_at_risk.at(pts)
-    r = e.at_risk.at(pts)
-    assert np.all(np.diff(q) >= -1e-15)
-    assert np.all(np.diff(k) <= 1e-15)
-    assert np.all((k >= 0) & (k <= 2))
+    r = classic_at_risk(d).at(pts)
     assert np.all((r >= -1e-15) & (r <= 1))
     # counting consistency: at risk can't exceed entered or still-present
-    entered = e.entry_cdf.at(pts)
-    present = e.exit_survival.at(pts)
+    entered = _cdf_step(d.a, d.n).at(pts)
+    present = exit_survival(d).at(pts)
     assert np.all(r <= entered + 1e-15)
     assert np.all(r <= present + 1e-15)
+    # the pooled at-risk count falls by at least the jump at each mass point
+    k, dq = e.pooled_at_risk_counts, e.pooled_jumps
+    assert np.all(np.diff(e.pooled_times) > 0)
+    assert np.all((dq >= 1) & (dq <= k) & (k <= 2 * d.n))
+    assert np.all(k[:-1] - k[1:] >= dq[:-1])
+    assert np.all(np.diff(e.event_times) > 0)
+    assert np.all(e.event_counts >= 1)
 
 
 def test_totals():
     rng = np.random.default_rng(42)
     d = random_dataset(rng, 25, allow_zero_v=False)
     e = build_empirical(d)
-    big = float(d.y.max()) + 10
-    assert e.event_cdf.at(big) == pytest.approx(d.n_events / d.n)
-    assert e.pooled_cdf.at(big) == pytest.approx(1.0 + d.n_events / d.n)
-    tiny = 1e-12
-    if d.a.min() > 0 and d.v.min() > 0:
-        assert e.pooled_at_risk.at(tiny) == pytest.approx(2.0)
-
-
-def direct_curves(d):
-    """Every step-function field of ``build_empirical(d)``, built directly."""
-    entry = _cdf_step(d.a, d.n)
-    residual_event = _cdf_step(d.v[d.delta == 1], d.n)
-    entry_risk = _geq_count_step(d.a, d.n)
-    residual_risk = _geq_count_step(d.v, d.n)
-    return {
-        "event_cdf": event_cdf(d),
-        "at_risk": classic_at_risk(d),
-        "exit_survival": exit_survival(d),
-        "entry_cdf": entry,
-        "residual_event_cdf": residual_event,
-        "pooled_cdf": entry.combine(residual_event, np.add),
-        "entry_at_risk": entry_risk,
-        "residual_at_risk": residual_risk,
-        "pooled_at_risk": entry_risk.combine(residual_risk, np.add),
-    }
+    assert e.event_counts.sum() == d.n_events
+    assert e.pooled_jumps.sum() == d.n + d.n_events
+    # only residual times censored before the first mass point have left
+    assert e.pooled_at_risk_counts[0] == 2 * d.n - np.sum(d.v < e.pooled_times[0])
 
 
 @pytest.mark.parametrize("case", range(10))
 def test_curves_equal_direct_construction(case):
+    # the plugin jump weight at each pooled mass point is the Kaplan-Meier
+    # gain over the closed pooled at-risk curve, bit for bit
     rng = np.random.default_rng(300 + case)
     samples = special_datasets() if case == 0 else [random_dataset(rng, int(rng.integers(1, 60)))]
     for d in samples:
-        e = build_empirical(d)
-        curves = direct_curves(d)
-        assert set(curves) == {
-            name for name, attr in vars(type(e)).items() if isinstance(attr, cached_property)
-        }
-        for name, want in curves.items():
-            assert_same_step(getattr(e, name), want, name)
+        ctx = make_plugin_context(d, EvalGrid.of_points([1.0]))
+        e = ctx.curves.empirical
+        curve = _geq_count_step(d.a, d.n).combine(_geq_count_step(d.v, d.n), np.add)
+        kq, dq = e.pooled_at_risk_counts, e.pooled_jumps
+        gain = np.where(dq < kq, kq / np.maximum(kq - dq, 1), 0.0)
+        assert np.array_equal(ctx.pooled[0], gain / curve.at(e.pooled_times))
 
 
 def test_curves_are_kept_and_read_only():
     e = build_empirical(Dataset([1.0, 2.0], [5.0, 6.0], [1, 0]))
-    assert e.pooled_at_risk is e.pooled_at_risk
-    with pytest.raises(FrozenInstanceError):
-        e.pooled_at_risk = e.entry_at_risk
     with pytest.raises(FrozenInstanceError):
         e.pooled_times = e.event_times
+    with pytest.raises(FrozenInstanceError):
+        e.dataset = None

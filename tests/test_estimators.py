@@ -305,6 +305,7 @@ def test_rn2_replication_builds_only_what_it_reads(monkeypatch):
         (estimators, "classic_cumulative_hazard"),
         (estimators, "pooled_entry_cumhaz"),
         (empirical, "classic_at_risk"),
+        (estimators, "classic_at_risk"),
     ):
         monkeypatch.setattr(module, name, refuse(name))
     rep = residual_cdf(d, ctx, grid, fit(d))

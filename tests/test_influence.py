@@ -553,6 +553,21 @@ class TestPluginVariance:
         assert np.all(var >= 0)
         assert var[-1] == 0.0
 
+    def test_all_censored_sample(self):
+        # no event times: nothing may be read from the empty event tables
+        d = TestContexts.SAMPLES["all-censored"]
+        ctx = make_plugin_context(d, EvalGrid.of_points([0.25, 0.5, 1.0, 1.5]))
+        zeros = np.zeros((4, 3))
+        for gain in (None, np.empty(0)):
+            phi, psi1, psi2 = subject_influence(
+                ctx, d.a, d.v, d.delta, ctx.grid.points, event_gain=gain
+            )
+            assert np.array_equal(psi1, zeros) and np.array_equal(psi2, zeros)
+            assert np.allclose(
+                phi, [[0.0, 0.0, 0.0], [-0.6, 0.3, 0.3], [-0.6, 0.8, -0.2], [-0.6, 0.8, -0.2]]
+            )
+        assert np.array_equal(plugin_variance(ctx), np.zeros(4))
+
     @pytest.mark.parametrize("case", ["weibull-jumps", "n=1", "all-tied", "one-row-blocks"])
     def test_blocks_match_one_shot(self, case, monkeypatch):
         if case == "weibull-jumps":
@@ -672,3 +687,18 @@ class TestErrorPaths:
     def test_time_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             subject_influence(CTX, [0.5], [1.0], [1], [GRID.b + 1.0])
+
+    def test_plugin_rejects_points_outside_the_sample(self):
+        d = sample_lbrc(MODEL, 50, seed=4)
+        ctx = make_plugin_context(d, GRID)
+        i, j = np.flatnonzero(d.delta == 1)[:2]
+        outside = [
+            ([d.a[i] + 1e-3], [d.v[i]], [1]),  # entry delay off the pooled mass
+            ([d.a[i]], [d.v[i] + 1e-3], [1]),  # uncensored residual off it
+            ([d.a[i]], [d.v[j]], [1]),  # both on it, exit not an event time
+        ]
+        for a, v, delta in outside:
+            with pytest.raises(ValueError, match="data point"):
+                subject_influence(ctx, a, v, delta, [1.0])
+        # a censored residual time may fall anywhere
+        subject_influence(ctx, [d.a[i]], [d.v[i] + 1e-3], [0], [1.0])

@@ -37,13 +37,6 @@ def test_at_values_override():
     assert f.left_at(2.0) == 0.6
 
 
-def test_from_jumps_accumulates_ties():
-    f = StepFunction.from_jumps([1.0, 1.0, 2.0], [0.25, 0.25, 0.5], 0.0)
-    assert f.jump_times.tolist() == [1.0, 2.0]
-    assert f.at(1.0) == 0.5
-    assert f.at(2.0) == 1.0
-
-
 def test_strictly_increasing_enforced():
     with pytest.raises(ValueError):
         StepFunction([1.0, 1.0], [0.5, 0.2], 1.0)
