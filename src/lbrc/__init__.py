@@ -25,7 +25,6 @@ from .estimators import (
     fit,
     huang_qin_cdf,
     pooled_entry_cumhaz,
-    product_limit_from_hazard,
     safeguarded_cdf,
     tjw_product_limit,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "classic_cumulative_hazard",
     "combined_cumulative_hazard",
     "pooled_entry_cumhaz",
-    "product_limit_from_hazard",
     "tjw_product_limit",
     "huang_qin_cdf",
     "safeguarded_cdf",

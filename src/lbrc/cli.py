@@ -1,7 +1,8 @@
 """Command-line surface: estimate, simulate, rate-experiment, influence.
 
-Exit codes: 0 success, 1 input error (bad CSV, flags, or config), 2 compute
-error (refused window or a numerical failure).
+Exit codes: 0 success, 1 input error (bad CSV, flags, or config, or a file
+that cannot be read or written), 2 compute error (refused window or a
+numerical failure).
 """
 
 from __future__ import annotations
@@ -138,7 +139,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    censor = None if args.censor_rate.strip().lower() == "none" else float(args.censor_rate)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    censor = args.censor_rate.strip().lower()
+    try:
+        censor = None if censor == "none" else float(censor)
+    except ValueError:
+        raise ConfigError(f"--censor-rate: not a number: {args.censor_rate!r}") from None
     if args.family == "exponential":
         model = make_model("exponential", censor_rate=censor, rate=args.rate)
     else:
@@ -193,7 +200,7 @@ def _cmd_influence(args) -> int:
     z = float(special.ndtri(0.5 + args.level / 2.0))
     lo = np.clip(cdf_vals - z * se, 0.0, 1.0)
     hi = np.clip(cdf_vals + z * se, 0.0, 1.0)
-    lil = lil_quantities(ctx, grid)
+    lil = lil_quantities(ctx)
     rows = zip(*(x.tolist() for x in (grid.points, cdf_vals, se, lo, hi, lil.d, lil.v)))
     cfg = config_hash({"input": args.input, "level": args.level, "grid": args.grid})
     write_influence_csv(args.out, rows, d.n, args.level, cfg)
@@ -217,7 +224,7 @@ def main(argv=None) -> int:
         if args.command == "influence":
             return _cmd_influence(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (InvalidDataError, ConfigError) as exc:
+    except (InvalidDataError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (WindowError, ComputeError) as exc:

@@ -36,12 +36,12 @@ class Dataset:
             raise InvalidDataError("dataset must contain at least one observation")
         if not np.all(np.isfinite(a)) or np.any(a < 0):
             raise InvalidDataError("entry delays must be finite and >= 0")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InvalidDataError("residual times must be finite and >= 0")
+        y = a + v
+        if not np.all(np.isfinite(y)) or np.any(v < 0):
+            raise InvalidDataError("residual times must be >= 0, with a + v finite")
         if not np.all(np.isin(delta, (0, 1))):
             raise InvalidDataError("event indicators must be 0 or 1")
         delta = delta.astype(np.int8)
-        y = a + v
         for arr in (a, v, delta, y):
             arr.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -52,9 +52,6 @@ class Dataset:
 
     def __setattr__(self, name, value):
         raise AttributeError("Dataset is immutable")
-
-    def __len__(self) -> int:
-        return self.n
 
     @property
     def n_events(self) -> int:

@@ -32,7 +32,6 @@ __all__ = [
     "classic_cumulative_hazard",
     "combined_cumulative_hazard",
     "pooled_entry_cumhaz",
-    "product_limit_from_hazard",
     "tjw_product_limit",
     "huang_qin_cdf",
     "safeguarded_cdf",
@@ -120,23 +119,6 @@ def pooled_entry_cumhaz(emp: EmpiricalProcesses) -> StepFunction:
     return StepFunction(emp.pooled_times, np.cumsum(_pooled_ratio(emp)), 0.0)
 
 
-def product_limit_from_hazard(hazard: StepFunction) -> StepFunction:
-    """Distribution function from a cumulative hazard via the product-limit map.
-
-    Survival is the running product of ``1 - (hazard jump)`` with each factor
-    clamped into [0, 1]; the returned curve is ``1 - survival``.
-    """
-    if abs(hazard.initial_value) > 1e-12:
-        raise ValueError("hazard must start at 0")
-    inc = hazard.increments()
-    if inc.size and inc.min() < -1e-12:
-        raise ValueError("hazard must be nondecreasing")
-    factors = np.clip(1.0 - inc, 0.0, 1.0)
-    survival = np.cumprod(factors)
-    times, vals = _drop_flat(hazard.jump_times, 1.0 - survival, 0.0)
-    return StepFunction(times, vals, 0.0)
-
-
 def _per_subject_product_limit(
     d: Dataset, factor_of_subject: np.ndarray, order: np.ndarray
 ) -> StepFunction:
@@ -179,10 +161,10 @@ def huang_qin_cdf(
 ) -> StepFunction:
     """Pooled-risk product-limit CDF: product of one-minus-hazard-increments.
 
-    Built from the hazard increments themselves, not from differences of
-    their running sum, so it equals
-    ``product_limit_from_hazard(combined_cumulative_hazard(...))`` only up to
-    rounding.
+    Each factor ``1 - (hazard increment)`` is clamped into [0, 1].  The
+    factors are built from the increments themselves, not from differences
+    of the running sum ``combined_cumulative_hazard``, so the product-limit
+    map of that sum gives the same curve only up to rounding.
     """
     if emp.event_times.size == 0:
         return StepFunction.constant(0.0)

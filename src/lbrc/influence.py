@@ -16,7 +16,9 @@ modes, each with its own frozen context type:
   finite sum over data points.  This is the basis of the pointwise variance
   estimate and normal-approximation intervals.
 
-Functions taking a context dispatch on its type.
+``subject_influence`` takes either context.  ``influence_means``, the
+representation residuals and ``assumption3_diagnostic`` take an oracle
+context; ``plugin_variance`` and ``lil_quantities`` take a plugin context.
 
 Plugin values are the exact derivatives of the reported step-function
 estimates, not the continuous-hazard formulas evaluated at them.  The pooled
@@ -101,9 +103,10 @@ class OracleContext:
     """Oracle mode: influence values against a known population.
 
     ``model`` supplies the population functions ``risk``, ``entry_survival``,
-    ``pooled_at_risk``, ``cdf``, ``entry_cdf``, ``influence_weight``,
-    ``pooled_density`` and ``event_subdist_density``; every ``TruthModel``
-    has them.  The evaluation window is the grid's [lower, b] span.
+    ``pooled_at_risk``, ``entry_cdf``, ``influence_weight``, ``pooled_density``
+    and ``event_subdist_density``; every ``TruthModel`` has them, and the
+    representation residuals take only a ``TruthModel``.  The evaluation
+    window is the grid's [lower, b] span.
     """
 
     model: TruthModel
@@ -683,26 +686,18 @@ class LilCurves:
     v: np.ndarray
 
 
-def lil_quantities(ctx: OracleContext | PluginContext, grid: EvalGrid) -> LilCurves:
-    """Fluctuation curves, integrated from the window's lower edge."""
-    pts = grid.points
-    if isinstance(ctx, OracleContext):
-        if grid.lower < grid.b:
-            table = SmoothCumulative(
-                ctx.model.influence_weight, geometric_edges(grid.lower, grid.b, ratio=1.05)
-            )
-            d_vals = table.query(pts)
-        else:
-            d_vals = np.zeros(pts.size)
-        f_vals = np.asarray(ctx.model.cdf(pts), dtype=float)
-    else:
-        u = ctx.curves.empirical.event_times
-        pref = np.concatenate(([0.0], np.cumsum(ctx.event_w)))
-        hi_idx = np.searchsorted(u, pts, side="right")
-        lo_idx = np.searchsorted(u, grid.lower, side="right")
-        d_vals = pref[hi_idx] - pref[lo_idx]
-        f_vals = ctx.curves.cdf.at(pts)
-    surv = np.clip(1.0 - f_vals, 0.0, 1.0)
+def lil_quantities(ctx: PluginContext) -> LilCurves:
+    """Fitted fluctuation curves on the context's grid: ``d(t)`` sums
+    ``ctx.event_w`` over the distinct event times in (window lower edge, t]."""
+    if not isinstance(ctx, PluginContext):
+        raise ValueError("lil_quantities requires a plugin context")
+    grid = ctx.grid
+    u = ctx.curves.empirical.event_times
+    pref = np.concatenate(([0.0], np.cumsum(ctx.event_w)))
+    hi_idx = np.searchsorted(u, grid.points, side="right")
+    lo_idx = np.searchsorted(u, grid.lower, side="right")
+    d_vals = pref[hi_idx] - pref[lo_idx]
+    surv = np.clip(1.0 - ctx.curves.cdf.at(grid.points), 0.0, 1.0)
     return LilCurves(d=d_vals, v=np.sqrt(surv * d_vals))
 
 
@@ -748,40 +743,34 @@ def plugin_variance(ctx: PluginContext) -> np.ndarray:
     return out / d.n
 
 
-def assumption3_diagnostic(
-    ctx: OracleContext | PluginContext, b: float, cap: float = DIVERGENCE_CAP
-) -> float:
+def assumption3_diagnostic(ctx: OracleContext, b: float) -> float:
     """Window admissibility integral: event measure over cubed risk.
 
-    Returns the integral over (window lower edge, b]; raises ``WindowError``
-    when it exceeds ``cap``, which marks the window as too wide for stable
-    rate measurement.
+    Returns the population integral over (window lower edge, b]; raises
+    ``WindowError`` when it exceeds ``DIVERGENCE_CAP``, which marks the window
+    as too wide for stable rate measurement.
     """
+    if not isinstance(ctx, OracleContext):
+        raise ValueError("assumption3_diagnostic requires an oracle context")
     b = float(b)
     lower = ctx.grid.lower
     if b <= lower:
         raise ValueError("b must exceed the window's lower edge")
-    if isinstance(ctx, OracleContext):
-        from scipy import integrate
+    from scipy import integrate
 
-        model = ctx.model
-        val, _ = integrate.quad(
-            lambda u: float(
-                np.asarray(model.event_subdist_density(u), dtype=float)
-                / np.asarray(model.risk(u), dtype=float) ** 3
-            ),
-            lower,
-            b,
-            limit=200,
-        )
-    else:
-        emp = ctx.curves.empirical
-        mask = (emp.event_times > lower) & (emp.event_times <= b)
-        val = float(np.sum(emp.event_counts[mask] / emp.n / ctx.hazard[1][mask] ** 3))
-    val = float(val)
-    if not np.isfinite(val) or val > cap:
+    model = ctx.model
+    val, _ = integrate.quad(
+        lambda u: float(
+            np.asarray(model.event_subdist_density(u), dtype=float)
+            / np.asarray(model.risk(u), dtype=float) ** 3
+        ),
+        lower,
+        b,
+        limit=200,
+    )
+    if not np.isfinite(val) or val > DIVERGENCE_CAP:
         raise WindowError(
-            f"window diagnostic {val:.6g} exceeds cap {cap:.6g}; "
+            f"window diagnostic {val:.6g} exceeds cap {DIVERGENCE_CAP:.6g}; "
             f"shrink b below the heavy tail"
         )
     return val

@@ -40,6 +40,14 @@ def config_hash(parts: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def _utf8_lines(fh, path):
+    """The lines of a text file; a byte that is not UTF-8 is an input error."""
+    try:
+        yield from fh
+    except UnicodeDecodeError:
+        raise InvalidDataError(f"{path}: not UTF-8 text") from None
+
+
 def parse_dataset(path) -> Dataset:
     """Read observations from CSV with columns {a,v,delta} or {a,y,delta}.
 
@@ -49,7 +57,7 @@ def parse_dataset(path) -> Dataset:
     if not path.exists():
         raise InvalidDataError(f"no such file: {path}")
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -98,9 +106,9 @@ def parse_dataset(path) -> Dataset:
                 v = y - a
             else:
                 v = field("v")
-                if not np.isfinite(v) or v < 0:
+                if not np.isfinite(a + v) or v < 0:
                     raise InvalidDataError(
-                        f"{path}: row {rownum}: column 'v': must be >= 0, got {v}"
+                        f"{path}: row {rownum}: column 'v': must be >= 0 with a + v finite, got {v}"
                     )
             a_list.append(a)
             v_list.append(v)
@@ -165,8 +173,12 @@ def parse_rate_config(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -213,13 +225,16 @@ def parse_rate_config(path) -> dict:
     else:
         threads = os.cpu_count() or 1
 
+    seed = _to_int("seed", raw["seed"])
+    if seed < 0:
+        raise ConfigError(f"{path}: config key seed: must be >= 0, got {seed}")
     return {
         "model": model,
         "sizes": sizes,
         "reps": _to_int("reps", raw["reps"]),
         "which": raw["which"],
         "grid": grid,
-        "seed": _to_int("seed", raw["seed"]),
+        "seed": seed,
         "threads": threads,
         "out": raw.get("out"),
         "raw": raw,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "panel_nodes",
     "panel_integrals",
     "SmoothCumulative",
     "origin_graded_edges",
@@ -29,21 +28,15 @@ NODES = 15
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(NODES)
 
 
-def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights for each panel of ``edges``.
-
-    Returns arrays of shape ``(n_panels, NODES)``.
-    """
+def _node_values(density, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre weights of each panel of ``edges``, and ``density`` at
+    its nodes, both of shape ``(n_panels, NODES)``."""
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * _GL_X[None, :], half[:, None] * _GL_W[None, :]
-
-
-def _node_values(density, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Panel weights and ``density`` at the panel nodes, both ``(n_panels, NODES)``."""
-    x, w = panel_nodes(edges)
-    return w, np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
+    x = mid[:, None] + half[:, None] * _GL_X[None, :]
+    vals = np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
+    return half[:, None] * _GL_W[None, :], vals
 
 
 def panel_integrals(density, edges: np.ndarray) -> np.ndarray:
@@ -64,7 +57,7 @@ def origin_graded_edges(hi: float, panels: int) -> np.ndarray:
     return np.concatenate(([0.0], graded, uniform[1:]))
 
 
-def geometric_edges(lo: float, hi: float, ratio: float = 1.15) -> np.ndarray:
+def geometric_edges(lo: float, hi: float, ratio: float) -> np.ndarray:
     """Geometrically spaced edges, suited to integrands singular just below lo."""
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")

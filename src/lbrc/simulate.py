@@ -24,7 +24,6 @@ from .data import Dataset
 from .errors import ComputeError, ConfigError, WindowError
 from .estimators import fit
 from .influence import (
-    DIVERGENCE_CAP,
     assumption3_diagnostic,
     make_oracle_context,
     residual_cdf,
@@ -150,13 +149,12 @@ def rate_experiment(
     grid: EvalGrid,
     seed: int,
     threads: int = 1,
-    cap: float = DIVERGENCE_CAP,
 ) -> RateReport:
     """Measure the empirical decay rate of one sup-norm quantity.
 
     Refuses to run when the window's upper edge sits at or beyond the 95th
     percentile of the observed-time distribution, or when the admissibility
-    integral exceeds the divergence cap.
+    integral exceeds ``DIVERGENCE_CAP``.
     """
     which = normalize_which(which)
     sizes = [int(s) for s in np.atleast_1d(np.asarray(sizes)).tolist()]
@@ -174,7 +172,7 @@ def rate_experiment(
             f"window upper edge {grid.b:.6g} reaches the 95th percentile "
             f"{h95:.6g} of the observed-time distribution"
         )
-    assumption3_diagnostic(ctx, grid.b, cap=cap)
+    assumption3_diagnostic(ctx, grid.b)
     if which in ("Rn1", "Rn2", "Rn3"):
         # built here once: every task ships the context with its tables
         ctx.tables
@@ -208,8 +206,6 @@ def consistency_check(
     """Median sup-norm errors of the fitted CDF and cumulative hazard."""
     if reps < 1:
         raise ConfigError(f"need >= 1 replication, got {reps}")
-    if n < 1:
-        raise ConfigError(f"sample size must be >= 1, got {n}")
     sup_cdf = np.empty(reps)
     sup_haz = np.empty(reps)
     for r in range(reps):

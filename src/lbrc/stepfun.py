@@ -128,13 +128,6 @@ class StepFunction:
         idx = np.searchsorted(self.jump_times, times, side="right") - 1
         return np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
 
-    def increments(self) -> np.ndarray:
-        """Right-value increments at each jump (ignores at-jump overrides)."""
-        if self.jump_times.size == 0:
-            return np.empty(0)
-        prev = np.concatenate(([self.initial_value], self.values[:-1]))
-        return self.values - prev
-
 
 @dataclass(frozen=True)
 class EvalGrid:

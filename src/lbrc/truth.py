@@ -5,8 +5,9 @@ length-biased draw from the underlying lifetime distribution, the entry delay
 is uniform on (0, lifetime), and the entry delay and the residual lifetime
 share the marginal density ``S(t)/mu``.  Residual censoring is an independent
 exponential clock.  Everything the simulation harness and the influence
-oracle need follows in closed form or by quadrature tables kept on the model
-instance, built on first read:
+oracle need follows in closed form, except the exit CDF of a censored Weibull
+model, which reads one quadrature table kept on the model instance and built
+on first read:
 
 * ``risk(t) = S(t) * wc(t) / mu``            (probability of being under
   observation and event-free at t, with ``wc`` the censoring-survival
@@ -53,7 +54,7 @@ class TruthModel:
                 lc = None
             object.__setattr__(self, "censor_rate", lc)
 
-    # -- lifetime family interface --------------------------------------
+    # -- lifetime family interface, with closed-form ``cdf`` and ``cumhaz`` --
     @property
     def mu(self) -> float:
         raise NotImplementedError
@@ -75,20 +76,8 @@ class TruthModel:
         raise NotImplementedError
 
     # -- generic population functions ------------------------------------
-    def cdf(self, t):
-        return 1.0 - self.survival(t)
-
-    def cumhaz(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = -np.log(self.survival(t))
-        return out if out.ndim else float(out)
-
     def entry_cdf(self, t):
         return 1.0 - self.entry_survival(t)
-
-    def entry_density(self, t):
-        return self.survival(t) / self.mu
 
     def entry_cumhaz(self, t):
         t = np.asarray(t, dtype=float)
@@ -122,22 +111,12 @@ class TruthModel:
     def pooled_density(self, t):
         return self.survival(t) * (1.0 + self.censor_survival(t)) / self.mu
 
-    def pooled_cdf(self, t):
-        return self.entry_cdf(t) + self.residual_event_subdist(t)
-
     def event_subdist_density(self, u):
         return self.density(u) * self.wc(u) / self.mu
 
     def influence_weight(self, u):
         """Event-subdistribution density over squared risk."""
         return self.mu * self.density(u) / (self.survival(u) ** 2 * self.wc(u))
-
-    def event_subdist(self, t):
-        raise NotImplementedError
-
-    def residual_event_subdist(self, t):
-        """P(uncensored residual time <= t)."""
-        raise NotImplementedError
 
     def exit_cdf(self, t):
         raise NotImplementedError
@@ -147,21 +126,6 @@ class TruthModel:
             self.density(u)
             + (0.0 if self.censor_rate is None else self.censor_rate) * self.survival(u)
         ) / self.mu
-
-    def event_fraction(self) -> float:
-        raise NotImplementedError
-
-    def mean_exit_time(self) -> float:
-        """E[entry delay + observed residual time]."""
-        from scipy import integrate
-
-        val, _ = integrate.quad(
-            lambda u: self.entry_survival(u) * (1.0 + self.censor_survival(u)),
-            0.0,
-            np.inf,
-            limit=200,
-        )
-        return float(val)
 
     def h_quantile(self, q: float) -> float:
         """Quantile of the total observed time distribution."""
@@ -235,7 +199,8 @@ class ExponentialModel(TruthModel):
     def entry_cumhaz(self, t):
         return self.cumhaz(t)
 
-    def event_subdist(self, t):
+    def _event_subdist(self, t):
+        """P(observed event, exit time <= t)."""
         t = np.asarray(t, dtype=float)
         lam = self.rate
         lc = self.censor_rate
@@ -247,30 +212,15 @@ class ExponentialModel(TruthModel):
             )
         return out if out.ndim else float(out)
 
-    def residual_event_subdist(self, t):
-        t = np.asarray(t, dtype=float)
-        lam = self.rate
-        lc = 0.0 if self.censor_rate is None else self.censor_rate
-        out = -lam * np.expm1(-(lam + lc) * t) / (lam + lc)
-        return out if out.ndim else float(out)
-
     def exit_cdf(self, t):
         lc = 0.0 if self.censor_rate is None else self.censor_rate
-        return (1.0 + lc / self.rate) * self.event_subdist(t)
-
-    def event_fraction(self) -> float:
-        lc = 0.0 if self.censor_rate is None else self.censor_rate
-        return self.rate / (self.rate + lc)
-
-    def mean_exit_time(self) -> float:
-        lc = 0.0 if self.censor_rate is None else self.censor_rate
-        return 1.0 / self.rate + 1.0 / (self.rate + lc)
+        return (1.0 + lc / self.rate) * self._event_subdist(t)
 
 
 @dataclass(frozen=True)
 class WeibullModel(TruthModel):
-    """Weibull lifetimes; censored subdistributions use quadrature tables kept
-    on the model instance, built on first read."""
+    """Weibull lifetimes; the censored exit CDF reads one quadrature table
+    kept on the model instance, built on first read."""
 
     shape: float = 1.5
     scale: float = 1.0
@@ -329,44 +279,19 @@ class WeibullModel(TruthModel):
         return out if out.ndim else float(out)
 
     @cached_property
-    def _tables(self) -> dict[str, SmoothCumulative]:
+    def _exit_table(self) -> SmoothCumulative:
+        """Cumulative of the exit density, for the censored exit CDF."""
         span = float(self.lb_quantile(1.0 - 1e-12)) * 1.5
-        edges = origin_graded_edges(span, 4000)
-        return {
-            "event_subdist": SmoothCumulative(self.event_subdist_density, edges),
-            "residual_event": SmoothCumulative(
-                lambda u: self.survival(u) * self.censor_survival(u) / self.mu, edges
-            ),
-            "exit_cdf": SmoothCumulative(self.exit_density, edges),
-        }
+        return SmoothCumulative(self.exit_density, origin_graded_edges(span, 4000))
 
-    def event_subdist(self, t):
+    def exit_cdf(self, t):
         if self.censor_rate is None:
             # uncensored: the exit time is the length-biased lifetime itself
             from scipy import special
 
             out = special.gammainc(1.0 + 1.0 / self.shape, self._z(t))
             return out if out.ndim else float(out)
-        return self._tables["event_subdist"].query(t)
-
-    def residual_event_subdist(self, t):
-        if self.censor_rate is None:
-            out = 1.0 - self.entry_survival(t)
-            return out if np.ndim(out) else float(out)
-        return self._tables["residual_event"].query(t)
-
-    def exit_cdf(self, t):
-        if self.censor_rate is None:
-            return self.event_subdist(t)
-        return self._tables["exit_cdf"].query(t)
-
-    def event_fraction(self) -> float:
-        if self.censor_rate is None:
-            return 1.0
-        from scipy import integrate
-
-        val, _ = integrate.quad(self.event_subdist_density, 0.0, np.inf, limit=200)
-        return float(val)
+        return self._exit_table.query(t)
 
 
 def make_model(family: str, censor_rate=None, **params) -> TruthModel:

@@ -34,6 +34,28 @@ def _pooled_mass_points(d):
     return pts
 
 
+def distinct_event_times(d):
+    return sorted({float(d.y[i]) for i in range(d.n) if d.delta[i] == 1})
+
+
+def event_fraction_at(d, u):
+    return sum(1 for i in range(d.n) if d.delta[i] == 1 and d.y[i] == u) / d.n
+
+
+def plugin_lil_at(d, lower, t, risk_at, cdf_at):
+    """Plugin fluctuation curves ``(d, v)`` at t from their definition.
+
+    ``d`` sums, over the distinct event times u in (lower, t], the event
+    fraction at u over the squared fitted risk ``risk_at(u)`` floored at 1/n;
+    ``v`` is ``sqrt(clip(1 - cdf_at(t), 0, 1) * d)``.
+    """
+    total = 0.0
+    for u in distinct_event_times(d):
+        if lower < u <= t:
+            total += event_fraction_at(d, u) / max(risk_at(u), 1.0 / d.n) ** 2
+    return total, float(np.sqrt(min(max(1.0 - cdf_at(t), 0.0), 1.0) * total))
+
+
 def entry_survival_at(d, t):
     prod = 1.0
     for u in _pooled_mass_points(d):
@@ -185,10 +207,7 @@ def pooled_kaplan_meier_at(points, x):
 
 @dataclass(frozen=True)
 class FunctionPopulation:
-    """Population from raw callables, with the methods an oracle context reads.
-
-    Its lifetime CDF is not given, so ``cdf`` reads NaN.
-    """
+    """Population from raw callables, with the methods an oracle context reads."""
 
     r_fn: Callable
     s_a_fn: Callable
@@ -217,9 +236,6 @@ class FunctionPopulation:
     def influence_weight(self, u):
         r = np.asarray(self.r_fn(u), dtype=float)
         return np.asarray(self.fu_density(u), dtype=float) / r**2
-
-    def cdf(self, u):
-        return np.full(np.shape(u), np.nan)
 
 
 def plugin_variance_one_shot(ctx):

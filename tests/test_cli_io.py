@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 import oracles
 from lbrc.cli import main
@@ -71,6 +73,15 @@ class TestParseDataset:
         with pytest.raises(InvalidDataError, match=r"row 1.*'v'"):
             parse_dataset(p)
 
+    def test_overflowing_total_rejected_with_row(self, tmp_path):
+        # a and v are finite, but a + v overflows to inf
+        p = tmp_path / "d.csv"
+        p.write_text("a,v,delta\n1.0,2.0,1\n1e308,1e308,1\n")
+        with pytest.raises(InvalidDataError, match=r"row 2.*'v'"):
+            parse_dataset(p)
+        with pytest.raises(InvalidDataError, match="a \\+ v finite"), np.errstate(over="ignore"):
+            Dataset([1e308], [1e308], [1])
+
     def test_total_less_than_entry_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,y,delta\n2.0,1.0,1\n")
@@ -128,10 +139,28 @@ class TestEstimateCommand:
         assert main(["estimate", str(src), "--estimator", "tjw", "--out", str(out)]) == 0
         assert [f.name for f in out.iterdir()] == ["f_tjw.csv"]
 
-    def test_empty_input_fails(self, tmp_path):
+    def test_empty_input_fails(self, tmp_path, capsys):
         src = tmp_path / "d.csv"
         src.write_text("a,v,delta\n")
         assert main(["estimate", str(src), "--out", str(tmp_path / "o")]) == 1
+        # a directory, and a file with a byte that is not UTF-8
+        latin = tmp_path / "latin.csv"
+        latin.write_bytes(b"a,v,delta\n1.0,2.0,1\n0.5,\xe92.0,1\n")
+        for path, said in ((tmp_path, "Is a directory"), (latin, "not UTF-8")):
+            assert main(["estimate", str(path), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and said in err
+            assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=400))
+    def test_arbitrary_bytes_end_in_an_exit_code(self, tmp_path_factory, data):
+        # whatever the file holds, the command succeeds or reports an input
+        # error; it never raises
+        work = tmp_path_factory.mktemp("bytes")
+        src = work / "d.csv"
+        src.write_bytes(data)
+        assert main(["estimate", str(src), "--out", str(work / "o")]) in (0, 1)
 
     def test_tjw_matches_kaplan_meier_file(self, tmp_path):
         # no truncation: the classical product-limit output is Kaplan-Meier
@@ -205,14 +234,29 @@ class TestSimulateCommand:
         assert main(["simulate", "--n", "100000", "--seed", "5", "--out", str(f)]) == 0
         d = parse_dataset(f)
         model = ExponentialModel(censor_rate=0.5, rate=1.0)
-        want = model.mean_exit_time()
+        # E[entry delay] + E[observed residual], both from their tails
+        want, _ = integrate.quad(
+            lambda u: model.entry_survival(u) * (1.0 + model.censor_survival(u)),
+            0.0,
+            np.inf,
+            limit=200,
+        )
         se = d.y.std() / np.sqrt(d.n)
         assert abs(d.y.mean() - want) < 3 * se
 
-    def test_bad_parameters_fail(self, tmp_path):
-        assert main(
-            ["simulate", "--n", "5", "--seed", "1", "--rate", "-2.0", "--out", str(tmp_path / "x.csv")]
-        ) == 1
+    def test_bad_parameters_fail(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        for bad, said in (
+            (["--rate", "-2.0", "--out", out], "rate"),
+            (["--censor-rate", "abc", "--out", out], "--censor-rate"),
+            (["--seed", "-1", "--out", out], "--seed"),
+            (["--out", str(tmp_path / "missing" / "x.csv")], "No such file"),
+        ):
+            argv = ["simulate", "--n", "5", "--seed", "1"] + bad
+            assert main(argv) == 1, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and said in err, bad
+            assert "Traceback" not in err
 
 
 def write_config(path, **overrides):
@@ -254,6 +298,15 @@ class TestRateExperimentCommand:
         cfg.write_text(cfg.read_text() + "bogus_key=1\n")
         assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
         assert "bogus_key" in capsys.readouterr().err
+        # a negative seed, and a byte that is not UTF-8
+        write_config(cfg, seed="-1")
+        latin = tmp_path / "latin.cfg"
+        latin.write_bytes(cfg.read_bytes().replace(b"family", b"# caf\xe9\nfamily"))
+        for path, said in ((cfg, "seed"), (latin, "not UTF-8")):
+            assert main(["rate-experiment", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and said in err
+            assert "Traceback" not in err
 
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -306,10 +359,17 @@ class TestInfluenceCommand:
         assert "no observed events at positive times" in err
         assert "Traceback" not in err
 
-    def test_invalid_level(self, tmp_path):
+    def test_invalid_level(self, tmp_path, capsys):
         src = tmp_path / "d.csv"
         src.write_text("a,v,delta\n1.0,2.0,1\n")
         assert main(["influence", str(src), "--level", "1.5", "--out", str(tmp_path / "x")]) == 1
+        # an output path in a directory that does not exist
+        missing = str(tmp_path / "missing" / "ci.csv")
+        capsys.readouterr()
+        assert main(["influence", str(src), "--out", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file" in err
+        assert "Traceback" not in err
 
     def test_ci_width_shrinks_with_n(self):
         # interval width drops by about 1/sqrt(2) when the sample doubles

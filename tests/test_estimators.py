@@ -17,7 +17,6 @@ from lbrc.estimators import (
     fit,
     huang_qin_cdf,
     pooled_entry_cumhaz,
-    product_limit_from_hazard,
     safeguarded_cdf,
     tjw_product_limit,
 )
@@ -73,28 +72,25 @@ class TestHandExamples:
 
 
 class TestProductLimitFromHazard:
+    """``huang_qin_cdf`` is the product-limit map of the hazard jumps; with a
+    unit risk curve each jump is the event fraction at its time."""
+
+    @staticmethod
+    def cdf(d):
+        return huang_qin_cdf(build_empirical(d), StepFunction.constant(1.0))
+
     def test_single_unit_jump_gives_indicator(self):
-        lam = StepFunction([2.0], [1.0], 0.0)
-        f = product_limit_from_hazard(lam)
+        f = self.cdf(Dataset([1.0], [1.0], [1]))
         assert f.at(1.9) == 0.0
         assert f.at(2.0) == 1.0
 
     def test_zero_hazard_gives_zero(self):
-        f = product_limit_from_hazard(StepFunction.constant(0.0))
+        f = self.cdf(Dataset([1.0, 0.5], [1.0, 2.0], [0, 0]))
         assert f.at(5.0) == 0.0
 
     def test_two_half_jumps(self):
-        lam = StepFunction([1.0, 2.0], [0.5, 1.0], 0.0)
-        f = product_limit_from_hazard(lam)
+        f = self.cdf(Dataset([0.5, 1.0], [0.5, 1.0], [1, 1]))
         assert f.at(2.0) == pytest.approx(1.0 - 0.25)
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            product_limit_from_hazard(StepFunction([1.0, 2.0], [1.0, 0.5], 0.0))
-
-    def test_rejects_nonzero_start(self):
-        with pytest.raises(ValueError):
-            product_limit_from_hazard(StepFunction([1.0], [1.5], 0.5))
 
 
 class TestReductions:
@@ -204,7 +200,10 @@ def test_two_cdf_constructions_coincide():
         emp = build_empirical(d)
         risk = estimate_combined_risk(d, estimate_entry_survival(emp))
         direct = huang_qin_cdf(emp, risk)
-        via_hazard = product_limit_from_hazard(combined_cumulative_hazard(emp, risk))
+        # the product-limit map of the running hazard sum, from its differences
+        lam = combined_cumulative_hazard(emp, risk)
+        factors = np.clip(1.0 - np.diff(lam.values, prepend=0.0), 0.0, 1.0)
+        via_hazard = StepFunction(lam.jump_times, 1.0 - np.cumprod(factors), 0.0)
         pts = probe_points(d)
         assert np.allclose(direct.at(pts), via_hazard.at(pts), atol=1e-13)
 

@@ -458,33 +458,60 @@ class TestRepresentationResiduals:
 
 
 class TestLilQuantities:
-    def test_unit_risk_uniform_gives_identity(self):
-        ctx = unit_risk_uniform_context()
-        lil = lil_quantities(ctx, ctx.grid)
-        assert np.allclose(lil.d, ctx.grid.points, atol=1e-6)
+    @staticmethod
+    def check_literal(d, grid, risk_at, cdf_at):
+        lil = lil_quantities(make_plugin_context(d, grid))
+        want = np.array([oracles.plugin_lil_at(d, grid.lower, t, risk_at, cdf_at)
+                         for t in grid.points])
+        assert np.allclose(lil.d, want[:, 0], rtol=1e-12, atol=0.0)
+        assert np.allclose(lil.v, want[:, 1], rtol=1e-12, atol=0.0)
+
+    def test_matches_literal_definition_on_tied_sample(self):
+        # two events and three censorings tied at 2.5, and the fitted risk
+        # below 1/n at the events 3 and 3.5; the first grid point is an event
+        # time, which the window's open lower edge leaves out
+        d = Dataset([0.5, 0.5, 1.5, 2.0, 2.0, 1.0, 1.0, 1.0],
+                    [2.0, 2.0, 2.0, 0.5, 1.0, 1.0, 1.5, 1.5],
+                    [0, 0, 1, 0, 1, 1, 1, 1])
+        grid = EvalGrid.of_points([2.0, 2.2, 2.5, 3.0, 3.5, 4.0])
+        self.check_literal(d, grid, lambda u: oracles.combined_risk_at(d, u),
+                           lambda t: oracles.huang_qin_cdf_at(d, t))
+
+    def test_matches_literal_definition_on_500_rows(self):
+        # the fitted curves are checked against the brute-force oracles
+        # elsewhere; here they feed the literal sum
+        d = sample_lbrc(MODEL, 500, seed=41)
+        curves = fit(d)
+        self.check_literal(d, MODEL.default_grid(count=12), curves.combined_risk.at,
+                           curves.cdf.at)
 
     def test_d_nondecreasing(self):
-        lil = lil_quantities(CTX, GRID)
+        lil = lil_quantities(make_plugin_context(sample_lbrc(MODEL, 2000, seed=42), GRID))
         assert np.all(np.diff(lil.d) >= 0)
 
     def test_d_matches_quadrature_at_median(self):
+        # the plugin d estimates the population integral of rho over the window
         t_med = MODEL.quantile(0.5)
         grid = EvalGrid(np.array([GRID.lower, t_med]), t_med)
-        lil = lil_quantities(make_oracle_context(MODEL, grid), grid)
+        lil = lil_quantities(make_plugin_context(sample_lbrc(MODEL, 20000, seed=43), grid))
         ref = integrate.quad(MODEL.influence_weight, GRID.lower, t_med, limit=300)[0]
-        assert lil.d[-1] == pytest.approx(ref, abs=1e-6)
+        assert lil.d[-1] == pytest.approx(ref, rel=0.1)
 
     def test_v_conventions(self):
-        lil = lil_quantities(CTX, GRID)
-        f = MODEL.cdf(GRID.points)
-        assert np.allclose(lil.v, np.sqrt((1 - f) * lil.d), atol=1e-9)
+        ctx = make_plugin_context(sample_lbrc(MODEL, 500, seed=44), GRID)
+        lil = lil_quantities(ctx)
+        f = ctx.curves.cdf.at(GRID.points)
+        assert np.array_equal(lil.v, np.sqrt(np.clip(1.0 - f, 0.0, 1.0) * lil.d))
 
     def test_plugin_lil_smoke(self):
         d = sample_lbrc(MODEL, 500, seed=40)
-        ctx = make_plugin_context(d, GRID)
-        lil = lil_quantities(ctx, GRID)
+        lil = lil_quantities(make_plugin_context(d, GRID))
         assert np.all(np.diff(lil.d) >= 0)
         assert np.all(lil.v >= 0)
+
+    def test_rejects_oracle_context(self):
+        with pytest.raises(ValueError, match="plugin context"):
+            lil_quantities(CTX)
 
 
 class TestPluginVariance:
@@ -654,11 +681,10 @@ class TestAssumptionDiagnostic:
             assumption3_diagnostic(CTX, b999)
 
     def test_plugin_mode(self):
-        d = sample_lbrc(MODEL, 2000, seed=15)
-        ctx = make_plugin_context(d, GRID)
-        val = assumption3_diagnostic(ctx, GRID.b)
-        oracle = assumption3_diagnostic(CTX, GRID.b)
-        assert 0.2 * oracle < val < 5.0 * oracle
+        # the diagnostic is a population integral; a plugin context is refused
+        ctx = make_plugin_context(sample_lbrc(MODEL, 200, seed=15), GRID)
+        with pytest.raises(ValueError, match="oracle context"):
+            assumption3_diagnostic(ctx, GRID.b)
 
 
 class TestErrorPaths:

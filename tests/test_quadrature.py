@@ -88,16 +88,10 @@ class TestOracleTables:
 
 def test_weibull_truth_tables():
     model = SCENARIOS["weibull-1.5"]
-    tables = model._tables
-    densities = {
-        "event_subdist": model.event_subdist_density,
-        "residual_event": lambda u: model.survival(u) * model.censor_survival(u) / model.mu,
-        "exit_cdf": model.exit_density,
-    }
-    for name, density in densities.items():
-        pts = _points(tables[name].hi, 4000)
-        want = [_quad(density, 0.0, s) for s in pts]
-        assert np.abs(tables[name].query(pts) - want).max() < TOL, name
+    table = model._exit_table
+    pts = _points(table.hi, 4000)
+    want = [_quad(model.exit_density, 0.0, s) for s in pts]
+    assert np.abs(table.query(pts) - want).max() < TOL
 
 
 class TestQueryContract:

@@ -68,7 +68,7 @@ class TestSampling:
             return -np.expm1(-MODEL.censor_rate * v)
 
         want, _ = integrate.quad(
-            lambda v: MODEL.entry_density(v) * censored_given_v(v), 0, np.inf, limit=200
+            lambda v: MODEL.survival(v) / MODEL.mu * censored_given_v(v), 0, np.inf, limit=200
         )
         se = np.sqrt(want * (1 - want) / d.n)
         assert abs(frac - want) < 3 * se

@@ -61,11 +61,6 @@ def test_combine_preserves_at_semantics():
     assert h.at(0.5) == 1.0
 
 
-def test_increments():
-    f = StepFunction([1.0, 2.0], [0.4, 1.0], 0.0)
-    assert f.increments().tolist() == [0.4, 0.6]
-
-
 def test_sup_norm_diff_identical():
     f = StepFunction([1.0], [0.5], 1.0)
     grid = EvalGrid.of_points([0.5, 1.5])

@@ -24,7 +24,8 @@ def quad(fn, lo, hi):
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_entry_density_integrates_to_one(model):
-    total = quad(lambda u: model.entry_density(u), 0, np.inf)
+    # the entry delay has density S(u) / mu
+    total = quad(lambda u: model.survival(u) / model.mu, 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -58,9 +59,16 @@ def test_risk_matches_defining_probability(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_event_subdist_matches_quadrature(model):
-    for t in model.quantile(np.linspace(0.1, 0.9, 8)):
-        direct = quad(model.event_subdist_density, 0, t)
-        assert model.event_subdist(t) == pytest.approx(direct, abs=1e-8)
+    # an event exits at u when the lifetime ends at u after an entry delay
+    # a < u, and the censoring clock outlasts the residual u - a
+    lc = model.censor_rate
+    for u in model.quantile(np.linspace(0.1, 0.9, 8)):
+        def joint(aa):
+            clock = 1.0 if lc is None else np.exp(-lc * (u - aa))
+            return model.density(u) / model.mu * clock
+
+        direct = quad(joint, 0, u)
+        assert model.event_subdist_density(u) == pytest.approx(direct, abs=1e-8)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -74,7 +82,7 @@ def test_pooled_at_risk_identity(model):
     for tt in model.quantile(np.linspace(0.1, 0.9, 6)):
         # the residual survives past tt iff both the residual lifetime and
         # the independent clock do; the residual shares the entry marginal
-        marginal_tail = quad(lambda u: model.entry_density(u), tt, np.inf)
+        marginal_tail = quad(lambda u: model.survival(u) / model.mu, tt, np.inf)
         clock = 1.0 if model.censor_rate is None else np.exp(-model.censor_rate * tt)
         direct = marginal_tail + marginal_tail * clock
         assert model.pooled_at_risk(tt) == pytest.approx(direct, abs=1e-8)
@@ -82,9 +90,14 @@ def test_pooled_at_risk_identity(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_pooled_cdf_matches_quadrature(model):
+    # the pooled jumps are the entry delays and the uncensored residuals,
+    # whose subdistribution density is S(u) S_C(u) / mu
     for t in model.quantile(np.linspace(0.1, 0.9, 6)):
+        residual_events = quad(
+            lambda u: model.survival(u) * model.censor_survival(u) / model.mu, 0, t
+        )
         direct = quad(model.pooled_density, 0, t)
-        assert model.pooled_cdf(t) == pytest.approx(direct, abs=1e-8)
+        assert model.entry_cdf(t) + residual_events == pytest.approx(direct, abs=1e-8)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -98,9 +111,13 @@ def test_exit_cdf_matches_quadrature_and_reaches_one(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_event_fraction_complements_censoring(model):
-    total = quad(model.event_subdist_density, 0, np.inf)
-    assert model.event_fraction() == pytest.approx(total, abs=1e-8)
-    assert 0 < model.event_fraction() <= 1
+    events = quad(model.event_subdist_density, 0, np.inf)
+    # a residual V with density S(v) / mu is censored when the clock rings first
+    censored = quad(
+        lambda v: model.survival(v) / model.mu * (1.0 - model.censor_survival(v)), 0, np.inf
+    )
+    assert events + censored == pytest.approx(1.0, abs=1e-8)
+    assert 0 < events <= 1
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -131,7 +148,11 @@ def test_h_quantile_inverts_exit_cdf(model):
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_mean_exit_time(model):
     direct = quad(lambda u: 1.0 - model.exit_cdf(u), 0, model.lb_quantile(1 - 1e-10))
-    assert model.mean_exit_time() == pytest.approx(direct, abs=1e-6)
+    # E[entry delay] + E[observed residual], both from their tails
+    want = quad(
+        lambda u: model.entry_survival(u) * (1.0 + model.censor_survival(u)), 0, np.inf
+    )
+    assert want == pytest.approx(direct, abs=1e-6)
 
 
 def test_lb_quantile_round_trip():
@@ -170,7 +191,6 @@ def test_make_model_validation():
 def test_zero_censor_rate_normalizes_to_none():
     model = ExponentialModel(censor_rate=0.0, rate=1.0)
     assert model.censor_rate is None
-    assert model.event_fraction() == 1.0
 
 
 def test_weibull_tables_built_once_per_model(table_builds):
@@ -178,9 +198,11 @@ def test_weibull_tables_built_once_per_model(table_builds):
     model = WeibullModel(censor_rate=0.5, shape=1.5, scale=1.0)
     for t in (0.3, [0.1, 0.7], 1.2):
         model.exit_cdf(t)
-        model.event_subdist(t)
-        model.residual_event_subdist(t)
-    assert len(built) == 3
+    model.h_quantile(0.95)
+    assert len(built) == 1
+    # an uncensored model reads a closed form and builds no table
+    WeibullModel(censor_rate=None, shape=1.5, scale=1.0).h_quantile(0.95)
+    assert len(built) == 1
 
 
 def test_built_tables_leave_equality_and_hash_alone():
