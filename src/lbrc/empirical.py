@@ -1,4 +1,4 @@
-"""Empirical processes of an LBRC sample: count tables and two classic curves.
+"""Empirical processes of an LBRC sample: count tables and closed counts.
 
 ``build_empirical`` counts the processes that drive every estimator at the
 points where they change:
@@ -9,50 +9,36 @@ points where they change:
   jump and at-risk counts;
 * the distinct uncensored exit times, with their event counts.
 
-The classic processes over total observed times are step functions built on
-demand: the exit survival (``exit_survival``) and the closed-interval at-risk
-proportion, the fraction with entry delay <= t <= exit (``classic_at_risk``).
-
-"At risk" counts and curves use ">= t" (closed) semantics: the subject leaving
-at ``t`` still counts at ``t``.  The curves store this as an at-jump value,
-the left limit of the strictly-greater count.
+"At risk" uses ">= t" (closed) semantics: the subject leaving at ``t`` still
+counts at ``t``.  Such values are read from exact counts at the query points
+(``counts_at`` on a sorted column), never stored as curves; the classic
+at-risk proportion, the fraction with entry delay <= t <= exit, is one of
+them (``classic_at_risk``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
-from .stepfun import StepFunction
 
 __all__ = [
     "EmpiricalProcesses",
     "build_empirical",
     "classic_at_risk",
-    "exit_survival",
+    "counts_at",
 ]
 
 
-def _cdf_step(points: np.ndarray, n: int) -> StepFunction:
-    """Cadlag empirical CDF: fraction of ``points`` <= t, out of ``n``."""
-    if points.size == 0:
-        return StepFunction.constant(0.0)
-    uniq, counts = np.unique(points, return_counts=True)
-    return StepFunction(uniq, np.cumsum(counts) / n, 0.0)
-
-
-def _geq_count_step(points: np.ndarray, n: int) -> StepFunction:
-    """Fraction of ``points`` >= t, with the closed value kept at each jump."""
-    if points.size == 0:
-        return StepFunction.constant(0.0)
-    uniq, counts = np.unique(points, return_counts=True)
-    cum = np.cumsum(counts)
-    below = np.concatenate(([0], cum[:-1]))
-    right = (points.size - cum) / n
-    ats = (points.size - below) / n
-    return StepFunction(uniq, right, points.size / n, ats)
+def counts_at(column: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """``#{x <= t}`` and ``#{x >= t}`` at the query points, for a sorted column x."""
+    return (
+        np.searchsorted(column, t, side="right"),
+        column.size - np.searchsorted(column, t, side="left"),
+    )
 
 
 @dataclass(frozen=True)
@@ -79,18 +65,18 @@ class EmpiricalProcesses:
         return self.dataset.n
 
 
-def exit_survival(d: Dataset) -> StepFunction:
-    """Fraction of subjects with total observed time >= t (closed)."""
-    return _geq_count_step(d.y, d.n)
+def classic_at_risk(d: Dataset) -> Callable[[np.ndarray], np.ndarray]:
+    """Closed-interval at-risk proportion as a function of t: fraction with a <= t <= y.
 
-
-def classic_at_risk(d: Dataset) -> StepFunction:
-    """Closed-interval at-risk proportion: fraction with a <= t <= y.
-
-    Implemented as (#{a <= t} - #{y < t}) / n via two half-open counting
-    processes, so the subject exiting at t is still at risk at t.
+    Evaluated as ``#{a <= t}/n + #{y >= t}/n - 1``, so the subject exiting at
+    t is still at risk at t.
     """
-    return _cdf_step(d.a, d.n).combine(exit_survival(d), lambda x, y: x + y - 1.0)
+    a_sorted, y_sorted = np.sort(d.a), np.sort(d.y)
+
+    def at_risk(t):
+        return (counts_at(a_sorted, t)[0] / d.n + counts_at(y_sorted, t)[1] / d.n) - 1.0
+
+    return at_risk
 
 
 def build_empirical(d: Dataset) -> EmpiricalProcesses:

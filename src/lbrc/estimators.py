@@ -1,11 +1,14 @@
 """Product-limit and cumulative-hazard estimators for LBRC samples.
 
 The pooled-risk (Huang-Qin) estimator family replaces the classic at-risk
-proportion by ``exit_survival(t) - entry_survival(t)``, where the entry-delay
+proportion by ``#{y >= t}/n - entry_survival(t)``, where the entry-delay
 survival curve is itself a Kaplan-Meier fit on the pooled 2n-point sample of
-entry delays and residual times.  The classic truncation product-limit (TJW)
-estimator and its hazard are kept as baselines; they reduce to Kaplan-Meier
-when there is no truncation and to Lynden-Bell when there is no censoring.
+entry delays and residual times.  Both at-risk values are closed (">= t")
+and are read from counts at the event or exit times where they are needed,
+so they are plain functions of t, not step curves.  The classic truncation
+product-limit (TJW) estimator and its hazard are kept as baselines; they
+reduce to Kaplan-Meier when there is no truncation and to Lynden-Bell when
+there is no censoring.
 
 Conventions baked in throughout (and mirrored by the brute-force test
 oracles): 0/0 factors are skipped, the pooled-risk denominator inside the
@@ -17,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
-from .empirical import EmpiricalProcesses, build_empirical, classic_at_risk, exit_survival
+from .empirical import EmpiricalProcesses, build_empirical, classic_at_risk, counts_at
 from .stepfun import StepFunction
+
+Risk = Callable[[np.ndarray], np.ndarray]
 
 __all__ = [
     "FittedCurves",
@@ -73,33 +79,38 @@ def estimate_entry_survival(emp: EmpiricalProcesses) -> StepFunction:
     return StepFunction(times, vals, 1.0)
 
 
-def estimate_combined_risk(d: Dataset, entry_survival: StepFunction) -> StepFunction:
-    """Pooled-risk curve: exit survival minus entry-delay survival.
+def estimate_combined_risk(d: Dataset, entry_survival: StepFunction) -> Risk:
+    """Pooled risk as a function of t: ``#{y >= t}/n - entry_survival(t)``.
 
     Not guaranteed nonnegative in finite samples; consumers floor it.
-    The exit-survival part keeps ">= t" semantics, so the value at an event
-    time still includes the exiting subject.
+    The exit count is closed, so the value at an event time still includes
+    the exiting subject.
     """
-    return exit_survival(d).combine(entry_survival, np.subtract)
+    y_sorted = np.sort(d.y)
+
+    def risk(t):
+        return counts_at(y_sorted, t)[1] / d.n - entry_survival.at(t)
+
+    return risk
 
 
-def _hazard_steps(emp: EmpiricalProcesses, risk: StepFunction) -> tuple[np.ndarray, np.ndarray]:
+def _hazard_steps(emp: EmpiricalProcesses, risk: Risk) -> tuple[np.ndarray, np.ndarray]:
     """Hazard increments at the distinct event times, and their denominators.
 
     The denominator is ``risk`` floored at 1/n; the increment is the event
     fraction over it.
     """
-    denom = np.maximum(risk.at(emp.event_times), 1.0 / emp.n)
+    denom = np.maximum(risk(emp.event_times), 1.0 / emp.n)
     return (emp.event_counts / emp.n) / denom, denom
 
 
-def _hazard_from_events(emp: EmpiricalProcesses, risk: StepFunction) -> StepFunction:
+def _hazard_from_events(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
     if emp.event_times.size == 0:
         return StepFunction.constant(0.0)
     return StepFunction(emp.event_times, np.cumsum(_hazard_steps(emp, risk)[0]), 0.0)
 
 
-def combined_cumulative_hazard(emp: EmpiricalProcesses, risk: StepFunction) -> StepFunction:
+def combined_cumulative_hazard(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
     """Cumulative hazard with the pooled-risk denominator, floored at 1/n."""
     return _hazard_from_events(emp, risk)
 
@@ -133,32 +144,29 @@ def tjw_product_limit(d: Dataset) -> StepFunction:
     """Classic truncation product-limit estimate of the event-time CDF.
 
     One factor ``1 - 1/(at-risk count at y_i)`` per uncensored subject, taken
-    in ascending order of exit time.  At-risk counts are exact integers.
+    in ascending order of exit time.  At-risk counts are exact integers,
+    ``#{a <= y_i} + #{y >= y_i} - n``.
     """
-    a_sorted = np.sort(d.a)
-    y_sorted_all = np.sort(d.y)
-    entered = np.searchsorted(a_sorted, d.y, side="right")
-    exited_before = np.searchsorted(y_sorted_all, d.y, side="left")
-    at_risk = entered - exited_before
+    entered = counts_at(np.sort(d.a), d.y)[0]
+    present = counts_at(np.sort(d.y), d.y)[1]
+    at_risk = entered + present - d.n
     factors = np.where(d.delta == 1, 1.0 - 1.0 / at_risk, 1.0)
     return _per_subject_product_limit(d, factors, np.argsort(d.y, kind="stable"))
 
 
-def safeguarded_cdf(d: Dataset, risk: StepFunction) -> StepFunction:
+def safeguarded_cdf(d: Dataset, risk: Risk) -> StepFunction:
     """Pooled-risk product-limit with the +1 safeguard in each denominator.
 
     Factors are ``1 - 1/(n * risk(y_i) + 1)`` for uncensored subjects,
     clamped into [0, 1] to guard against a negative finite-sample risk value.
     """
-    denom = d.n * risk.at(d.y) + 1.0
+    denom = d.n * risk(d.y) + 1.0
     raw = np.where(d.delta == 1, 1.0 - 1.0 / denom, 1.0)
     factors = np.clip(raw, 0.0, 1.0)
     return _per_subject_product_limit(d, factors, np.argsort(d.y, kind="stable"))
 
 
-def huang_qin_cdf(
-    emp: EmpiricalProcesses, risk: StepFunction
-) -> StepFunction:
+def huang_qin_cdf(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
     """Pooled-risk product-limit CDF: product of one-minus-hazard-increments.
 
     Each factor ``1 - (hazard increment)`` is clamped into [0, 1].  The
@@ -179,7 +187,8 @@ class FittedCurves:
     """Every fitted curve for one dataset.
 
     Each curve is built from `empirical` the first time it is read and kept
-    from then on, so a caller pays only for the curves it reads.
+    from then on, so a caller pays only for the curves it reads.  The pooled
+    risk ``combined_risk`` is a function of t, not a step curve.
     """
 
     empirical: EmpiricalProcesses
@@ -189,7 +198,7 @@ class FittedCurves:
         return estimate_entry_survival(self.empirical)
 
     @cached_property
-    def combined_risk(self) -> StepFunction:
+    def combined_risk(self) -> Risk:
         return estimate_combined_risk(self.empirical.dataset, self.entry_survival)
 
     @cached_property

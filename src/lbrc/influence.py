@@ -65,7 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .empirical import build_empirical
+from .empirical import build_empirical, counts_at
 from .errors import ComputeError, WindowError
 from .estimators import FittedCurves, _hazard_steps, fit
 from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
@@ -176,9 +176,8 @@ class PluginContext:
         >= 1) the gain ``1/(1 - dq/kq)`` is the derivative factor of its
         Kaplan-Meier factor; a zero factor (dq = kq, only at the last pooled
         time) stays 0 under every perturbation of the sample, so its gain is
-        0.  The jump weight is the gain over ``(n - #{a < s})/n + (n - #{v <
-        s})/n``, two fractions rounded apart as the closed at-risk curves
-        ``_geq_count_step`` sum them (``kq / n`` rounds differently).  The
+        0.  The jump weight is the gain over ``#{a >= s}/n + #{v >= s}/n``,
+        two fractions rounded apart (``kq / n`` rounds differently).  The
         prefix sums (pooled jump)/(pooled at-risk)^2 weighted by the gain.
         """
         emp = self.curves.empirical
@@ -187,8 +186,8 @@ class PluginContext:
         dq = emp.pooled_jumps.astype(float)
         open_factor = dq < kq
         gain = np.where(open_factor, kq / np.where(open_factor, kq - dq, 1.0), 0.0)
-        below_a, below_v = (np.searchsorted(np.sort(x), s, side="left") for x in (d.a, d.v))
-        k = (n - below_a) / n + (n - below_v) / n
+        at_risk_a, at_risk_v = (counts_at(np.sort(x), s)[1] for x in (d.a, d.v))
+        k = at_risk_a / n + at_risk_v / n
         return gain / k, np.concatenate(([0.0], np.cumsum(n * dq / kq**2 * gain)))
 
     @cached_property
@@ -507,10 +506,13 @@ def influence_means(
     only to build the anchored ``g`` table.  Agreement with the direct
     per-subject sums is part of the test suite.
 
-    ``want`` selects components: "phi", "psi", or "both".
+    ``want`` is "phi" for ``mean_phi`` alone, or "both" for ``mean_phi``,
+    ``mean_psi1`` and ``mean_psi2``.
     """
     if not isinstance(ctx, OracleContext):
         raise ValueError("influence_means requires an oracle context")
+    if want not in ("phi", "both"):
+        raise ValueError(f"want must be 'phi' or 'both', got {want!r}")
     _check_oracle_sample(d.a, d.v, d.delta)
     times = np.asarray(times, dtype=float).reshape(-1)
     tmax = float(times.max())
@@ -536,7 +538,6 @@ def influence_means(
     r_bar_panel = (le_a - le_y) / n
 
     emp = build_empirical(d)
-    out: dict[str, np.ndarray] = {}
 
     # entry influence mean: smooth part against the pooled measure minus the
     # exact pooled-sample jump sum
@@ -553,8 +554,7 @@ def influence_means(
     phi_at_breaks = phi_smooth_prefix - jump_prefix[
         np.searchsorted(s_pool, breaks, side="right")
     ]
-    if want in ("phi", "both"):
-        out["mean_phi"] = phi_at_breaks[t_idx]
+    out = {"mean_phi": phi_at_breaks[t_idx]}
     if want == "phi":
         return out
 

@@ -164,7 +164,11 @@ def _parse_grid_spec(spec: str, model: TruthModel) -> EvalGrid:
             raise ConfigError(f"grid: malformed quantile spec {spec!r}") from None
         if not (0 < lo < hi < 1) or count < 1:
             raise ConfigError(f"grid: need 0 < lo < hi < 1 and count >= 1 in {spec!r}")
-        return model.default_grid(count=count, lo=lo, hi=hi)
+        try:
+            with np.errstate(over="ignore"):
+                return model.default_grid(count=count, lo=lo, hi=hi)
+        except ValueError as exc:
+            raise ConfigError(f"grid: {spec!r} on {model!r}: {exc}") from None
     raise ConfigError(f"grid: expected quantiles:<lo>:<hi>:<count>, got {spec!r}")
 
 

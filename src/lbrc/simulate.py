@@ -16,7 +16,7 @@ whose upper edge reaches into the thin-risk tail.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,7 +74,10 @@ def sample_lbrc(model: TruthModel, n: int, seed) -> Dataset:
     if n < 1:
         raise ConfigError(f"sample size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    lifetime = model.lb_quantile(rng.random(n))
+    with np.errstate(over="ignore"):
+        lifetime = model.lb_quantile(rng.random(n))
+    if not np.all(np.isfinite(lifetime)):
+        raise ConfigError(f"{model!r}: lifetime draws overflow a float")
     a = lifetime * rng.random(n)
     residual = lifetime - a
     if model.censor_rate is None:
@@ -166,7 +169,9 @@ def rate_experiment(
         raise ConfigError(f"need >= 50 replications for stable medians, got {reps}")
 
     ctx = make_oracle_context(model, grid)
-    h95 = model.h_quantile(0.95)
+    # on a copy: the tasks ship the model, and no worker reads the exit-time
+    # table that the quantile search builds
+    h95 = replace(model).h_quantile(0.95)
     if grid.b >= h95:
         raise WindowError(
             f"window upper edge {grid.b:.6g} reaches the 95th percentile "

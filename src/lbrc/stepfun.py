@@ -3,11 +3,9 @@
 Every empirical curve and every fitted curve in this package is a step
 function with finitely many jumps.  The canonical storage is right-continuous
 (cadlag): ``values[i]`` is the value on ``[jump_times[i], jump_times[i+1])``
-and ``initial_value`` is the value left of the first jump.  Some curves used
-in risk-set arithmetic are *not* right-continuous at their jumps (an at-risk
-proportion keeps a subject in the risk set at its own exit time), so a step
-function may carry an optional ``at_values`` array giving the value exactly
-at each jump time; it defaults to the right-hand value.
+and ``initial_value`` is the value left of the first jump.  Closed (">= t")
+at-risk values, which keep a subject in the risk set at its own exit time,
+are not curves: they are read from counts at the query points.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ def _as_float_array(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepFunction:
-    """Right-continuous step function with optional explicit at-jump values.
+    """Right-continuous step function.
 
     Parameters
     ----------
@@ -39,15 +37,11 @@ class StepFunction:
         Value on ``[jump_times[i], jump_times[i+1])``.
     initial_value : float
         Value on ``(-inf, jump_times[0])``.
-    at_values : array, optional
-        Value exactly at ``jump_times[i]``.  When omitted the function is
-        cadlag and ``at(jump_times[i]) == values[i]``.
     """
 
     jump_times: np.ndarray
     values: np.ndarray
     initial_value: float
-    at_values: np.ndarray | None = None
 
     def __post_init__(self):
         times = _as_float_array(self.jump_times)
@@ -56,20 +50,12 @@ class StepFunction:
             raise ValueError("jump_times and values must have equal length")
         if times.size and not np.all(np.diff(times) > 0):
             raise ValueError("jump_times must be strictly increasing")
-        ats = self.at_values
-        if ats is not None:
-            ats = _as_float_array(ats)
-            if ats.shape != times.shape:
-                raise ValueError("at_values must match jump_times in length")
-            ats = ats.copy()
-            ats.setflags(write=False)
         times = times.copy()
         vals = vals.copy()
         times.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "jump_times", times)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "at_values", ats)
         object.__setattr__(self, "initial_value", float(self.initial_value))
 
     @classmethod
@@ -77,7 +63,7 @@ class StepFunction:
         return cls(np.empty(0), np.empty(0), value)
 
     def at(self, t):
-        """Value at ``t`` (vectorized).  Honors explicit at-jump values."""
+        """Value at ``t`` (vectorized)."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
@@ -86,12 +72,6 @@ class StepFunction:
             return float(out[0]) if scalar else out
         idx = np.searchsorted(self.jump_times, tq, side="right") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
-        if self.at_values is not None:
-            pos = np.searchsorted(self.jump_times, tq, side="left")
-            hit = (pos < self.jump_times.size) & (
-                self.jump_times[np.minimum(pos, self.jump_times.size - 1)] == tq
-            )
-            out = np.where(hit, self.at_values[np.minimum(pos, self.jump_times.size - 1)], out)
         return float(out[0]) if scalar else out
 
     def left_at(self, t):
@@ -105,28 +85,6 @@ class StepFunction:
         idx = np.searchsorted(self.jump_times, tq, side="left") - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
         return float(out[0]) if scalar else out
-
-    def combine(self, other: "StepFunction", op: Callable) -> "StepFunction":
-        """Pointwise combination with another step function.
-
-        ``op`` is applied to initial values, right-hand values and at-jump
-        values on the merged jump set, so closed-interval and ">= t"
-        semantics survive arithmetic.
-        """
-        times = np.union1d(self.jump_times, other.jump_times)
-        right = op(self._right_on(times), other._right_on(times))
-        initial = float(op(self.initial_value, other.initial_value))
-        if self.at_values is None and other.at_values is None:
-            ats = None
-        else:
-            ats = op(self.at(times), other.at(times))
-        return StepFunction(times, right, initial, ats)
-
-    def _right_on(self, times: np.ndarray) -> np.ndarray:
-        if self.jump_times.size == 0:
-            return np.full(times.shape, self.initial_value)
-        idx = np.searchsorted(self.jump_times, times, side="right") - 1
-        return np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
 
 
 @dataclass(frozen=True)
@@ -145,6 +103,8 @@ class EvalGrid:
         pts = _as_float_array(self.points)
         if pts.size == 0:
             raise ValueError("grid must contain at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
         if not np.all(np.diff(pts) > 0):
             raise ValueError("grid points must be strictly increasing")
         if pts[0] <= 0:

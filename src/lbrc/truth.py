@@ -134,7 +134,13 @@ class TruthModel:
         from scipy import optimize
 
         hi = float(self.lb_quantile(q)) + 1.0
-        return float(optimize.brentq(lambda t: self.exit_cdf(t) - q, 0.0, hi, xtol=1e-12))
+        try:
+            return float(optimize.brentq(lambda t: self.exit_cdf(t) - q, 0.0, hi, xtol=1e-12))
+        except (OverflowError, ValueError):
+            # the exit CDF overflows, or rounds to below q at the bracket end
+            raise ConfigError(
+                f"{self!r}: the observed-time {q:g} quantile is out of floating-point reach"
+            ) from None
 
     def default_grid(self, count: int = 25, lo: float = 0.10, hi: float = 0.90) -> EvalGrid:
         """Equispaced lifetime-CDF quantiles; stays inside the usable window."""

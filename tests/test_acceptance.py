@@ -73,7 +73,8 @@ def test_criterion_01_exact_oracle_equivalence():
             if t < 0:
                 continue
             for name, oracle in oracles.ALL_ESTIMATOR_ORACLES.items():
-                got = getattr(curves, name).at(t)
+                curve = getattr(curves, name)
+                got = curve(t) if name == "combined_risk" else curve.at(t)
                 want = oracle(d, t)
                 assert abs(got - want) <= 1e-12, (name, n, t, got, want)
     elapsed = time.time() - start
@@ -109,7 +110,7 @@ def test_criterion_03_hand_example():
     assert curves.entry_survival.at(0.5) == 1.0
     assert curves.entry_survival.at(1.5) == 0.5
     assert curves.entry_survival.at(2.5) == 0.0
-    assert curves.combined_risk.at(3.0) == 1.0
+    assert curves.combined_risk(3.0) == 1.0
     assert curves.combined_cumhaz.at(2.999) == 0.0
     assert curves.combined_cumhaz.at(3.0) == 1.0
     assert curves.combined_cumhaz.at(99.0) == 1.0

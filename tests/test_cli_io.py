@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,20 @@ class TestEstimateCommand:
         body = (out / "f_bar.csv").read_text()
         assert "3.0,0.5" in body
 
+    @pytest.mark.parametrize("grid, expected", [("jumps", "tied-jumps"), ("n:7", "tied-n7")])
+    def test_tied_sample_matches_golden_files(self, tmp_path, monkeypatch, grid, expected):
+        # data/tied.csv has an entry delay equal to another subject's exit, a
+        # censored exit tied with an event, a = 0, a censored v = 0 and a
+        # fitted CDF that reaches 1.  The input path is relative because the
+        # '# config=' line hashes it.
+        data = Path(__file__).parent / "data"
+        monkeypatch.chdir(data)
+        assert main(["estimate", "tied.csv", "--grid", grid, "--out", str(tmp_path)]) == 0
+        want = sorted((data / expected).iterdir())
+        assert sorted(f.name for f in tmp_path.iterdir()) == [f.name for f in want]
+        for f in want:
+            assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
+
     def test_estimator_selection(self, tmp_path):
         src = tmp_path / "d.csv"
         src.write_text("a,v,delta\n1.0,2.0,1\n")
@@ -251,9 +266,14 @@ class TestSimulateCommand:
             (["--censor-rate", "abc", "--out", out], "--censor-rate"),
             (["--seed", "-1", "--out", out], "--seed"),
             (["--out", str(tmp_path / "missing" / "x.csv")], "No such file"),
+            # lifetime draws that overflow a float, without a numpy warning
+            (["--family", "weibull", "--shape", "1e-3", "--out", out], "shape=0.001"),
+            (["--rate", "1e-320", "--out", out], "rate=1e-320"),
         ):
             argv = ["simulate", "--n", "5", "--seed", "1"] + bad
-            assert main(argv) == 1, bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 1, bad
             err = capsys.readouterr().err
             assert err.startswith("error: ") and said in err, bad
             assert "Traceback" not in err
@@ -302,8 +322,23 @@ class TestRateExperimentCommand:
         write_config(cfg, seed="-1")
         latin = tmp_path / "latin.cfg"
         latin.write_bytes(cfg.read_bytes().replace(b"family", b"# caf\xe9\nfamily"))
-        for path, said in ((cfg, "seed"), (latin, "not UTF-8")):
-            assert main(["rate-experiment", str(path), "--out", str(tmp_path / "r.csv")]) == 1
+        # model parameters whose grid or observed-time distribution overflows
+        tiny_shape, tiny_rate, huge_rate, large_rate = (tmp_path / f"{k}.cfg" for k in range(4))
+        write_config(tiny_shape, family="weibull", rate=None, shape="0.001", which="Rn2")
+        write_config(tiny_rate, rate="1e-320", which="Rn2")
+        write_config(huge_rate, rate="1e300", which="Rn2")
+        write_config(large_rate, rate="1e150", which="Rn2")
+        for path, said in (
+            (cfg, "seed"),
+            (latin, "not UTF-8"),
+            (tiny_shape, "grid: 'quantiles:0.10:0.90:8' on WeibullModel(censor_rate=0.5, shape=0.001"),
+            (tiny_rate, "grid: 'quantiles:0.10:0.90:8' on ExponentialModel(censor_rate=0.5, rate=1e-320"),
+            (huge_rate, "rate=1e+300"),
+            (large_rate, "rate=1e+150"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["rate-experiment", str(path), "--out", str(tmp_path / "r.csv")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and said in err
             assert "Traceback" not in err

@@ -5,13 +5,7 @@ import pytest
 
 import oracles
 from lbrc.data import Dataset
-from lbrc.empirical import (
-    _cdf_step,
-    _geq_count_step,
-    build_empirical,
-    classic_at_risk,
-    exit_survival,
-)
+from lbrc.empirical import build_empirical, classic_at_risk, counts_at
 from lbrc.influence import make_plugin_context
 from lbrc.stepfun import EvalGrid
 
@@ -44,7 +38,6 @@ def assert_same_step(got, want, label):
     assert np.array_equal(got.jump_times, want.jump_times), label
     assert np.array_equal(got.values, want.values), label
     assert np.array_equal(got.initial_value, want.initial_value), label
-    assert np.array_equal(got.at_values, want.at_values), label
 
 
 def probe_points(d):
@@ -78,23 +71,23 @@ def test_event_cdf_two_events():
 def test_at_risk_closed_interval():
     d = Dataset([1.0], [2.0], [1])
     rb = classic_at_risk(d)
-    assert rb.at(0.5) == 0.0
-    assert rb.at(1.0) == 1.0
-    assert rb.at(3.0) == 1.0
-    assert rb.at(3.1) == 0.0
+    assert rb(0.5) == 0.0
+    assert rb(1.0) == 1.0
+    assert rb(3.0) == 1.0
+    assert rb(3.1) == 0.0
 
 
 def test_at_risk_two_subjects():
     d = Dataset([1.0, 2.0], [2.0, 3.0], [1, 1])
     rb = classic_at_risk(d)
-    assert rb.at(2.5) == 1.0
+    assert rb(2.5) == 1.0
 
 
 def test_at_risk_vanishes_beyond_exits():
     rng = np.random.default_rng(0)
     d = random_dataset(rng, 12)
     rb = classic_at_risk(d)
-    assert rb.at(float(d.y.max()) + 1.0) == 0.0
+    assert rb(float(d.y.max()) + 1.0) == 0.0
 
 
 def test_pooled_counts_one_observation():
@@ -125,7 +118,7 @@ def test_brute_force_equality(seed):
     d = random_dataset(rng, n)
     rb = classic_at_risk(d)
     for t in probe_points(d):
-        assert rb.at(t) == pytest.approx(oracles.r_bar_at(d, t), abs=1e-12)
+        assert rb(t) == pytest.approx(oracles.r_bar_at(d, t), abs=1e-12)
 
 
 @pytest.mark.parametrize("case", range(6))
@@ -156,11 +149,11 @@ def test_monotonicity_and_bounds(seed):
     d = random_dataset(rng, int(rng.integers(2, 40)))
     e = build_empirical(d)
     pts = probe_points(d)
-    r = classic_at_risk(d).at(pts)
+    r = classic_at_risk(d)(pts)
     assert np.all((r >= -1e-15) & (r <= 1))
     # counting consistency: at risk can't exceed entered or still-present
-    entered = _cdf_step(d.a, d.n).at(pts)
-    present = exit_survival(d).at(pts)
+    entered = counts_at(np.sort(d.a), pts)[0] / d.n
+    present = counts_at(np.sort(d.y), pts)[1] / d.n
     assert np.all(r <= entered + 1e-15)
     assert np.all(r <= present + 1e-15)
     # the pooled at-risk count falls by at least the jump at each mass point
@@ -185,16 +178,20 @@ def test_totals():
 @pytest.mark.parametrize("case", range(10))
 def test_curves_equal_direct_construction(case):
     # the plugin jump weight at each pooled mass point is the Kaplan-Meier
-    # gain over the closed pooled at-risk curve, bit for bit
+    # gain over the closed pooled at-risk fraction, bit for bit
     rng = np.random.default_rng(300 + case)
     samples = special_datasets() if case == 0 else [random_dataset(rng, int(rng.integers(1, 60)))]
     for d in samples:
         ctx = make_plugin_context(d, EvalGrid.of_points([1.0]))
         e = ctx.curves.empirical
-        curve = _geq_count_step(d.a, d.n).combine(_geq_count_step(d.v, d.n), np.add)
+        at_risk = (
+            sum(1 for i in range(d.n) if d.a[i] >= s) / d.n
+            + sum(1 for i in range(d.n) if d.v[i] >= s) / d.n
+            for s in e.pooled_times
+        )
         kq, dq = e.pooled_at_risk_counts, e.pooled_jumps
         gain = np.where(dq < kq, kq / np.maximum(kq - dq, 1), 0.0)
-        assert np.array_equal(ctx.pooled[0], gain / curve.at(e.pooled_times))
+        assert np.array_equal(ctx.pooled[0], gain / np.fromiter(at_risk, float))
 
 
 def test_curves_are_kept_and_read_only():

@@ -48,9 +48,9 @@ class TestHandExamples:
 
     def test_combined_risk(self):
         r = self.curves.combined_risk
-        assert r.at(1.5) == 0.5
-        assert r.at(3.0) == 1.0
-        assert r.at(10.0) == 0.0
+        assert r(1.5) == 0.5
+        assert r(3.0) == 1.0
+        assert r(10.0) == 0.0
 
     def test_combined_cumhaz_is_indicator(self):
         lam = self.curves.combined_cumhaz
@@ -73,11 +73,11 @@ class TestHandExamples:
 
 class TestProductLimitFromHazard:
     """``huang_qin_cdf`` is the product-limit map of the hazard jumps; with a
-    unit risk curve each jump is the event fraction at its time."""
+    unit risk each jump is the event fraction at its time."""
 
     @staticmethod
     def cdf(d):
-        return huang_qin_cdf(build_empirical(d), StepFunction.constant(1.0))
+        return huang_qin_cdf(build_empirical(d), StepFunction.constant(1.0).at)
 
     def test_single_unit_jump_gives_indicator(self):
         f = self.cdf(Dataset([1.0], [1.0], [1]))
@@ -168,7 +168,8 @@ def test_brute_force_equality_small_n(seed):
     curves = fit(d)
     for t in probe_points(d):
         for name, oracle in oracles.ALL_ESTIMATOR_ORACLES.items():
-            got = getattr(curves, name).at(t)
+            curve = getattr(curves, name)
+            got = curve(t) if name == "combined_risk" else curve.at(t)
             want = oracle(d, float(t))
             assert got == pytest.approx(want, abs=1e-12), (name, t)
 
@@ -270,7 +271,14 @@ def test_fit_fields_equal_direct_estimators(case):
         }
         # read in reverse order, so each curve is first built by a later one
         for name in reversed(list(want)):
-            assert_same_step(getattr(curves, name), want[name], name)
+            if name == "combined_risk":
+                # the pooled risk is a function of t: compare it at every
+                # a, v and y and at the midpoints between them
+                cuts = np.unique(np.concatenate([d.a, d.v, d.y]))
+                pts = np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2])
+                assert np.array_equal(curves.combined_risk(pts), want[name](pts)), name
+            else:
+                assert_same_step(getattr(curves, name), want[name], name)
 
 
 def test_fit_curves_are_kept_and_read_only():

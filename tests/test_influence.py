@@ -82,7 +82,7 @@ def fd_sample():
     emp = ctx.curves.empirical
     u = emp.event_times[emp.event_times <= times.max()]
     assert np.all(emp.event_times.min() <= times)
-    assert np.all(ctx.curves.combined_risk.at(u) > 1.0 / d.n)
+    assert np.all(ctx.curves.combined_risk(u) > 1.0 / d.n)
     assert np.all(ctx.hazard[0][: u.size] < 1.0)
     pooled = emp.pooled_times <= times.max()
     assert np.all(emp.pooled_jumps[pooled] < emp.pooled_at_risk_counts[pooled])
@@ -129,7 +129,7 @@ def weibull_jumps_context():
 
 
 def _step_fields(f):
-    return f.jump_times, f.values, f.initial_value, f.at_values
+    return f.jump_times, f.values, f.initial_value
 
 
 class TestContexts:
@@ -147,10 +147,12 @@ class TestContexts:
         d = self.SAMPLES[case]
         ctx = make_plugin_context(d, GRID)
         curves = fit(d)
-        for name in ("cdf", "entry_survival", "combined_risk"):
+        for name in ("cdf", "entry_survival"):
             got, want = getattr(ctx.curves, name), getattr(curves, name)
             for x, y in zip(_step_fields(got), _step_fields(want)):
                 assert np.array_equal(x, y), name
+        pts = np.unique(np.concatenate([d.a, d.v, d.y]))
+        assert np.array_equal(ctx.curves.combined_risk(pts), curves.combined_risk(pts))
         for name in ("pooled_times", "pooled_jumps", "pooled_at_risk_counts",
                      "event_times", "event_counts"):
             assert np.array_equal(
@@ -324,6 +326,13 @@ class TestAlgebraicIdentities:
         for key in ("mean_phi", "mean_psi1", "mean_psi2"):
             assert np.array_equal(got[key], want[key]), key
 
+    def test_want_takes_phi_or_both(self):
+        ctx = make_oracle_context(MODEL, GRID)
+        d = sample_lbrc(MODEL, 50, seed=3)
+        for want in ("psi", "psi1", ""):
+            with pytest.raises(ValueError, match="'phi' or 'both'"):
+                influence_means(ctx, d, GRID.points, want=want)
+
     def test_entry_influence_identity_two_sided(self):
         # mean entry influence == smooth pooled integral minus exact jump sum,
         # with the right-hand side assembled here independently
@@ -448,7 +457,7 @@ class TestRepresentationResiduals:
                     )
                 )
                 mids = (breaks[:-1] + breaks[1:]) / 2
-                diff = curves.combined_risk.at(mids) - np.array(
+                diff = curves.combined_risk(mids) - np.array(
                     [np.mean((d.a <= s) & (s <= d.y)) for s in mids]
                 )
                 rhs = -np.sum(diff * panel_integrals(MODEL.influence_weight, breaks))
@@ -482,7 +491,7 @@ class TestLilQuantities:
         # elsewhere; here they feed the literal sum
         d = sample_lbrc(MODEL, 500, seed=41)
         curves = fit(d)
-        self.check_literal(d, MODEL.default_grid(count=12), curves.combined_risk.at,
+        self.check_literal(d, MODEL.default_grid(count=12), curves.combined_risk,
                            curves.cdf.at)
 
     def test_d_nondecreasing(self):

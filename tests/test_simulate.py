@@ -108,6 +108,17 @@ class TestRateExperiment:
         with pytest.raises(WindowError):
             rate_experiment(MODEL, [100, 200], 50, "Rn1", wide, seed=1)
 
+    def test_tasks_ship_the_model_without_its_exit_table(self):
+        # the window check reads the censored Weibull exit-time table; it is
+        # built on a copy, so the model that every pool task pickles stays bare
+        model = WeibullModel(censor_rate=0.5, shape=1.5)
+        grid = model.default_grid(count=8)
+        rate_experiment(model, [60, 120], 50, "Lemma35", grid, seed=5)
+        assert "_exit_table" not in model.__dict__
+        h95 = model.h_quantile(0.95)
+        with pytest.raises(WindowError, match=f"percentile {h95:.6g} "):
+            rate_experiment(model, [60, 120], 50, "Lemma35", EvalGrid(grid.points, h95), seed=5)
+
     def test_selector_case_insensitive(self):
         assert normalize_which("lemma35") == "Lemma35"
         assert normalize_which("RN2") == "Rn2"

@@ -28,15 +28,6 @@ def test_left_limit_excludes_jump(simple_step):
     assert simple_step.left_at(0.0) == 1.0
 
 
-def test_at_values_override():
-    f = StepFunction([1.0, 2.0], [0.6, 0.2], 1.0, at_values=[1.0, 0.6])
-    assert f.at(1.0) == 1.0
-    assert f.at(1.5) == 0.6
-    assert f.at(2.0) == 0.6
-    assert f.at(2.5) == 0.2
-    assert f.left_at(2.0) == 0.6
-
-
 def test_strictly_increasing_enforced():
     with pytest.raises(ValueError):
         StepFunction([1.0, 1.0], [0.5, 0.2], 1.0)
@@ -49,16 +40,6 @@ def test_eval_left_limit_agree_off_jumps():
     probes = rng.uniform(0, 12, 200)
     probes = probes[~np.isin(probes, times)]
     assert np.allclose(f.at(probes), f.left_at(probes))
-
-
-def test_combine_preserves_at_semantics():
-    # closed at-risk style: value at the drop point keeps the pre-drop level
-    f = StepFunction([3.0], [0.0], 1.0, at_values=[1.0])
-    g = StepFunction([1.0], [1.0], 0.0)
-    h = g.combine(f, np.add)
-    assert h.at(3.0) == 2.0
-    assert h.at(3.5) == 1.0
-    assert h.at(0.5) == 1.0
 
 
 def test_sup_norm_diff_identical():
