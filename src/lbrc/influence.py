@@ -68,7 +68,7 @@ from .data import Dataset
 from .empirical import build_empirical, counts_at
 from .errors import ComputeError, WindowError
 from .estimators import FittedCurves, _hazard_steps, fit
-from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
+from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges, panel_integrals
 from .stepfun import EvalGrid
 from .truth import TruthModel
 
@@ -259,13 +259,6 @@ def _check_oracle_sample(a, v, delta):
         )
 
 
-def _masked_query(table: SmoothCumulative, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Query only where mask holds; other entries return 0 without evaluation."""
-    safe = np.where(mask, np.clip(x, table.lo, table.hi), table.lo)
-    vals = table.query(safe)
-    return np.where(mask, vals, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # per-subject evaluation
 
@@ -302,7 +295,6 @@ def subject_influence(
 def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     _check_oracle_sample(a, v, delta)
     y = a + v
-    hi = ctx.grid.b
     model = ctx.model
     m_t, p_t, w_t = ctx.tables
 
@@ -316,18 +308,15 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
         * np.asarray(model.entry_survival(u), dtype=float),
     )
 
-    a_in = a <= hi
-    v_in = pos_v & (v <= hi)
-    y_in = y <= hi
+    def clipped(table, x):
+        # values beyond the window end are masked by the ``<= t`` clauses
+        # that read them, or multiplied by a masked zero
+        return table.query(np.clip(x, table.lo, table.hi))
 
-    m_a = _masked_query(m_t, a, a_in)
-    m_v = _masked_query(m_t, v, v <= hi)  # m(0) = 0, so zero residuals are fine
-    w_a = _masked_query(w_t, a, a_in)
-    w_v = _masked_query(w_t, v, v <= hi)
-    g_a = _masked_query(g_t, a, a_in)
-    g_y = _masked_query(g_t, y, y_in)
-    v_a = _masked_query(v_tab, a, a_in)
-    v_v = _masked_query(v_tab, v, v_in)
+    m_a, m_v = clipped(m_t, a), clipped(m_t, v)
+    w_a, w_v = clipped(w_t, a), clipped(w_t, v)
+    g_a, g_y = clipped(g_t, a), clipped(g_t, y)
+    v_a, v_v = clipped(v_tab, a), clipped(v_tab, v)
 
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
     k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
@@ -756,17 +745,12 @@ def assumption3_diagnostic(ctx: OracleContext, b: float) -> float:
     lower = ctx.grid.lower
     if b <= lower:
         raise ValueError("b must exceed the window's lower edge")
-    from scipy import integrate
-
     model = ctx.model
-    val, _ = integrate.quad(
-        lambda u: float(
-            np.asarray(model.event_subdist_density(u), dtype=float)
-            / np.asarray(model.risk(u), dtype=float) ** 3
-        ),
-        lower,
-        b,
-        limit=200,
+    val = float(
+        panel_integrals(
+            lambda u: model.event_subdist_density(u) / model.risk(u) ** 3,
+            geometric_edges(lower, b, ratio=1.12),
+        ).sum()
     )
     if not np.isfinite(val) or val > DIVERGENCE_CAP:
         raise WindowError(

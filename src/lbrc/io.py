@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 from pathlib import Path
 
@@ -90,7 +91,7 @@ def parse_dataset(path) -> Dataset:
                     ) from None
 
             a = field("a")
-            if not np.isfinite(a) or a < 0:
+            if not math.isfinite(a) or a < 0:
                 raise InvalidDataError(f"{path}: row {rownum}: column 'a': must be >= 0, got {a}")
             dlt = field("delta")
             if dlt not in (0.0, 1.0):
@@ -99,14 +100,14 @@ def parse_dataset(path) -> Dataset:
                 )
             if uses_total:
                 y = field("y")
-                if not np.isfinite(y) or y < a:
+                if not math.isfinite(y) or y < a:
                     raise InvalidDataError(
                         f"{path}: row {rownum}: column 'y': must be >= a, got {y}"
                     )
                 v = y - a
             else:
                 v = field("v")
-                if not np.isfinite(a + v) or v < 0:
+                if not math.isfinite(a + v) or v < 0:
                     raise InvalidDataError(
                         f"{path}: row {rownum}: column 'v': must be >= 0 with a + v finite, got {v}"
                     )

@@ -1,17 +1,23 @@
 """Panel Gauss-Legendre quadrature with table-lookup cumulative queries.
 
+This is the package's one integrator: the oracle tables and the window
+diagnostic of ``influence`` use it, and the truth models need none.
 Integrands here are smooth between a known set of breakpoints, so composite
 fixed-order Gauss-Legendre on panels is effectively exact.  The cumulative
 helper evaluates the density once, at the nodes of every panel, when it is
 built.  It stores the panel sums at the edges and, per panel, the Legendre
 coefficients of the antiderivative of the polynomial that interpolates the
 density at those nodes; an interior query is then a lookup plus one
-polynomial evaluation, with no further density call.
+polynomial evaluation, with no further density call.  A table whose sums,
+coefficients or inverse panel widths overflow a float raises
+``ComputeError`` when it is built.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ComputeError
 
 __all__ = [
     "panel_integrals",
@@ -99,14 +105,19 @@ class SmoothCumulative:
         self.edges = np.asarray(edges, dtype=float)
         if self.edges.size < 2 or not np.all(np.diff(self.edges) > 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
-        w, vals = _node_values(density, self.edges)
-        self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
-        half = 0.5 * np.diff(self.edges)
-        # (coefficient, panel): each query gathers one row per coefficient
-        self._coef = np.ascontiguousarray(
-            ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
-        )
-        self._inv_half = 1.0 / half
+        with np.errstate(all="ignore"):
+            w, vals = _node_values(density, self.edges)
+            self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
+            half = 0.5 * np.diff(self.edges)
+            # (coefficient, panel): each query gathers one row per coefficient
+            self._coef = np.ascontiguousarray(
+                ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
+            )
+            self._inv_half = 1.0 / half
+        if not all(np.isfinite(x).all() for x in (self.cum, self._coef, self._inv_half)):
+            raise ComputeError(
+                f"panel sums or widths on [{self.lo:g}, {self.hi:g}] overflow a float"
+            )
 
     @property
     def lo(self) -> float:

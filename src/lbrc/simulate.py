@@ -16,7 +16,7 @@ whose upper edge reaches into the thin-risk tail.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,9 +169,7 @@ def rate_experiment(
         raise ConfigError(f"need >= 50 replications for stable medians, got {reps}")
 
     ctx = make_oracle_context(model, grid)
-    # on a copy: the tasks ship the model, and no worker reads the exit-time
-    # table that the quantile search builds
-    h95 = replace(model).h_quantile(0.95)
+    h95 = model.h_quantile(0.95)
     if grid.b >= h95:
         raise WindowError(
             f"window upper edge {grid.b:.6g} reaches the 95th percentile "
@@ -180,7 +178,12 @@ def rate_experiment(
     assumption3_diagnostic(ctx, grid.b)
     if which in ("Rn1", "Rn2", "Rn3"):
         # built here once: every task ships the context with its tables
-        ctx.tables
+        try:
+            ctx.tables
+        except ComputeError as exc:
+            raise ConfigError(
+                f"{model!r}: oracle tables on the window overflow ({exc})"
+            ) from None
 
     # each task pickles the context once, so there are few of them: task k
     # runs the replications r = k (mod stride) at every size

@@ -5,9 +5,7 @@ length-biased draw from the underlying lifetime distribution, the entry delay
 is uniform on (0, lifetime), and the entry delay and the residual lifetime
 share the marginal density ``S(t)/mu``.  Residual censoring is an independent
 exponential clock.  Everything the simulation harness and the influence
-oracle need follows in closed form, except the exit CDF of a censored Weibull
-model, which reads one quadrature table kept on the model instance and built
-on first read:
+oracle need follows in closed form:
 
 * ``risk(t) = S(t) * wc(t) / mu``            (probability of being under
   observation and event-free at t, with ``wc`` the censoring-survival
@@ -16,24 +14,25 @@ on first read:
 * ``event_subdist_density(u) = f(u) * wc(u) / mu``
 
 so that ``event_subdist_density / risk = f / S``, the plain hazard, which is
-the identity everything else leans on.
+the identity everything else leans on.  At time t a sampled subject has
+either not entered yet or is still at risk, so the observed exit time has
+``P(Y > t) = S_A(t) + r(t)`` and ``exit_cdf = entry_cdf - risk`` for every
+family.
 
 scipy is imported inside the methods that call it (the incomplete gamma
-functions, ``quad`` and ``brentq``), so importing this module, and the
-package, loads no scipy.
+functions and ``brentq``), so importing this module, and the package, loads
+no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .stepfun import EvalGrid
-from .quadrature import SmoothCumulative, origin_graded_edges
 
 __all__ = ["TruthModel", "ExponentialModel", "WeibullModel", "make_model"]
 
@@ -119,13 +118,8 @@ class TruthModel:
         return self.mu * self.density(u) / (self.survival(u) ** 2 * self.wc(u))
 
     def exit_cdf(self, t):
-        raise NotImplementedError
-
-    def exit_density(self, u):
-        return self.wc(u) * (
-            self.density(u)
-            + (0.0 if self.censor_rate is None else self.censor_rate) * self.survival(u)
-        ) / self.mu
+        """CDF of the observed exit time ``Y = A + V``."""
+        return self.entry_cdf(t) - self.risk(t)
 
     def h_quantile(self, q: float) -> float:
         """Quantile of the total observed time distribution."""
@@ -133,14 +127,22 @@ class TruthModel:
             raise ConfigError(f"quantile level must be in (0, 1), got {q}")
         from scipy import optimize
 
-        hi = float(self.lb_quantile(q)) + 1.0
+        # the exit time never exceeds the lifetime, so the exit CDF is at
+        # least q at the lifetime's q quantile; twice that leaves room for
+        # rounding, and a tolerance relative to it holds at every time scale
+        with np.errstate(over="ignore"):
+            hi = 2.0 * float(self.lb_quantile(q))
         try:
-            return float(optimize.brentq(lambda t: self.exit_cdf(t) - q, 0.0, hi, xtol=1e-12))
+            if math.isfinite(hi):
+                return float(
+                    optimize.brentq(lambda t: self.exit_cdf(t) - q, 0.0, hi, xtol=1e-14 * hi)
+                )
         except (OverflowError, ValueError):
-            # the exit CDF overflows, or rounds to below q at the bracket end
-            raise ConfigError(
-                f"{self!r}: the observed-time {q:g} quantile is out of floating-point reach"
-            ) from None
+            pass
+        # the bracket overflows, or the exit CDF rounds to below q at its end
+        raise ConfigError(
+            f"{self!r}: the observed-time {q:g} quantile is out of floating-point reach"
+        )
 
     def default_grid(self, count: int = 25, lo: float = 0.10, hi: float = 0.90) -> EvalGrid:
         """Equispaced lifetime-CDF quantiles; stays inside the usable window."""
@@ -205,28 +207,10 @@ class ExponentialModel(TruthModel):
     def entry_cumhaz(self, t):
         return self.cumhaz(t)
 
-    def _event_subdist(self, t):
-        """P(observed event, exit time <= t)."""
-        t = np.asarray(t, dtype=float)
-        lam = self.rate
-        lc = self.censor_rate
-        if lc is None:
-            out = -np.expm1(-lam * t) - lam * t * np.exp(-lam * t)
-        else:
-            out = (lam**2 / lc) * (
-                -np.expm1(-lam * t) / lam + np.expm1(-(lam + lc) * t) / (lam + lc)
-            )
-        return out if out.ndim else float(out)
-
-    def exit_cdf(self, t):
-        lc = 0.0 if self.censor_rate is None else self.censor_rate
-        return (1.0 + lc / self.rate) * self._event_subdist(t)
-
 
 @dataclass(frozen=True)
 class WeibullModel(TruthModel):
-    """Weibull lifetimes; the censored exit CDF reads one quadrature table
-    kept on the model instance, built on first read."""
+    """Weibull lifetimes; the entry survival is an incomplete gamma function."""
 
     shape: float = 1.5
     scale: float = 1.0
@@ -283,21 +267,6 @@ class WeibullModel(TruthModel):
 
         out = special.gammaincc(1.0 / self.shape, self._z(t))
         return out if out.ndim else float(out)
-
-    @cached_property
-    def _exit_table(self) -> SmoothCumulative:
-        """Cumulative of the exit density, for the censored exit CDF."""
-        span = float(self.lb_quantile(1.0 - 1e-12)) * 1.5
-        return SmoothCumulative(self.exit_density, origin_graded_edges(span, 4000))
-
-    def exit_cdf(self, t):
-        if self.censor_rate is None:
-            # uncensored: the exit time is the length-biased lifetime itself
-            from scipy import special
-
-            out = special.gammainc(1.0 + 1.0 / self.shape, self._z(t))
-            return out if out.ndim else float(out)
-        return self._exit_table.query(t)
 
 
 def make_model(family: str, censor_rate=None, **params) -> TruthModel:

@@ -322,19 +322,19 @@ class TestRateExperimentCommand:
         write_config(cfg, seed="-1")
         latin = tmp_path / "latin.cfg"
         latin.write_bytes(cfg.read_bytes().replace(b"family", b"# caf\xe9\nfamily"))
-        # model parameters whose grid or observed-time distribution overflows
-        tiny_shape, tiny_rate, huge_rate, large_rate = (tmp_path / f"{k}.cfg" for k in range(4))
+        # model parameters whose grid or oracle tables overflow
+        tiny_shape, tiny_rate, huge_rate, huge_bare = (tmp_path / f"{k}.cfg" for k in range(4))
         write_config(tiny_shape, family="weibull", rate=None, shape="0.001", which="Rn2")
         write_config(tiny_rate, rate="1e-320", which="Rn2")
         write_config(huge_rate, rate="1e300", which="Rn2")
-        write_config(large_rate, rate="1e150", which="Rn2")
+        write_config(huge_bare, rate="1e300", censor_rate="none", which="Rn2")
         for path, said in (
             (cfg, "seed"),
             (latin, "not UTF-8"),
             (tiny_shape, "grid: 'quantiles:0.10:0.90:8' on WeibullModel(censor_rate=0.5, shape=0.001"),
             (tiny_rate, "grid: 'quantiles:0.10:0.90:8' on ExponentialModel(censor_rate=0.5, rate=1e-320"),
-            (huge_rate, "rate=1e+300"),
-            (large_rate, "rate=1e+150"),
+            (huge_rate, "ExponentialModel(censor_rate=0.5, rate=1e+300): oracle tables"),
+            (huge_bare, "ExponentialModel(censor_rate=None, rate=1e+300): oracle tables"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -342,6 +342,15 @@ class TestRateExperimentCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and said in err
             assert "Traceback" not in err
+        # a large rate whose exit CDF and tables stay in range runs through
+        large_rate, report = tmp_path / "large.cfg", tmp_path / "large.csv"
+        write_config(large_rate, rate="1e150", which="Rn2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rate-experiment", str(large_rate), "--out", str(report)]) == 0
+        rows = [l for l in report.read_text().splitlines() if l and not l.startswith("#")]
+        sups = np.array([float(l.split(",")[2]) for l in rows[1:]])
+        assert sups.size == 100 and np.all(np.isfinite(sups)) and np.all(sups > 0)
 
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

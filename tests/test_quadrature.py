@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from lbrc.errors import ComputeError
 from lbrc.influence import _anchored_table, make_oracle_context
 from lbrc.quadrature import SmoothCumulative, origin_graded_edges
 from lbrc.truth import ExponentialModel, WeibullModel
@@ -86,14 +87,6 @@ class TestOracleTables:
             assert np.abs(anchored[name].query(pts) - want).max() < TOL, name
 
 
-def test_weibull_truth_tables():
-    model = SCENARIOS["weibull-1.5"]
-    table = model._exit_table
-    pts = _points(table.hi, 4000)
-    want = [_quad(model.exit_density, 0.0, s) for s in pts]
-    assert np.abs(table.query(pts) - want).max() < TOL
-
-
 class TestQueryContract:
     table = SmoothCumulative(lambda u: np.sqrt(u) * np.exp(-u), origin_graded_edges(3.0, 40))
 
@@ -112,6 +105,11 @@ class TestQueryContract:
     def test_out_of_domain_raises(self, s):
         with pytest.raises(ValueError):
             self.table.query(s)
+
+    def test_overflowing_table_refused(self):
+        # panels below the smallest normal float have infinite inverse widths
+        with pytest.raises(ComputeError, match="overflow"):
+            SmoothCumulative(lambda u: np.ones_like(u), origin_graded_edges(1e-300, 1600))
 
     def test_scalar_query_returns_float(self):
         assert type(self.table.query(1.3)) is float

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -109,12 +111,12 @@ class TestRateExperiment:
             rate_experiment(MODEL, [100, 200], 50, "Rn1", wide, seed=1)
 
     def test_tasks_ship_the_model_without_its_exit_table(self):
-        # the window check reads the censored Weibull exit-time table; it is
-        # built on a copy, so the model that every pool task pickles stays bare
+        # the window check reads the censored Weibull exit CDF; the model that
+        # every pool task pickles keeps no table from it
         model = WeibullModel(censor_rate=0.5, shape=1.5)
         grid = model.default_grid(count=8)
         rate_experiment(model, [60, 120], 50, "Lemma35", grid, seed=5)
-        assert "_exit_table" not in model.__dict__
+        assert len(pickle.dumps(model)) < 1000
         h95 = model.h_quantile(0.95)
         with pytest.raises(WindowError, match=f"percentile {h95:.6g} "):
             rate_experiment(model, [60, 120], 50, "Lemma35", EvalGrid(grid.points, h95), seed=5)

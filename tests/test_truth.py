@@ -1,8 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from lbrc import truth
 from lbrc.errors import ConfigError
 from lbrc.truth import ExponentialModel, WeibullModel, make_model
 
@@ -102,11 +103,56 @@ def test_pooled_cdf_matches_quadrature(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_exit_cdf_matches_quadrature_and_reaches_one(model):
+    # a subject exits at u with an event (lifetime density f) or a censoring
+    # (clock rate times lifetime survival S), after an entry delay a < u
+    # whose clock outlasted u - a: the integral wc(u)
+    lc = 0.0 if model.censor_rate is None else model.censor_rate
+
+    def exit_density(u):
+        return model.wc(u) * (model.density(u) + lc * model.survival(u)) / model.mu
+
     for t in model.quantile(np.linspace(0.1, 0.9, 6)):
-        direct = quad(model.exit_density, 0, t)
+        direct = quad(exit_density, 0, t)
         assert model.exit_cdf(t) == pytest.approx(direct, abs=1e-8)
-    total = quad(model.exit_density, 0, np.inf)
+    total = quad(exit_density, 0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_exit_cdf_survives_small_censoring_rates():
+    # the censored exit CDF tends to the uncensored one as the clock slows,
+    # and keeps its digits when the clock rate is far below the event rate
+    got = ExponentialModel(censor_rate=5e-13, rate=1e4).exit_cdf(5e-4)
+    want = ExponentialModel(censor_rate=None, rate=1e4).exit_cdf(5e-4)
+    assert want == pytest.approx(0.9595723180054871, abs=1e-15)
+    assert got == pytest.approx(want, abs=1e-12)
+    # at a fast event clock the censoring clock barely moves before the exit
+    model = ExponentialModel(censor_rate=0.5, rate=1e12)
+    assert model.exit_cdf(5 / model.rate) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        *(
+            ExponentialModel(censor_rate=lc, rate=rate)
+            for rate in (1e-6, 1.0, 1e12, 1e300)
+            for lc in (None, rate / 2)
+        ),
+        *(
+            WeibullModel(censor_rate=lc, shape=shape, scale=scale)
+            for scale in (1e-10, 1.0, 1e6)
+            for shape in (0.7, 1.5, 3.0)
+            for lc in (None, 0.5 / scale)
+        ),
+    ],
+    ids=str,
+)
+def test_h_quantile_holds_at_every_time_scale(model):
+    # the bracket and the tolerance of the root search scale with the model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.5, 0.95):
+            assert model.exit_cdf(model.h_quantile(q)) == pytest.approx(q, abs=1e-13)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -191,18 +237,6 @@ def test_make_model_validation():
 def test_zero_censor_rate_normalizes_to_none():
     model = ExponentialModel(censor_rate=0.0, rate=1.0)
     assert model.censor_rate is None
-
-
-def test_weibull_tables_built_once_per_model(table_builds):
-    built = table_builds(truth)
-    model = WeibullModel(censor_rate=0.5, shape=1.5, scale=1.0)
-    for t in (0.3, [0.1, 0.7], 1.2):
-        model.exit_cdf(t)
-    model.h_quantile(0.95)
-    assert len(built) == 1
-    # an uncensored model reads a closed form and builds no table
-    WeibullModel(censor_rate=None, shape=1.5, scale=1.0).h_quantile(0.95)
-    assert len(built) == 1
 
 
 def test_built_tables_leave_equality_and_hash_alone():
