@@ -45,11 +45,9 @@ __all__ = [
 
 
 def _grouped_last(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse per-subject cumulative values to the last value per distinct time."""
-    uniq, inverse = np.unique(times, return_inverse=True)
-    last = np.zeros(uniq.size, dtype=int)
-    last[inverse] = np.arange(times.size)
-    return uniq, values[last]
+    """The last of the per-subject values at each distinct time of sorted ``times``."""
+    starts = np.flatnonzero(np.concatenate(([True], times[1:] != times[:-1])))
+    return times[starts], values[np.append(starts[1:], times.size) - 1]
 
 
 def _drop_flat(times: np.ndarray, values: np.ndarray, initial: float) -> tuple[np.ndarray, np.ndarray]:
@@ -130,11 +128,9 @@ def pooled_entry_cumhaz(emp: EmpiricalProcesses) -> StepFunction:
     return StepFunction(emp.pooled_times, np.cumsum(_pooled_ratio(emp)), 0.0)
 
 
-def _per_subject_product_limit(
-    d: Dataset, factor_of_subject: np.ndarray, order: np.ndarray
-) -> StepFunction:
-    y_sorted = d.y[order]
-    survival = np.cumprod(factor_of_subject[order])
+def _per_subject_product_limit(y_sorted: np.ndarray, factors: np.ndarray) -> StepFunction:
+    """CDF from one factor per subject, given in stable ascending order of exit time."""
+    survival = np.cumprod(factors)
     times, vals = _grouped_last(y_sorted, survival)
     times, vals = _drop_flat(times, 1.0 - vals, 0.0)
     return StepFunction(times, vals, 0.0)
@@ -147,11 +143,11 @@ def tjw_product_limit(d: Dataset) -> StepFunction:
     in ascending order of exit time.  At-risk counts are exact integers,
     ``#{a <= y_i} + #{y >= y_i} - n``.
     """
-    entered = counts_at(np.sort(d.a), d.y)[0]
-    present = counts_at(np.sort(d.y), d.y)[1]
-    at_risk = entered + present - d.n
-    factors = np.where(d.delta == 1, 1.0 - 1.0 / at_risk, 1.0)
-    return _per_subject_product_limit(d, factors, np.argsort(d.y, kind="stable"))
+    order = np.argsort(d.y, kind="stable")
+    y = d.y[order]
+    at_risk = counts_at(np.sort(d.a), y)[0] + counts_at(y, y)[1] - d.n
+    factors = np.where(d.delta[order] == 1, 1.0 - 1.0 / at_risk, 1.0)
+    return _per_subject_product_limit(y, factors)
 
 
 def safeguarded_cdf(d: Dataset, risk: Risk) -> StepFunction:
@@ -160,10 +156,10 @@ def safeguarded_cdf(d: Dataset, risk: Risk) -> StepFunction:
     Factors are ``1 - 1/(n * risk(y_i) + 1)`` for uncensored subjects,
     clamped into [0, 1] to guard against a negative finite-sample risk value.
     """
-    denom = d.n * risk(d.y) + 1.0
-    raw = np.where(d.delta == 1, 1.0 - 1.0 / denom, 1.0)
-    factors = np.clip(raw, 0.0, 1.0)
-    return _per_subject_product_limit(d, factors, np.argsort(d.y, kind="stable"))
+    order = np.argsort(d.y, kind="stable")
+    y = d.y[order]
+    raw = np.where(d.delta[order] == 1, 1.0 - 1.0 / (d.n * risk(y) + 1.0), 1.0)
+    return _per_subject_product_limit(y, np.clip(raw, 0.0, 1.0))
 
 
 def huang_qin_cdf(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracles
+from lbrc import io as lbrc_io
 from lbrc.cli import main
 from lbrc.data import Dataset
 from lbrc.errors import InvalidDataError
@@ -114,6 +116,75 @@ class TestParseDataset:
         assert np.array_equal(back.a, d.a)
         assert np.array_equal(back.v, d.v)
         assert np.array_equal(back.delta, d.delta)
+        # a written dataset is plain, so it takes the vectorized pass
+        assert lbrc_io._parse_plain(p) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, data):
+        # the one-pass parse returns what the row reader returns, or falls back
+        # to it, so every error keeps its row and column
+        cols = data.draw(st.permutations(["a", data.draw(st.sampled_from("vy")), "delta"]))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            a, v = (data.draw(st.floats(0, 50)) for _ in range(2))
+            value = {"a": a, "v": v, "y": a + v, "delta": data.draw(st.sampled_from([0.0, 1.0]))}
+            rows.append([data.draw(SPELLINGS)(value[c]) for c in cols])
+        defect = data.draw(st.sampled_from(sorted(DEFECTS) + [None] * 10))
+        if defect:
+            at = data.draw(st.integers(0, len(rows) - 1))
+            rows[at] = DEFECTS[defect](rows[at], cols)
+        raw = "".join(",".join(row) + "\n" for row in [cols] + rows).encode()
+        raw = {"crlf": raw.replace(b"\n", b"\r\n"), "bom": b"\xef\xbb\xbf" + raw,
+               "latin-1": raw + b"0.5,\xe9,1\n"}.get(defect, raw)
+        src = tmp_path_factory.mktemp("parse") / "d.csv"
+        src.write_bytes(raw)
+
+        def outcome():
+            try:
+                return parse_dataset(src)
+            except InvalidDataError as exc:
+                return str(exc)
+
+        got = outcome()
+        with mock.patch.object(lbrc_io, "_parse_plain", return_value=None):
+            want = outcome()
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        for name in ("a", "v", "delta", "y"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def _full_width(text):
+    return text.translate({ord(c): 0xFF10 + int(c) for c in "0123456789"})
+
+
+# spellings of a field: float() reads each one, though not every value passes
+SPELLINGS = st.sampled_from([repr] * 16 + [
+    lambda x: f" {x!r} ",
+    lambda x: _full_width(repr(x)),
+    lambda x: "-0" if x == 0 else repr(x),
+    lambda x: "1_0",
+    lambda x: "1e400",
+    lambda x: "inf",
+    lambda x: "nan",
+])
+
+# one defect in one row; the byte-level ones are applied to the encoded file
+DEFECTS = {
+    "quoted": lambda row, cols: [f'"{f}"' for f in row],
+    "blank line": lambda row, cols: [],
+    "two fields": lambda row, cols: row[:2],
+    "four fields": lambda row, cols: row + ["1"],
+    "delta=2": lambda row, cols: [("2" if c == "delta" else f) for c, f in zip(cols, row)],
+    "y < a": lambda row, cols: [("-1.0" if c in "vy" else f) for c, f in zip(cols, row)],
+    "not a number": lambda row, cols: ["x" + f for f in row],
+    "crlf": lambda row, cols: row,
+    "bom": lambda row, cols: row,
+    "latin-1": lambda row, cols: row,
+}
 
 
 class TestEstimateCommand:

@@ -174,6 +174,26 @@ def test_brute_force_equality_small_n(seed):
             assert got == pytest.approx(want, abs=1e-12), (name, t)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_tie_heavy_product_limits_match_oracles(seed):
+    # times on a 0.1 lattice, with events and censorings mixed within ties:
+    # the curve at a tie is the product after the tie's last subject, and the
+    # TJW factors come from integer counts, so that curve equals the oracle
+    # to the bit
+    rng = np.random.default_rng(1300 + seed)
+    n = int(rng.integers(30, 70))
+    a, v = (np.round(rng.uniform(0.0, 1.0, n), 1) for _ in range(2))
+    d = Dataset(a, v, (rng.random(n) > 0.4).astype(int))
+    mixed = [t for t in np.unique(d.y) if set(d.delta[d.y == t]) == {0, 1}]
+    assert len(mixed) >= 3
+    curves = fit(d)
+    for t in probe_points(d):
+        assert curves.tjw_cdf.at(t) == oracles.tjw_cdf_at(d, float(t)), t
+        assert curves.cdf_safeguarded.at(t) == pytest.approx(
+            oracles.safeguarded_cdf_at(d, float(t)), abs=1e-12
+        ), t
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_shape_invariants(seed):
     rng = np.random.default_rng(900 + seed)
