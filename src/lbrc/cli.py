@@ -18,6 +18,7 @@ from .estimators import fit
 from .influence import lil_quantities, make_plugin_context, plugin_variance
 from .io import (
     config_hash,
+    parse_censor_rate,
     parse_dataset,
     parse_rate_config,
     write_curve_csv,
@@ -27,7 +28,7 @@ from .io import (
 )
 from .simulate import rate_experiment, sample_lbrc
 from .stepfun import EvalGrid
-from .truth import make_model
+from .truth import FAMILIES, make_model
 
 __all__ = ["main"]
 
@@ -57,12 +58,12 @@ def _build_parser() -> _Parser:
     est.add_argument("--out", default=".", help="output directory for curve files")
 
     sim = sub.add_parser("simulate", help="generate a synthetic LBRC dataset CSV")
-    sim.add_argument("--family", choices=["exponential", "weibull"], default="exponential")
-    sim.add_argument("--rate", type=float, default=1.0, help="exponential lifetime rate")
-    sim.add_argument("--shape", type=float, default=1.5, help="weibull shape")
-    sim.add_argument("--scale", type=float, default=1.0, help="weibull scale")
+    sim.add_argument("--family", choices=tuple(FAMILIES), default="exponential")
+    sim.add_argument("--rate", type=float, help="exponential lifetime rate")
+    sim.add_argument("--shape", type=float, help="weibull shape")
+    sim.add_argument("--scale", type=float, help="weibull scale")
     sim.add_argument(
-        "--censor-rate", default="0.5", help="residual censoring rate, or 'none'"
+        "--censor-rate", default="0.5", help="residual censoring rate; 'none' or '' for none"
     )
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
@@ -141,15 +142,9 @@ def _cmd_estimate(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    censor = args.censor_rate.strip().lower()
-    try:
-        censor = None if censor == "none" else float(censor)
-    except ValueError:
-        raise ConfigError(f"--censor-rate: not a number: {args.censor_rate!r}") from None
-    if args.family == "exponential":
-        model = make_model("exponential", censor_rate=censor, rate=args.rate)
-    else:
-        model = make_model("weibull", censor_rate=censor, shape=args.shape, scale=args.scale)
+    censor = parse_censor_rate("--censor-rate", args.censor_rate)
+    params = {k: getattr(args, k) for k in ("rate", "shape", "scale")}
+    model = make_model(args.family, censor, **{k: v for k, v in params.items() if v is not None})
     d = sample_lbrc(model, args.n, args.seed)
     write_dataset_csv(args.out, d)
     print(f"wrote {args.out} (n={d.n}, events={d.n_events})")

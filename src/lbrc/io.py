@@ -26,6 +26,7 @@ __all__ = [
     "write_dataset_csv",
     "write_curve_csv",
     "parse_rate_config",
+    "parse_censor_rate",
     "write_rate_report_csv",
     "write_influence_csv",
     "config_hash",
@@ -47,6 +48,18 @@ def _utf8_lines(fh, path):
         yield from fh
     except UnicodeDecodeError:
         raise InvalidDataError(f"{path}: not UTF-8 text") from None
+
+
+def _records(reader, path):
+    """The records after the header, numbered from 1; a record the csv
+    module refuses, such as one with a field over its size limit, is an
+    input error naming its row."""
+    rownum = 0
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            yield rownum, row
+    except csv.Error as exc:
+        raise InvalidDataError(f"{path}: row {rownum + 1}: {exc}") from None
 
 
 def _schema(path, cells) -> tuple[bool, dict]:
@@ -120,10 +133,12 @@ def parse_dataset(path) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise InvalidDataError(f"{path}: empty file, no observations") from None
+        except csv.Error as exc:
+            raise InvalidDataError(f"{path}: header: {exc}") from None
         uses_total, pos = _schema(path, header)
 
         a_list, v_list, d_list = [], [], []
-        for rownum, row in enumerate(reader, start=1):
+        for rownum, row in _records(reader, path):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 3:
@@ -188,11 +203,11 @@ def write_curve_csv(
         fh.writelines(head + [f"{t!r},{val!r}\n" for t, val in rows])
 
 
+_MODEL_KEYS = ("rate", "shape", "scale")
+
 _CONFIG_KEYS = {
     "family",
-    "rate",
-    "shape",
-    "scale",
+    *_MODEL_KEYS,
     "censor_rate",
     "sizes",
     "reps",
@@ -247,24 +262,9 @@ def parse_rate_config(path) -> dict:
         if required not in raw:
             raise ConfigError(f"{path}: missing config key: {required}")
 
-    censor = raw.get("censor_rate", "none")
-    censor_rate = None if censor.lower() in ("none", "") else _to_float("censor_rate", censor)
-
-    family = raw["family"].lower()
-    params = {}
-    if family == "exponential":
-        params["rate"] = _to_float("rate", raw.get("rate", "1.0"))
-        for bad in ("shape", "scale"):
-            if bad in raw:
-                raise ConfigError(f"{path}: key {bad} is not valid for family=exponential")
-    elif family == "weibull":
-        params["shape"] = _to_float("shape", raw.get("shape", "1.5"))
-        params["scale"] = _to_float("scale", raw.get("scale", "1.0"))
-        if "rate" in raw:
-            raise ConfigError(f"{path}: key rate is not valid for family=weibull")
-    else:
-        raise ConfigError(f"{path}: family must be exponential or weibull, got {family!r}")
-    model = make_model(family, censor_rate=censor_rate, **params)
+    censor_rate = parse_censor_rate("config key censor_rate", raw.get("censor_rate", ""))
+    params = {k: _to_float(f"config key {k}", raw[k]) for k in _MODEL_KEYS if k in raw}
+    model = make_model(raw["family"], censor_rate=censor_rate, **params)
 
     try:
         sizes = [int(tok) for tok in raw["sizes"].split(",") if tok.strip()]
@@ -294,11 +294,16 @@ def parse_rate_config(path) -> dict:
     }
 
 
-def _to_float(key: str, value: str) -> float:
+def _to_float(label: str, value: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"config key {key}: not a number: {value!r}") from None
+        raise ConfigError(f"{label}: not a number: {value!r}") from None
+
+
+def parse_censor_rate(label: str, value: str) -> float | None:
+    """A censoring rate; 'none' or an empty value means no censoring."""
+    return None if value.strip().lower() in ("none", "") else _to_float(label, value)
 
 
 def _to_int(key: str, value: str) -> int:

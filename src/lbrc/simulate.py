@@ -42,10 +42,9 @@ __all__ = [
     "consistency_check",
 ]
 
-# experiment selectors: three representation remainders, the safeguard gap,
-# and the two estimator-consistency gaps
-WHICH_CHOICES = ("Rn1", "Rn2", "Rn3", "Lemma33", "Lemma35", "Lemma37")
-
+# experiment selectors and the exponent each one's medians should decay at:
+# three representation remainders, the safeguard gap, and the two
+# estimator-consistency gaps
 TARGET_EXPONENTS = {
     "Rn1": -0.75,
     "Rn2": -0.75,
@@ -54,6 +53,7 @@ TARGET_EXPONENTS = {
     "Lemma35": -1.0,
     "Lemma37": -0.5,
 }
+WHICH_CHOICES = tuple(TARGET_EXPONENTS)
 
 
 def normalize_which(token: str) -> str:

@@ -27,14 +27,14 @@ no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .stepfun import EvalGrid
 
-__all__ = ["TruthModel", "ExponentialModel", "WeibullModel", "make_model"]
+__all__ = ["TruthModel", "ExponentialModel", "WeibullModel", "FAMILIES", "make_model"]
 
 
 @dataclass(frozen=True)
@@ -269,23 +269,17 @@ class WeibullModel(TruthModel):
         return out if out.ndim else float(out)
 
 
+FAMILIES = {"exponential": ExponentialModel, "weibull": WeibullModel}
+
+
 def make_model(family: str, censor_rate=None, **params) -> TruthModel:
-    """Build a truth model from config-style arguments."""
+    """Build a truth model by family name; an omitted parameter keeps its default."""
     family = str(family).strip().lower()
-    if family == "exponential":
-        allowed = {"rate"}
-        extra = set(params) - allowed
-        if extra:
-            raise ConfigError(f"unknown exponential parameter(s): {sorted(extra)}")
-        return ExponentialModel(censor_rate=censor_rate, rate=float(params.get("rate", 1.0)))
-    if family == "weibull":
-        allowed = {"shape", "scale"}
-        extra = set(params) - allowed
-        if extra:
-            raise ConfigError(f"unknown weibull parameter(s): {sorted(extra)}")
-        return WeibullModel(
-            censor_rate=censor_rate,
-            shape=float(params.get("shape", 1.5)),
-            scale=float(params.get("scale", 1.0)),
-        )
-    raise ConfigError(f"unknown family: {family!r} (expected exponential or weibull)")
+    if family not in FAMILIES:
+        raise ConfigError(f"family must be {' or '.join(FAMILIES)}, got {family!r}")
+    cls = FAMILIES[family]
+    names = {f.name for f in fields(cls)}
+    for key in params:
+        if key not in names:
+            raise ConfigError(f"key {key} is not valid for family={family}")
+    return cls(censor_rate=censor_rate, **{k: float(v) for k, v in params.items()})

@@ -232,7 +232,14 @@ class TestEstimateCommand:
         # a directory, and a file with a byte that is not UTF-8
         latin = tmp_path / "latin.csv"
         latin.write_bytes(b"a,v,delta\n1.0,2.0,1\n0.5,\xe92.0,1\n")
-        for path, said in ((tmp_path, "Is a directory"), (latin, "not UTF-8")):
+        # a quoted field longer than the csv module's field size limit
+        long_field = tmp_path / "long-field.csv"
+        long_field.write_text('a,v,delta\n1.0,2.0,1\n"' + "0" * 200_001 + '",1.0,1\n')
+        for path, said in (
+            (tmp_path, "Is a directory"),
+            (latin, "not UTF-8"),
+            (long_field, "row 2: field larger than field limit"),
+        ):
             assert main(["estimate", str(path), "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and said in err
@@ -297,13 +304,35 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
 
-    def test_censor_none_gives_all_events(self, tmp_path):
+    @pytest.mark.parametrize("censor", ["none", ""])
+    def test_censor_none_gives_all_events(self, tmp_path, censor):
         f = tmp_path / "s.csv"
         assert main(
-            ["simulate", "--n", "50", "--seed", "1", "--censor-rate", "none", "--out", str(f)]
+            ["simulate", "--n", "50", "--seed", "1", "--censor-rate", censor, "--out", str(f)]
         ) == 0
         d = parse_dataset(f)
         assert np.all(d.delta == 1)
+
+    @pytest.mark.parametrize(
+        "family, explicit",
+        [("exponential", ["--rate", "1.0"]), ("weibull", ["--shape", "1.5", "--scale", "1.0"])],
+    )
+    def test_omitted_parameters_take_the_defaults(self, tmp_path, family, explicit):
+        bare, given = tmp_path / "bare.csv", tmp_path / "given.csv"
+        args = ["simulate", "--family", family, "--n", "40", "--seed", "3"]
+        assert main(args + ["--out", str(bare)]) == 0
+        assert main(args + explicit + ["--out", str(given)]) == 0
+        assert bare.read_bytes() == given.read_bytes()
+
+    @pytest.mark.parametrize(
+        "family, flag", [("exponential", "--shape"), ("exponential", "--scale"), ("weibull", "--rate")]
+    )
+    def test_parameter_of_the_other_family_fails(self, tmp_path, capsys, family, flag):
+        argv = ["simulate", "--family", family, flag, "2", "--n", "5", "--seed", "1"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: key {flag[2:]} is not valid for family={family}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_round_trip_reproduces_dataset(self, tmp_path):
         f = tmp_path / "s.csv"
@@ -422,6 +451,22 @@ class TestRateExperimentCommand:
         rows = [l for l in report.read_text().splitlines() if l and not l.startswith("#")]
         sups = np.array([float(l.split(",")[2]) for l in rows[1:]])
         assert sups.size == 100 and np.all(np.isfinite(sups)) and np.all(sups > 0)
+
+    @pytest.mark.parametrize(
+        "overrides, said",
+        [
+            ({"shape": "2"}, "key shape is not valid for family=exponential"),
+            ({"family": "weibull", "rate": "2"}, "key rate is not valid for family=weibull"),
+            ({"family": "gamma"}, "family must be exponential or weibull, got 'gamma'"),
+            ({"rate": "abc"}, "config key rate: not a number: 'abc'"),
+            ({"censor_rate": "abc"}, "config key censor_rate: not a number: 'abc'"),
+        ],
+    )
+    def test_model_keys_checked_as_on_the_command_line(self, tmp_path, capsys, overrides, said):
+        cfg = tmp_path / "exp.cfg"
+        write_config(cfg, **overrides)
+        assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {said}\n"
 
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

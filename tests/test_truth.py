@@ -222,16 +222,26 @@ def test_default_grid():
 def test_make_model_validation():
     assert isinstance(make_model("exponential", rate=2.0), ExponentialModel)
     assert isinstance(make_model("weibull", shape=2.0, scale=1.0), WeibullModel)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^family must be exponential or weibull, got 'gamma'$"):
         make_model("gamma")
     with pytest.raises(ConfigError):
         make_model("exponential", rate=-1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^key shape is not valid for family=exponential$"):
         make_model("exponential", shape=2.0)
+    with pytest.raises(ConfigError, match=r"^key rate is not valid for family=weibull$"):
+        make_model("weibull", rate=2.0)
     with pytest.raises(ConfigError):
         make_model("weibull", shape=0.0)
     with pytest.raises(ConfigError):
         ExponentialModel(censor_rate=-0.5, rate=1.0)
+
+
+def test_make_model_omitted_parameters_take_the_defaults():
+    assert make_model("exponential") == ExponentialModel(censor_rate=None, rate=1.0)
+    assert make_model("weibull") == WeibullModel(censor_rate=None, shape=1.5, scale=1.0)
+    assert make_model(" Weibull ", 0.5, shape=2) == WeibullModel(
+        censor_rate=0.5, shape=2.0, scale=1.0
+    )
 
 
 def test_zero_censor_rate_normalizes_to_none():
