@@ -15,6 +15,7 @@ whose upper edge reaches into the thin-risk tail.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -157,7 +158,9 @@ def rate_experiment(
 
     Refuses to run when the window's upper edge sits at or beyond the 95th
     percentile of the observed-time distribution, or when the admissibility
-    integral exceeds ``DIVERGENCE_CAP``.
+    integral exceeds ``DIVERGENCE_CAP``.  ``threads`` worker processes share
+    the replications; it must be at least 1, it is capped at
+    ``os.cpu_count()``, and it does not change the report.
     """
     which = normalize_which(which)
     sizes = [int(s) for s in np.atleast_1d(np.asarray(sizes)).tolist()]
@@ -167,6 +170,9 @@ def rate_experiment(
         raise ConfigError("sizes must be strictly increasing")
     if reps < 50:
         raise ConfigError(f"need >= 50 replications for stable medians, got {reps}")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    threads = min(threads, os.cpu_count() or 1)
 
     ctx = make_oracle_context(model, grid)
     h95 = model.h_quantile(0.95)

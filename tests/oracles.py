@@ -6,11 +6,13 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-Two helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
+Three helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
-against small hand-made populations.  ``plugin_variance_one_shot`` is the
-plugin variance computed over the whole grid in one ``subject_influence``
-call, the reference for the blocked ``plugin_variance``.
+against small hand-made populations.  ``plugin_subject_influence_rowwise``
+evaluates the plugin influence values one time at a time from the context's
+prefix sums, the reference for the package's coefficient form, and
+``plugin_variance_one_shot`` takes the plugin variance from it over the whole
+sample at once, the reference for the chunked ``plugin_variance``.
 """
 
 from __future__ import annotations
@@ -238,23 +240,92 @@ class FunctionPopulation:
         return np.asarray(self.fu_density(u), dtype=float) / r**2
 
 
-def plugin_variance_one_shot(ctx):
-    """``plugin_variance`` from one ``subject_influence`` call over the grid.
+def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain=None):
+    """Plugin ``subject_influence`` evaluated one time at a time.
 
-    It holds three (times, n) arrays at once.  The in-place sum and product
-    give the same bits as ``scale[:, None] * (psi1 + psi2)``.
+    Each row reads the event prefix sums at every subject's search positions,
+    clipped at the time's own position, term by term as the influence
+    formulas are written; the package builds per-subject coefficients instead
+    and evaluates all times in one pass.
     """
-    from lbrc.influence import subject_influence
+    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
+    delta, times = np.asarray(delta).astype(float), np.asarray(times, dtype=float)
+    emp = ctx.curves.empirical
+    u, s = emp.event_times, emp.pooled_times
+    y = a + v
+    pooled_weight, pooled_m_prefix = ctx.pooled
+    idx_pa = np.searchsorted(s, a, side="right")
+    idx_pv = np.searchsorted(s, v, side="right")
+    idx_a_left = np.searchsorted(u, a, side="left")
+    idx_a_right = np.searchsorted(u, a, side="right")
+    idx_v_left = np.searchsorted(u, v, side="left")
+    idx_v_right = np.searchsorted(u, v, side="right")
+    idx_y_right = np.searchsorted(u, y, side="right")
+    event = delta == 1
+    at_y = idx_y_right[event] - 1
+    m_a = pooled_m_prefix[idx_pa]
+    m_v = pooled_m_prefix[idx_pv]
+    inv_k_a = pooled_weight[idx_pa - 1]
+    inv_k_v = np.where(event, pooled_weight[idx_pv - 1], 0.0)
+    own_event = np.zeros(a.size)
+    own_event[event] = 1.0 / ctx.hazard[1][at_y]
+    w = ctx.event_w
+    if event_gain is not None:
+        w = w * event_gain
+        own_event[event] *= event_gain[at_y]
+    entry_surv, m_u = ctx.event_entry_m
+    ws = w * entry_surv
+    pref_w, pref_ws, pref_wsm = (
+        np.concatenate(([0.0], np.cumsum(x))) for x in (w, ws, ws * m_u)
+    )
+    pooled_prefix_at = lambda x: pooled_m_prefix[np.searchsorted(s, x, side="right")]
 
+    phi = np.zeros((times.size, a.size))
+    psi1 = np.zeros_like(phi)
+    psi2 = np.zeros_like(phi)
+    for j, t in enumerate(times):
+        kt = int(np.searchsorted(u, t, side="right"))
+        a_le = a <= t
+        v_le = v <= t
+        y_le = y <= t
+
+        jump_a = np.where(a_le, inv_k_a, 0.0)
+        jump_v = np.where(v_le, inv_k_v, 0.0)
+        m_at_t = float(pooled_prefix_at(t))
+        phi[j] = (
+            np.where(a_le, m_a, m_at_t) + np.where(v_le, m_v, m_at_t) - jump_a - jump_v
+        )
+
+        ky = np.minimum(idx_y_right, kt)
+        ja = np.minimum(idx_a_left, ky)
+        psi1[j] = pref_w[ky] - pref_w[ja] - np.where(y_le, own_event, 0.0)
+
+        ja_t = np.minimum(idx_a_left, kt)
+        ia_t = np.minimum(idx_a_right, kt)
+        iv_t = np.minimum(idx_v_right, kt)
+        jv_t = np.minimum(idx_v_left, kt)
+        t1 = pref_w[ja_t]
+        t2 = -pref_ws[kt]
+        t3 = pref_wsm[ia_t] + m_a * (pref_ws[kt] - pref_ws[ia_t])
+        t4 = pref_wsm[iv_t] + m_v * (pref_ws[kt] - pref_ws[iv_t])
+        t5 = inv_k_a * (pref_ws[kt] - pref_ws[ja_t])
+        t6 = inv_k_v * (pref_ws[kt] - pref_ws[jv_t])
+        psi2[j] = t1 + t2 - (t3 + t4) + t5 + t6
+    return phi, psi1, psi2
+
+
+def plugin_variance_one_shot(ctx):
+    """``plugin_variance`` over all subjects at once, from the row-wise values.
+
+    The summand is ``(1 - F(t)) (psi1 + psi2)`` with the product-limit gain,
+    and each row's variance is taken over the whole sample in one pass.
+    """
     d, grid = ctx.dataset, ctx.grid
     factor = 1.0 - ctx.hazard[0]
     open_factor = factor > 0
     gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
-    phi, psi, psi2 = subject_influence(
+    _, psi1, psi2 = plugin_subject_influence_rowwise(
         ctx, d.a, d.v, d.delta, grid.points, event_gain=gain
     )
-    del phi
-    psi += psi2
-    del psi2
-    psi *= (1.0 - ctx.curves.cdf.at(grid.points))[:, None]
-    return psi.var(axis=1) / d.n
+    scale = 1.0 - ctx.curves.cdf.at(grid.points)
+    return (scale[:, None] * (psi1 + psi2)).var(axis=1) / d.n

@@ -468,6 +468,16 @@ class TestRateExperimentCommand:
         assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == f"error: {said}\n"
 
+    @pytest.mark.parametrize("threads, flag", [("0", None), ("-3", None), ("2", "0"), (None, "-3")])
+    def test_threads_below_one_exit_one(self, tmp_path, capsys, threads, flag):
+        cfg = tmp_path / "exp.cfg"
+        write_config(cfg, threads=threads)
+        argv = ["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]
+        assert main(argv + (["--threads", flag] if flag else [])) == 1
+        bad = flag if flag else threads
+        assert capsys.readouterr().err == f"error: threads must be >= 1, got {bad}\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         write_config(cfg, seed=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from lbrc import simulate
 from lbrc.errors import ConfigError, WindowError
 from lbrc.estimators import fit
 from lbrc.influence import make_oracle_context, residual_cdf
@@ -140,7 +141,7 @@ class TestRateExperiment:
     )
     def test_threads_do_not_change_results(self, which, reps, threads):
         # Rn2 reads the oracle tables, so its pool workers use shipped ones;
-        # 53 replications in 6 interleaved tasks leave the tasks uneven
+        # 53 replications in interleaved tasks leave the tasks uneven
         serial = rate_experiment(MODEL, [60, 120], reps, which, self.GRID, seed=5)
         parallel = rate_experiment(
             MODEL, [60, 120], reps, which, self.GRID, seed=5, threads=threads
@@ -153,6 +154,36 @@ class TestRateExperiment:
             ctx = make_oracle_context(MODEL, self.GRID)
             sup = residual_cdf(d, ctx, self.GRID, fit(d)).residual_sup
             assert parallel.sup_residuals[1, reps - 1] == sup
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_refused(self, threads):
+        with pytest.raises(ConfigError, match=f"threads must be >= 1, got {threads}"):
+            rate_experiment(MODEL, [60, 120], 50, "Lemma33", self.GRID, seed=5, threads=threads)
+
+    @pytest.mark.parametrize("cores, threads, workers", [(2, 200, 2), (1, 8, None), (4, 3, 3)])
+    def test_threads_capped_at_cpu_count(self, monkeypatch, cores, threads, workers):
+        # the pool is a stand-in that records its size and maps in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        rep = rate_experiment(MODEL, [60, 120], 50, "Lemma33", self.GRID, seed=5, threads=threads)
+        assert started == ([] if workers is None else [workers])
+        serial = rate_experiment(MODEL, [60, 120], 50, "Lemma33", self.GRID, seed=5)
+        assert np.array_equal(rep.sup_residuals, serial.sup_residuals)
 
     def test_rn2_sups_match_residual_cdf(self):
         rep = rate_experiment(MODEL, [100, 300], 50, "Rn2", self.GRID, seed=9)
