@@ -196,9 +196,9 @@ def _cmd_influence(args) -> int:
     lo = np.clip(cdf_vals - z * se, 0.0, 1.0)
     hi = np.clip(cdf_vals + z * se, 0.0, 1.0)
     lil = lil_quantities(ctx)
-    rows = zip(*(x.tolist() for x in (grid.points, cdf_vals, se, lo, hi, lil.d, lil.v)))
+    columns = (grid.points, cdf_vals, se, lo, hi, lil.d, lil.v)
     cfg = config_hash({"input": args.input, "level": args.level, "grid": args.grid})
-    write_influence_csv(args.out, rows, d.n, args.level, cfg)
+    write_influence_csv(args.out, columns, d.n, args.level, cfg)
     print(f"wrote {args.out}")
     return 0
 

@@ -94,8 +94,8 @@ DIVERGENCE_CAP = 1.0e4
 
 _TABLE_PANELS = 1600
 
-# values per (times, subjects) array in one chunk of ``plugin_variance`` (2 MiB)
-_BLOCK_VALUES = 2**18
+# values per (times, subjects) array in one chunk of ``plugin_variance`` (512 KiB)
+_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ class PluginContext:
     """Plugin mode: the fitted curves of one sample stand in for the population.
 
     The evaluation window is the grid's [lower, b] span.  The event and pooled
-    tables below are built the first time they are read and kept.
+    tables below, and the reads that ``plugin_variance`` shares between its
+    chunks, are built the first time they are read and kept.
     """
 
     curves: FittedCurves
@@ -196,6 +197,23 @@ class PluginContext:
         u = self.curves.empirical.event_times
         return self.curves.entry_survival.at(u), _plugin_m(self, u)
 
+    @cached_property
+    def cdf_gain(self) -> np.ndarray:
+        """Product-limit gain ``1 / (1 - dL(u))`` at each distinct event time.
+
+        A clamped factor (``dL(u) >= 1``) gets 0: it makes the fitted CDF
+        identically 1 from ``u`` on (see ``plugin_variance``).
+        """
+        factor = 1.0 - self.hazard[0]
+        open_factor = factor > 0
+        return np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
+
+    @cached_property
+    def grid_reads(self):
+        """``_event_reads`` at the grid points with ``cdf_gain``: the reads of
+        every ``subject_influence`` call that ``plugin_variance`` makes."""
+        return _event_reads(self, self.grid.points, self.cdf_gain)
+
 
 def make_oracle_context(model: TruthModel, grid: EvalGrid) -> OracleContext:
     return OracleContext(model, grid)
@@ -212,6 +230,23 @@ def _plugin_m(ctx: PluginContext, x):
         ctx.curves.empirical.pooled_times, np.asarray(x, dtype=float), side="right"
     )
     return ctx.pooled[1][idx]
+
+
+def _event_reads(ctx: PluginContext, times: np.ndarray, event_gain):
+    """Gain-weighted event prefix sums, and their values at ``times``.
+
+    With ``w = event_w * event_gain`` (``event_w`` alone for no gain), returns
+    ``(prefix, at_times)``: ``prefix`` holds the prefix sums over the distinct
+    event times of ``w``, ``w S_A`` and ``w S_A m``, and ``at_times`` those
+    three sums over the events up to each time, then the pooled prefix ``m``
+    at each time.
+    """
+    w = ctx.event_w if event_gain is None else ctx.event_w * event_gain
+    entry_surv, m_u = ctx.event_entry_m
+    ws = w * entry_surv
+    prefix = tuple(np.concatenate(([0.0], np.cumsum(x))) for x in (w, ws, ws * m_u))
+    kt = np.searchsorted(ctx.curves.empirical.event_times, times, side="right")
+    return prefix, tuple(p[kt] for p in prefix) + (_plugin_m(ctx, times),)
 
 
 class _SortedQueries:
@@ -276,8 +311,11 @@ def subject_influence(
     it, or ``ValueError`` is raised.  ``event_gain`` (one value per distinct
     event time) multiplies every term of each event's hazard increment; left
     at None the hazard influence is returned.  ``plugin_variance`` passes the
-    product-limit weights through it.
+    product-limit weights through it: handed the context's own ``grid.points``
+    and ``cdf_gain`` arrays, a call reads the grid from ``grid_reads``, which
+    are built once per context.
     """
+    own_grid = isinstance(ctx, PluginContext) and times is ctx.grid.points
     a = np.asarray(a, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     delta = np.asarray(delta).reshape(-1).astype(float)
@@ -288,7 +326,11 @@ def subject_influence(
         if event_gain is not None:
             raise ValueError("event_gain applies to plugin contexts only")
         return _oracle_subject_influence(ctx, a, v, delta, times)
-    return _plugin_subject_influence(ctx, a, v, delta, times, event_gain)
+    if own_grid and event_gain is not None and event_gain is ctx.cdf_gain:
+        reads = ctx.grid_reads
+    else:
+        reads = _event_reads(ctx, times, event_gain)
+    return _plugin_subject_influence(ctx, a, v, delta, times, event_gain, reads)
 
 
 def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
@@ -371,7 +413,7 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     return phi, psi1, psi2
 
 
-def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain=None):
+def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain, reads):
     emp = ctx.curves.empirical
     u, s, y = emp.event_times, emp.pooled_times, a + v
     pooled_weight, pooled_m_prefix = ctx.pooled
@@ -409,16 +451,11 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
     # an uncensored exit time is a distinct event time, with its floored risk
     own_event = np.zeros(a.size)
     own_event[event] = 1.0 / ctx.hazard[1][at_y]
-    w = ctx.event_w
     if event_gain is not None:
-        w = w * event_gain
         own_event[event] *= event_gain[at_y]
-    # prefix sums over events of w, w * S_A and w * S_A * m
-    entry_surv, m_u = ctx.event_entry_m
-    ws = w * entry_surv
-    pref_w, pref_ws, pref_wsm = (
-        np.concatenate(([0.0], np.cumsum(x))) for x in (w, ws, ws * m_u)
-    )
+    # prefix sums over events of w, w * S_A and w * S_A * m, and their values
+    # and the pooled prefix at each time
+    (pref_w, pref_ws, pref_wsm), at_times = reads
 
     # a subject's values change form only where t passes its a, v or y, and
     # are affine in the event prefix sums at t in between; the arrays run
@@ -428,14 +465,13 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
     const_a = w_a - pref_wsm[ia] + m_a * pref_ws[ia] - inv_k_a * pref_ws[ja]
     const_v = m_v * pref_ws[iv] - pref_wsm[iv] - inv_k_v * pref_ws[jv]
     long_grid = times.size > a.size
-    t = times if long_grid else times[:, None]
+    t, w_t, ws_t, wsm_t, m_t = (
+        x if long_grid else x[:, None] for x in (times, *at_times)
+    )
     a, v, y, w_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v = (
         x[:, None] if long_grid else x
         for x in (a, v, y, w_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
     )
-    kt = np.searchsorted(u, t, side="right")
-    w_t, ws_t, wsm_t = pref_w[kt], pref_ws[kt], pref_wsm[kt]
-    m_t = _plugin_m(ctx, t)
     a_le, v_le = a <= t, v <= t
     phi = np.where(a_le, m_a - inv_k_a, m_t) + np.where(v_le, m_v - inv_k_v, m_t)
     psi1 = np.where(y <= t, psi1_y, np.where(a_le, w_t - w_a, 0.0))
@@ -694,33 +730,36 @@ def plugin_variance(ctx: PluginContext) -> np.ndarray:
 
     The sample is walked in chunks of subjects: each chunk is one
     ``subject_influence`` call over the whole grid, whose arrays hold at most
-    ``_BLOCK_VALUES`` values, so each subject is set up once.  The chunks'
-    means and sums of squared deviations are merged by the pairwise update
-    of Chan, Golub and LeVeque.  Memory is bounded by the chunk whatever n
-    and the grid; the time is still proportional to (grid times) x n.  The
-    result agrees with one pass over all subjects to a few ulps of the
-    largest variance, and a row of zeros stays exactly 0.
+    ``_BLOCK_VALUES`` values, so each subject is set up once.  What depends
+    only on the context and the grid, the gain-weighted event prefix sums and
+    their values at the grid points, is read once per context
+    (``PluginContext.grid_reads``), not once per chunk.  The chunks' means
+    and sums of squared deviations are merged by the pairwise update of Chan,
+    Golub and LeVeque.  Memory is bounded by the chunk whatever n and the
+    grid; the time is still proportional to (grid times) x n.  The result
+    agrees with one pass over all subjects to a few ulps of the largest
+    variance, and a row of zeros stays exactly 0.
     """
     if not isinstance(ctx, PluginContext):
         raise ValueError("plugin_variance requires a plugin context")
-    d, points = ctx.dataset, ctx.grid.points
-    factor = 1.0 - ctx.hazard[0]
-    open_factor = factor > 0
-    gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
+    d, points, gain = ctx.dataset, ctx.grid.points, ctx.cdf_gain
     scale = (1.0 - ctx.curves.cdf.at(points))[:, None]
     width = max(1, _BLOCK_VALUES // points.size)
     count, mean, m2 = 0, np.zeros(points.size), np.zeros(points.size)
     for lo in range(0, d.n, width):
         rows = slice(lo, lo + width)
-        psi1, psi2 = subject_influence(
+        _, x, psi2 = subject_influence(
             ctx, d.a[rows], d.v[rows], d.delta[rows], points, event_gain=gain
-        )[1:]
-        x = scale * (psi1 + psi2)
+        )
+        # x = scale * (psi1 + psi2), in place
+        x += psi2
+        x *= scale
         size, shift = x.shape[1], x.mean(axis=1) - mean
         total = count + size
         mean += shift * (size / total)
         m2 += x.var(axis=1) * size + shift**2 * (count * size / total)
         count = total
+        del x, psi2  # the next chunk's arrays take their place
     return m2 / d.n / d.n
 
 

@@ -4,6 +4,12 @@ Numbers are serialized with shortest round-trip representation (repr), so a
 written file parses back to bit-identical floats and identical inputs always
 produce byte-identical files.  Curve files carry '#'-prefixed metadata lines
 (estimator name, sample size, config hash) ahead of the header row.
+
+Readers and writers work in blocks of ``_ROW_BLOCK`` rows: a reader converts
+each block of lines into columns before it reads the next, and a writer
+formats a block of rows into one string and writes it.  Besides the numeric
+columns they hold one block of rows, whatever the length of the file, and a
+file's bytes do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import csv
 import hashlib
 import math
 import os
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +40,27 @@ __all__ = [
 ]
 
 
+# rows that a reader converts, or a writer formats, at once
+_ROW_BLOCK = 2**13
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _write_csv(path, head: list[str], columns, lines) -> None:
+    """Write the ``head`` lines, then the rows of the equal-length ``columns``.
+
+    The rows go a block of ``_ROW_BLOCK`` at a time: ``lines`` takes the
+    block's columns as lists and returns its lines, which are joined, encoded
+    as UTF-8 and written at once.
+    """
+    columns = [np.asarray(col) for col in columns]
+    with Path(path).open("wb") as fh:
+        fh.write("".join(head).encode())
+        for lo in range(0, columns[0].size, _ROW_BLOCK):
+            block = lines(*(col[lo : lo + _ROW_BLOCK].tolist() for col in columns))
+            fh.write("".join(block).encode())
 
 
 def config_hash(parts: dict) -> str:
@@ -72,35 +98,55 @@ def _schema(path, cells) -> tuple[bool, dict]:
     return "y" in cols, {name: cols.index(name) for name in cols}
 
 
-def _parse_plain(path: Path) -> Dataset | None:
-    """Parse a plain CSV in one vectorized pass, or return None.
+def _plain_fields(block: bytes, encoding: str) -> list[str] | None:
+    """The fields of a block of whole lines, or None unless it is plain.
 
-    Plain means UTF-8 text with no quote, carriage return or blank line, three
-    fields on every line and values the row checks accept.  The row reader
-    decides everything else, so its errors name the row and column.
+    Plain means UTF-8 text with no quote or carriage return, and separators
+    that read ",,\n" on every line: three fields, no blank line.  The last
+    newline of the file is optional.
     """
-    raw = path.read_bytes()
-    if b'"' in raw or b"\r" in raw:
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    if b'"' in block or b"\r" in block:
         return None
-    # the separators of every line must read ",,\n"; the last newline is optional
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    seps = buf[(buf == ord(",")) | (buf == ord("\n"))].tobytes().removesuffix(b"\n") + b"\n"
-    rows = len(seps) // 3 - 1
-    if rows < 1 or seps != b",,\n" * (rows + 1):
+    buf = np.frombuffer(block, dtype=np.uint8)
+    seps = buf[(buf == ord(",")) | (buf == ord("\n"))].tobytes()
+    if seps != b",,\n" * (len(seps) // 3):
         return None
     try:
-        text = raw.decode("utf-8-sig").replace("\n", ",")
+        text = block.decode(encoding)
     except UnicodeDecodeError:
         return None
-    del raw, buf
-    tokens = text.split(",")
-    del text, tokens[3 * rows + 3:]
-    uses_total, pos = _schema(path, tokens[:3])
-    try:
-        cols = np.array(tokens[3:], dtype=float).reshape(rows, 3).T.copy()
-    except ValueError:
+    return text.replace("\n", ",").split(",")[:-1]
+
+
+def _parse_plain(path: Path) -> Dataset | None:
+    """Parse a plain CSV a block of lines at a time, or return None.
+
+    Every line must be plain (see ``_plain_fields``) and every value one the
+    row checks accept.  Each block of ``_ROW_BLOCK`` lines is converted in one
+    vectorized pass, so only the columns grow with the file.  The row reader
+    decides everything else, so its errors name the row and column.
+    """
+    blocks = []
+    with path.open("rb") as fh:
+        header = _plain_fields(fh.readline(), "utf-8-sig")
+        if header is None:
+            return None
+        while lines := list(islice(fh, _ROW_BLOCK)):
+            tokens = _plain_fields(b"".join(lines), "utf-8")
+            del lines
+            if tokens is None:
+                return None
+            try:
+                blocks.append(np.array(tokens, dtype=float).reshape(-1, 3).T)
+            except ValueError:
+                return None
+    if not blocks:
         return None
-    del tokens
+    uses_total, pos = _schema(path, header)
+    cols = np.concatenate(blocks, axis=1)
+    del blocks
     a, dlt = cols[pos["a"]], cols[pos["delta"]]
     with np.errstate(over="ignore", invalid="ignore"):
         if uses_total:
@@ -137,7 +183,7 @@ def parse_dataset(path) -> Dataset:
             raise InvalidDataError(f"{path}: header: {exc}") from None
         uses_total, pos = _schema(path, header)
 
-        a_list, v_list, d_list = [], [], []
+        blocks, block = [], []
         for rownum, row in _records(reader, path):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -174,20 +220,25 @@ def parse_dataset(path) -> Dataset:
                     raise InvalidDataError(
                         f"{path}: row {rownum}: column 'v': must be >= 0 with a + v finite, got {v}"
                     )
-            a_list.append(a)
-            v_list.append(v)
-            d_list.append(int(dlt))
-    if not a_list:
+            block.append((a, v, dlt))
+            if len(block) == _ROW_BLOCK:
+                blocks.append(np.array(block).T)
+                block = []
+    if block:
+        blocks.append(np.array(block).T)
+    if not blocks:
         raise InvalidDataError(f"{path}: no observations")
-    return Dataset(a_list, v_list, d_list)
+    a, v, dlt = np.concatenate(blocks, axis=1)
+    return Dataset(a, v, dlt)
 
 
 def write_dataset_csv(path, d: Dataset) -> None:
-    rows = zip(d.a.tolist(), d.v.tolist(), d.delta.tolist())
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.writelines(
-            ["a,v,delta\n"] + [f"{a!r},{v!r},{dlt}\n" for a, v, dlt in rows]
-        )
+    _write_csv(
+        path,
+        ["a,v,delta\n"],
+        (d.a, d.v, d.delta),
+        lambda a, v, dlt: [f"{x!r},{y!r},{z}\n" for x, y, z in zip(a, v, dlt)],
+    )
 
 
 def write_curve_csv(
@@ -198,9 +249,9 @@ def write_curve_csv(
     if extra_points is not None:
         pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
     head = [f"# estimator={name}\n", f"# n={n_obs}\n", f"# config={cfg_hash}\n", "t,value\n"]
-    rows = zip(pts.tolist(), step.at(pts).tolist())
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.writelines(head + [f"{t!r},{val!r}\n" for t, val in rows])
+    _write_csv(
+        path, head, (pts, step.at(pts)), lambda t, val: [f"{x!r},{y!r}\n" for x, y in zip(t, val)]
+    )
 
 
 _MODEL_KEYS = ("rate", "shape", "scale")
@@ -315,23 +366,25 @@ def _to_int(key: str, value: str) -> int:
 
 def write_rate_report_csv(path, report, cfg_hash: str) -> None:
     sizes = [int(n) for n in report.sample_sizes.tolist()]
-    lines = [
+    sups = np.asarray(report.sup_residuals, dtype=float)
+    reps = sups.shape[1]
+    head = [
         f"# which={report.which}\n",
         f"# config={cfg_hash}\n",
         f"# seed={report.seed}\n",
         f"# slope={_fmt(report.slope)}\n",
         f"# target_exponent={_fmt(report.target_exponent)}\n",
     ]
-    lines += [f"# median n={n}: {med!r}\n" for n, med in zip(sizes, report.medians.tolist())]
-    lines.append("n,rep,sup_residual\n")
-    for n, sups in zip(sizes, report.sup_residuals.tolist()):
-        lines += [f"{n},{r},{sup!r}\n" for r, sup in enumerate(sups)]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    head += [f"# median n={n}: {med!r}\n" for n, med in zip(sizes, report.medians.tolist())]
+    head.append("n,rep,sup_residual\n")
+    columns = (np.repeat(sizes, reps), np.tile(np.arange(reps), len(sizes)), sups.reshape(-1))
+    _write_csv(
+        path, head, columns, lambda n, r, sup: [f"{i},{j},{x!r}\n" for i, j, x in zip(n, r, sup)]
+    )
 
 
-def write_influence_csv(path, rows, n_obs: int, level: float, cfg_hash: str) -> None:
-    """Rows of (t, cdf, se, ci_low, ci_high, d, v)."""
+def write_influence_csv(path, columns, n_obs: int, level: float, cfg_hash: str) -> None:
+    """The equal-length columns t, cdf, se, ci_low, ci_high, d and v."""
     head = [
         "# estimator=huang-qin\n",
         f"# n={n_obs}\n",
@@ -339,5 +392,7 @@ def write_influence_csv(path, rows, n_obs: int, level: float, cfg_hash: str) -> 
         f"# config={cfg_hash}\n",
         "t,cdf,se,ci_low,ci_high,d,v\n",
     ]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.writelines(head + [",".join(map(_fmt, row)) + "\n" for row in rows])
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    _write_csv(
+        path, head, columns, lambda *cols: [",".join(map(repr, row)) + "\n" for row in zip(*cols)]
+    )

@@ -12,12 +12,15 @@ against small hand-made populations.  ``plugin_subject_influence_rowwise``
 evaluates the plugin influence values one time at a time from the context's
 prefix sums, the reference for the package's coefficient form, and
 ``plugin_variance_one_shot`` takes the plugin variance from it over the whole
-sample at once, the reference for the chunked ``plugin_variance``.
+sample at once, the reference for the chunked ``plugin_variance``.  The
+``*_csv_one_shot`` writers build every line of a file in one list and write
+it at once, the reference for the block writers of ``lbrc.io``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -329,3 +332,54 @@ def plugin_variance_one_shot(ctx):
     )
     scale = 1.0 - ctx.curves.cdf.at(grid.points)
     return (scale[:, None] * (psi1 + psi2)).var(axis=1) / d.n
+
+
+def _write_lines(path, lines):
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
+
+
+def dataset_csv_one_shot(path, d):
+    """``write_dataset_csv``, every line built before the file is written."""
+    rows = zip(d.a.tolist(), d.v.tolist(), d.delta.tolist())
+    _write_lines(path, ["a,v,delta\n"] + [f"{a!r},{v!r},{dlt}\n" for a, v, dlt in rows])
+
+
+def curve_csv_one_shot(path, step, name, n_obs, cfg_hash, extra_points=None):
+    """``write_curve_csv``, every line built before the file is written."""
+    pts = step.jump_times
+    if extra_points is not None:
+        pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
+    head = [f"# estimator={name}\n", f"# n={n_obs}\n", f"# config={cfg_hash}\n", "t,value\n"]
+    rows = zip(pts.tolist(), step.at(pts).tolist())
+    _write_lines(path, head + [f"{t!r},{val!r}\n" for t, val in rows])
+
+
+def rate_report_csv_one_shot(path, report, cfg_hash):
+    """``write_rate_report_csv``, every line built before the file is written."""
+    sizes = [int(n) for n in report.sample_sizes.tolist()]
+    lines = [
+        f"# which={report.which}\n",
+        f"# config={cfg_hash}\n",
+        f"# seed={report.seed}\n",
+        f"# slope={float(report.slope)!r}\n",
+        f"# target_exponent={float(report.target_exponent)!r}\n",
+    ]
+    lines += [f"# median n={n}: {med!r}\n" for n, med in zip(sizes, report.medians.tolist())]
+    lines.append("n,rep,sup_residual\n")
+    for n, sups in zip(sizes, report.sup_residuals.tolist()):
+        lines += [f"{n},{r},{sup!r}\n" for r, sup in enumerate(sups)]
+    _write_lines(path, lines)
+
+
+def influence_csv_one_shot(path, rows, n_obs, level, cfg_hash):
+    """``write_influence_csv`` from rows of (t, cdf, se, ci_low, ci_high, d, v),
+    every line built before the file is written."""
+    head = [
+        "# estimator=huang-qin\n",
+        f"# n={n_obs}\n",
+        f"# level={float(level)!r}\n",
+        f"# config={cfg_hash}\n",
+        "t,cdf,se,ci_low,ci_high,d,v\n",
+    ]
+    _write_lines(path, head + [",".join(repr(float(x)) for x in row) + "\n" for row in rows])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -122,8 +123,9 @@ class TestParseDataset:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, data):
-        # the one-pass parse returns what the row reader returns, or falls back
-        # to it, so every error keeps its row and column
+        # the block-wise parse returns what the row reader returns, or falls
+        # back to it, so every error keeps its row and column; with 2-line
+        # blocks a defect can land in any block
         cols = data.draw(st.permutations(["a", data.draw(st.sampled_from("vy")), "delta"]))
         rows = []
         for _ in range(data.draw(st.integers(1, 6))):
@@ -136,7 +138,7 @@ class TestParseDataset:
             rows[at] = DEFECTS[defect](rows[at], cols)
         raw = "".join(",".join(row) + "\n" for row in [cols] + rows).encode()
         raw = {"crlf": raw.replace(b"\n", b"\r\n"), "bom": b"\xef\xbb\xbf" + raw,
-               "latin-1": raw + b"0.5,\xe9,1\n"}.get(defect, raw)
+               "latin-1": raw + b"0.5,\xe9,1\n", "no final newline": raw[:-1]}.get(defect, raw)
         src = tmp_path_factory.mktemp("parse") / "d.csv"
         src.write_bytes(raw)
 
@@ -146,7 +148,8 @@ class TestParseDataset:
             except InvalidDataError as exc:
                 return str(exc)
 
-        got = outcome()
+        with mock.patch.object(lbrc_io, "_ROW_BLOCK", 2):
+            got = outcome()
         with mock.patch.object(lbrc_io, "_parse_plain", return_value=None):
             want = outcome()
         if isinstance(want, str) or isinstance(got, str):
@@ -184,6 +187,7 @@ DEFECTS = {
     "crlf": lambda row, cols: row,
     "bom": lambda row, cols: row,
     "latin-1": lambda row, cols: row,
+    "no final newline": lambda row, cols: row,
 }
 
 
@@ -582,7 +586,7 @@ class TestWriters:
 
     def test_influence_rows(self, tmp_path):
         rows = [SPECIAL + SPECIAL[:2], SPECIAL[::-1] + SPECIAL[:2]]
-        write_influence_csv(tmp_path / "i.csv", rows, 5, 0.95, "h")
+        write_influence_csv(tmp_path / "i.csv", np.array(rows).T, 5, 0.95, "h")
         expected = [",".join(_fmt(x) for x in row) for row in rows]
         assert self.body(tmp_path / "i.csv") == ["t,cdf,se,ci_low,ci_high,d,v"] + expected
 
@@ -598,6 +602,101 @@ class TestWriters:
         expected = [f"{n},{r},{_fmt(sup[si, r])}"
                     for si, n in enumerate((100, 200)) for r in range(5)]
         assert self.body(tmp_path / "r.csv") == ["n,rep,sup_residual"] + expected
+
+
+def _floats(rng, n, low=0.0):
+    """n floats of many magnitudes, starting with the SPECIAL ones at or above low."""
+    x = rng.random(n) * 10.0 ** rng.integers(-8, 9, n)
+    special = [v for v in SPECIAL if v >= low][:n]
+    x[: len(special)] = special
+    return x
+
+
+class TestRowBlocks:
+    # the writers write the bytes of the one-shot reference, and the plain
+    # reader reads what the row reader reads, wherever the rows end relative
+    # to a block
+    @staticmethod
+    def sizes(block):
+        return sorted({1, block - 1, block, block + 1} - {0})
+
+    @pytest.mark.parametrize("block", [1, 7, lbrc_io._ROW_BLOCK])
+    def test_writers_match_one_shot(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(lbrc_io, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        for n in self.sizes(block):
+            d = Dataset(_floats(rng, n), _floats(rng, n), rng.integers(0, 2, n))
+            write_dataset_csv(got, d)
+            oracles.dataset_csv_one_shot(want, d)
+            assert got.read_bytes() == want.read_bytes(), ("dataset", n)
+
+            step = StepFunction(np.cumsum(rng.random(n) + 1e-3), _floats(rng, n), 0.0)
+            for extra in (None, np.linspace(0.0, 2.0 * step.jump_times[-1], 5)):
+                write_curve_csv(got, step, "x", n, "h", extra)
+                oracles.curve_csv_one_shot(want, step, "x", n, "h", extra)
+                assert got.read_bytes() == want.read_bytes(), ("curve", n, extra)
+
+            columns = [_floats(rng, n, low=-1.0) for _ in range(7)]
+            write_influence_csv(got, columns, n, 0.95, "h")
+            oracles.influence_csv_one_shot(want, zip(*columns), n, 0.95, "h")
+            assert got.read_bytes() == want.read_bytes(), ("influence", n)
+
+            for sizes in ([100], [100, 200, 400]):
+                sup = _floats(rng, len(sizes) * n).reshape(len(sizes), n)
+                report = RateReport("Rn2", np.array(sizes), sup, sup[:, 0], 0.5, -0.75, 7)
+                write_rate_report_csv(got, report, "h")
+                oracles.rate_report_csv_one_shot(want, report, "h")
+                assert got.read_bytes() == want.read_bytes(), ("rate report", n, sizes)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, lbrc_io._ROW_BLOCK])
+    @pytest.mark.parametrize("form", ["final newline", "no final newline", "byte-order mark"])
+    def test_plain_reader_matches_row_reader(self, tmp_path, monkeypatch, block, form):
+        monkeypatch.setattr(lbrc_io, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        path = tmp_path / "d.csv"
+        for n in self.sizes(block):
+            d = Dataset(_floats(rng, n), _floats(rng, n), rng.integers(0, 2, n))
+            write_dataset_csv(path, d)
+            raw = path.read_bytes()
+            path.write_bytes({"no final newline": raw[:-1],
+                              "byte-order mark": b"\xef\xbb\xbf" + raw}.get(form, raw))
+            got = lbrc_io._parse_plain(path)
+            assert got is not None
+            with mock.patch.object(lbrc_io, "_parse_plain", return_value=None):
+                want = parse_dataset(path)
+            for name in ("a", "v", "delta", "y"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and np.array_equal(g, w), (n, name)
+                assert np.array_equal(g, getattr(d, name)), (n, name)
+
+
+class TestMemoryGuards:
+    # readers and writers hold the columns and one block of rows, not one
+    # Python object per row
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_curve_writer(self, tmp_path):
+        times = np.cumsum(np.random.default_rng(1).random(150_000) + 1e-3)
+        step = StepFunction(times, np.linspace(0.0, 1.0, times.size), 0.0)
+        extra = np.linspace(0.0, times[-1], 200)
+        assert self.peak(write_curve_csv, tmp_path / "c.csv", step, "x", 1, "h", extra) < 10e6
+
+    def test_dataset_writer(self, tmp_path):
+        d = sample_lbrc(ExponentialModel(censor_rate=0.5, rate=1.0), 100_000, seed=1)
+        assert self.peak(write_dataset_csv, tmp_path / "d.csv", d) < 5e6
+
+    def test_parse_dataset(self, tmp_path):
+        d = sample_lbrc(ExponentialModel(censor_rate=0.5, rate=1.0), 100_000, seed=1)
+        write_dataset_csv(tmp_path / "d.csv", d)
+        assert self.peak(parse_dataset, tmp_path / "d.csv") < 14e6
 
 
 def test_package_import_loads_no_scipy():

@@ -634,6 +634,7 @@ class TestPluginVariance:
         if case == "weibull-jumps":
             ctx = weibull_jumps_context()
             width = influence._BLOCK_VALUES // ctx.grid.points.size
+            assert width == 22  # 2,964 times
             assert 1 < width < ctx.dataset.n
             assert ctx.dataset.n % width != 0  # the last chunk is ragged
             assert ctx.hazard[0][-1] == 1.0  # the clamped last event
@@ -655,7 +656,7 @@ class TestPluginVariance:
 
     def test_memory_bounded_by_block(self):
         # one call over all 2,964 event times and 4,000 subjects would hold
-        # three (times, n) arrays of 95 MB each; a chunk holds 2 MiB arrays
+        # three (times, n) arrays of 95 MB each; a chunk holds 512 KiB arrays
         ctx = weibull_jumps_context()
         tracemalloc.start()
         try:
@@ -663,7 +664,44 @@ class TestPluginVariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40e6
+        assert peak < 10e6
+
+    def test_grid_reads_built_once_per_context(self, monkeypatch):
+        # every chunk shares the event prefix sums and their values at the
+        # grid points; they are built on the first chunk and kept
+        calls = []
+        event_reads = influence._event_reads
+        monkeypatch.setattr(
+            influence, "_event_reads", lambda *args: calls.append(args) or event_reads(*args)
+        )
+        ctx = weibull_jumps_context()
+        assert influence._BLOCK_VALUES // ctx.grid.points.size < ctx.dataset.n  # several chunks
+        first = plugin_variance(ctx)
+        assert len(calls) == 1
+        assert np.array_equal(plugin_variance(ctx), first)
+        assert len(calls) == 1
+        # a copy of the grid is not the context's own: its reads are built afresh
+        d = ctx.dataset
+        subject_influence(ctx, d.a, d.v, d.delta, ctx.grid.points.copy(), event_gain=ctx.cdf_gain)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("case", ["edge-cases", "weibull-jumps", "all-censored"])
+    def test_grid_reads_match_fresh_reads(self, case):
+        # at the context's own grid and gain the cached reads give the bits
+        # that reads built afresh give
+        if case == "weibull-jumps":
+            ctx = weibull_jumps_context()
+        else:
+            d, times = (edge_case_sample() if case == "edge-cases" else
+                        (TestContexts.SAMPLES[case], np.array([0.25, 0.5, 1.0, 1.5])))
+            ctx = make_plugin_context(d, EvalGrid.of_points(times))
+        d, points, gain = ctx.dataset, ctx.grid.points, ctx.cdf_gain
+        for rows in (slice(0, 1), slice(1, 8), slice(0, 300)):
+            args = (d.a[rows], d.v[rows], d.delta[rows])
+            cached = subject_influence(ctx, *args, points, event_gain=gain)
+            fresh = subject_influence(ctx, *args, points.copy(), event_gain=gain)
+            for got, want in zip(cached, fresh):
+                assert np.array_equal(got, want)
 
     def test_permuted_sample_permutes_columns(self):
         d, times = edge_case_sample()
