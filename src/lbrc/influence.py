@@ -20,6 +20,12 @@ modes, each with its own frozen context type:
 representation residuals and ``assumption3_diagnostic`` take an oracle
 context; ``plugin_variance`` and ``lil_quantities`` take a plugin context.
 
+Both modes of ``subject_influence`` evaluate one formula,
+``_influence_from_reads``, on four cumulatives read at each time (of ``rho``,
+``rho S_A``, ``rho S_A m`` and ``m``): the plugin mode reads event prefix
+sums, the oracle mode its tables and a ``rho S_A`` table anchored below the
+sample.
+
 Plugin values are the exact derivatives of the reported step-function
 estimates, not the continuous-hazard formulas evaluated at them.  The pooled
 entry survival is a Kaplan-Meier product, so each pooled increment carries the
@@ -50,7 +56,8 @@ but instead tabulates
 
 * cumulatives that are finite from 0 (those whose integrand stays bounded),
 * cumulatives of the divergent integrands anchored just below the smallest
-  positive data point, used only through differences whose lower endpoint
+  positive data point (``rho S_A`` for ``subject_influence``, ``rho`` for
+  ``influence_means``), used only through differences whose lower endpoint
   is a data point, or on panels whose coefficient vanishes below the
   anchor.
 
@@ -94,7 +101,8 @@ DIVERGENCE_CAP = 1.0e4
 
 _TABLE_PANELS = 1600
 
-# values per (times, subjects) array in one chunk of ``plugin_variance`` (512 KiB)
+# values per (times, subjects) array in one chunk of ``plugin_variance``, and
+# in one block of times of oracle ``subject_influence`` (512 KiB)
 _BLOCK_VALUES = 2**16
 
 
@@ -304,7 +312,8 @@ def subject_influence(
 
     Returns three arrays of shape ``(len(times), n)``: the pooled-entry
     influence, the direct hazard influence, and the estimated-risk hazard
-    correction.
+    correction.  Both modes evaluate ``_influence_from_reads``; the oracle
+    mode goes a block of ``_BLOCK_VALUES // n`` times (at least one) at a time.
 
     With a plugin context the subjects are those of the context's sample, in
     any order: each a, uncensored v and uncensored y must be a data point of
@@ -334,30 +343,25 @@ def subject_influence(
 
 
 def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
+    """Oracle reads for ``_influence_from_reads``: V from the anchored
+    ``rho S_A`` table (0 below the anchor), G = p + V, which differs from the
+    divergent cumulative of ``rho`` by a constant that every use cancels,
+    Q = w and M = m.  Blocks of times go into preallocated outputs."""
     _check_oracle_sample(a, v, delta)
     y = a + v
     model = ctx.model
     m_t, p_t, w_t = ctx.tables
-
-    pos_v = v > 0
-    anchor = _anchor(ctx, a, v)
-    g_t = _anchored_table(ctx, anchor, model.influence_weight)
     v_tab = _anchored_table(
         ctx,
-        anchor,
+        _anchor(ctx, a, v),
         lambda u: np.asarray(model.influence_weight(u), dtype=float)
         * np.asarray(model.entry_survival(u), dtype=float),
     )
 
-    def clipped(table, x):
+    def read(table, x):
         # values beyond the window end are masked by the ``<= t`` clauses
         # that read them, or multiplied by a masked zero
         return table.query(np.clip(x, table.lo, table.hi))
-
-    m_a, m_v = clipped(m_t, a), clipped(m_t, v)
-    w_a, w_v = clipped(w_t, a), clipped(w_t, v)
-    g_a, g_y = clipped(g_t, a), clipped(g_t, y)
-    v_a, v_v = clipped(v_tab, a), clipped(v_tab, v)
 
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
     k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
@@ -369,48 +373,31 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
         raise ComputeError("pooled at-risk function vanishes at an observed point")
     if np.any((y <= tmax) & (delta == 1) & (r_y <= 0)):
         raise ComputeError("risk function vanishes at an observed event time")
-    k_a_safe = np.where(k_a > 0, k_a, 1.0)
-    k_v_safe = np.where(k_v > 0, k_v, 1.0)
-    r_y_safe = np.where(r_y > 0, r_y, 1.0)
+    inv_k_a = 1.0 / np.where(k_a > 0, k_a, 1.0)
+    inv_k_v = np.where(delta == 1, 1.0 / np.where(k_v > 0, k_v, 1.0), 0.0)
+    own_event = delta / np.where(r_y > 0, r_y, 1.0)
+    del k_a, k_v, r_y  # each (n,) array freed here lowers the peak
 
-    phi = np.empty((times.size, a.size))
-    psi1 = np.empty_like(phi)
-    psi2 = np.empty_like(phi)
+    m_a, m_v, v_a = read(m_t, a), read(m_t, v), read(v_tab, a)
+    g_a = read(p_t, a) + v_a
+    psi1_y = read(p_t, y) + read(v_tab, y) - g_a - own_event
+    const_a = g_a - read(w_t, a) + (m_a - inv_k_a) * v_a
+    const_v = (m_v - inv_k_v) * read(v_tab, v) - read(w_t, v)
+    del own_event, v_a
+    subject = (g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
 
-    for j, t in enumerate(times):
-        m_at_t = m_t.query(t)
-        p_at_t = p_t.query(t)
-        w_at_t = w_t.query(t)
-        in_anchor = t >= anchor
-        g_at_t = g_t.query(t) if in_anchor else 0.0
-        v_at_t = v_tab.query(t) if in_anchor else 0.0
-
-        a_le = a <= t
-        v_le = v <= t
-        y_le = y <= t
-
-        jump_a = np.where(a_le, 1.0 / k_a_safe, 0.0)
-        jump_v = np.where(v_le & (delta == 1), 1.0 / k_v_safe, 0.0)
-        phi[j] = (
-            np.where(a_le, m_a, m_at_t) + np.where(v_le, m_v, m_at_t) - jump_a - jump_v
+    v_at = read(v_tab, times)
+    at_times = (read(p_t, times) + v_at, v_at, read(w_t, times), read(m_t, times))
+    out = tuple(np.empty((times.size, a.size)) for _ in range(3))
+    width = max(1, _BLOCK_VALUES // max(a.size, 1))
+    for lo in range(0, times.size, width):
+        rows = slice(lo, lo + width)
+        block = _influence_from_reads(
+            times[rows], tuple(x[rows] for x in at_times), a, v, y, subject
         )
-
-        integral = np.where(a_le, np.where(y_le, g_y, g_at_t) - g_a, 0.0)
-        psi1[j] = integral - np.where(y_le, delta / r_y_safe, 0.0)
-
-        part_a = p_at_t - np.where(a_le, g_at_t - g_a, 0.0)
-        vdiff_a = np.where(a_le, v_at_t - v_a, 0.0)
-        vdiff_v = np.where(v_le & pos_v, v_at_t - v_v, 0.0)
-        x_i = (
-            np.where(a_le, w_a, w_at_t)
-            + m_a * vdiff_a
-            + np.where(v_le, w_v, w_at_t)
-            + m_v * vdiff_v
-            - jump_a * vdiff_a
-            - jump_v * vdiff_v
-        )
-        psi2[j] = part_a - x_i
-    return phi, psi1, psi2
+        for dst, src in zip(out, block):
+            dst[rows] = src
+    return out
 
 
 def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain, reads):
@@ -453,31 +440,39 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
     own_event[event] = 1.0 / ctx.hazard[1][at_y]
     if event_gain is not None:
         own_event[event] *= event_gain[at_y]
-    # prefix sums over events of w, w * S_A and w * S_A * m, and their values
-    # and the pooled prefix at each time
+    # prefix sums over events of w, w * S_A and w * S_A * m: the reads G, V
+    # and Q, here sums over the events before (left search position) or up
+    # to (right) a point, since each data point may be an event time
     (pref_w, pref_ws, pref_wsm), at_times = reads
-
-    # a subject's values change form only where t passes its a, v or y, and
-    # are affine in the event prefix sums at t in between; the arrays run
-    # along their longer axis, (subjects, times) when the grid is longer
     w_a = pref_w[ja]
     psi1_y = pref_w[iy] - w_a - own_event
     const_a = w_a - pref_wsm[ia] + m_a * pref_ws[ia] - inv_k_a * pref_ws[ja]
     const_v = m_v * pref_ws[iv] - pref_wsm[iv] - inv_k_v * pref_ws[jv]
+    subject = (w_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
+    return _influence_from_reads(times, at_times, a, v, y, subject)
+
+
+def _influence_from_reads(times, at_times, a, v, y, subject):
+    """phi, psi1 and psi2 at each time for each subject, in both modes.
+
+    ``at_times`` holds the reads at each time of G, V, Q and M, the
+    cumulatives of ``rho``, ``rho S_A``, ``rho S_A m`` and ``m``.  ``subject``
+    holds G at a, psi1 once t passes y, the constant parts of psi2's a and v
+    terms, ``m_a``, ``m_v``, ``1/k_a`` and ``delta/k_v``.  The values change
+    form only where t passes a, v or y, and are affine in the reads between.
+    The arrays run along their longer axis, (subjects, times) when longer.
+    """
     long_grid = times.size > a.size
-    t, w_t, ws_t, wsm_t, m_t = (
-        x if long_grid else x[:, None] for x in (times, *at_times)
-    )
-    a, v, y, w_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v = (
-        x[:, None] if long_grid else x
-        for x in (a, v, y, w_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
+    t, g_t, v_t, q_t, m_t = (x if long_grid else x[:, None] for x in (times, *at_times))
+    a, v, y, g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v = (
+        x[:, None] if long_grid else x for x in (a, v, y, *subject)
     )
     a_le, v_le = a <= t, v <= t
     phi = np.where(a_le, m_a - inv_k_a, m_t) + np.where(v_le, m_v - inv_k_v, m_t)
-    psi1 = np.where(y <= t, psi1_y, np.where(a_le, w_t - w_a, 0.0))
-    psi2 = np.where(a_le, const_a + (inv_k_a - m_a) * ws_t, w_t - wsm_t)
-    psi2 += np.where(v_le, const_v + (inv_k_v - m_v) * ws_t, -wsm_t)
-    psi2 -= ws_t
+    psi1 = np.where(y <= t, psi1_y, np.where(a_le, g_t - g_a, 0.0))
+    psi2 = np.where(a_le, const_a + (inv_k_a - m_a) * v_t, g_t - q_t)
+    psi2 += np.where(v_le, const_v + (inv_k_v - m_v) * v_t, -q_t)
+    psi2 -= v_t
     return (phi.T, psi1.T, psi2.T) if long_grid else (phi, psi1, psi2)
 
 
@@ -620,26 +615,36 @@ class RepresentationReport:
     residual_sup: float
 
 
-def _require_model(ctx):
+# which -> fitted curve, true curve, influence means read, and the weight of
+# the influence mean in the remainder as a function of the true curve
+_REMAINDERS = {
+    "Rn1": ("combined_cumhaz", "cumhaz", "both", lambda true: 1.0),
+    "Rn2": ("cdf", "cdf", "both", lambda true: 1.0 - true),
+    "Rn3": ("entry_survival", "entry_survival", "phi", lambda true: -true),
+}
+
+
+def _residual(which, d, ctx, grid, curves) -> RepresentationReport:
+    """Remainder ``which`` over the grid: fitted minus true curve, plus the
+    weighted influence mean of its representation."""
     if not (isinstance(ctx, OracleContext) and isinstance(ctx.model, TruthModel)):
         raise ValueError("representation residuals need an oracle context of a truth model")
+    fitted, true, want, weight = _REMAINDERS[which]
+    curves = curves if curves is not None else fit(d)
+    means = influence_means(ctx, d, grid.points, want=want)
+    mean = means["mean_phi"] if want == "phi" else means["mean_psi1"] + means["mean_psi2"]
+    f_true = np.asarray(getattr(ctx.model, true)(grid.points), dtype=float)
+    gap = getattr(curves, fitted).at(grid.points) - f_true
+    residual = gap + weight(f_true) * mean
+    return RepresentationReport(which, grid, mean, residual, float(np.abs(residual).max()))
 
 
 def residual_hazard(
     d: Dataset, ctx: OracleContext, grid: EvalGrid, curves: FittedCurves | None = None
 ) -> RepresentationReport:
-    """Remainder of the hazard representation over the grid."""
-    _require_model(ctx)
-    curves = curves if curves is not None else fit(d)
-    means = influence_means(ctx, d, grid.points, want="both")
-    mean_psi = means["mean_psi1"] + means["mean_psi2"]
-    gap = curves.combined_cumhaz.at(grid.points) - np.asarray(
-        ctx.model.cumhaz(grid.points), dtype=float
-    )
-    residual = gap + mean_psi
-    return RepresentationReport(
-        "Rn1", grid, mean_psi, residual, float(np.abs(residual).max())
-    )
+    """Remainder of the hazard representation over the grid:
+    ``Lambda_hat - Lambda = -mean(psi) + Rn1``."""
+    return _residual("Rn1", d, ctx, grid, curves)
 
 
 def residual_cdf(
@@ -652,31 +657,15 @@ def residual_cdf(
     ``F_hat - F = -(1 - F) mean(psi) + Rn2``, and the remainder is
     ``gap + (1 - F) mean(psi)`` with ``gap = F_hat - F``.
     """
-    _require_model(ctx)
-    curves = curves if curves is not None else fit(d)
-    means = influence_means(ctx, d, grid.points, want="both")
-    mean_psi = means["mean_psi1"] + means["mean_psi2"]
-    f_true = np.asarray(ctx.model.cdf(grid.points), dtype=float)
-    gap = curves.cdf.at(grid.points) - f_true
-    residual = gap + (1.0 - f_true) * mean_psi
-    return RepresentationReport(
-        "Rn2", grid, mean_psi, residual, float(np.abs(residual).max())
-    )
+    return _residual("Rn2", d, ctx, grid, curves)
 
 
 def residual_entry_survival(
     d: Dataset, ctx: OracleContext, grid: EvalGrid, curves: FittedCurves | None = None
 ) -> RepresentationReport:
-    """Remainder of the pooled entry-survival representation."""
-    _require_model(ctx)
-    curves = curves if curves is not None else fit(d)
-    mean_phi = influence_means(ctx, d, grid.points, want="phi")["mean_phi"]
-    s_a_true = np.asarray(ctx.model.entry_survival(grid.points), dtype=float)
-    gap = curves.entry_survival.at(grid.points) - s_a_true
-    residual = gap - s_a_true * mean_phi
-    return RepresentationReport(
-        "Rn3", grid, mean_phi, residual, float(np.abs(residual).max())
-    )
+    """Remainder of the pooled entry-survival representation:
+    ``S_A_hat - S_A = S_A mean(phi) + Rn3``."""
+    return _residual("Rn3", d, ctx, grid, curves)
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,14 @@ def _parse_plain(path: Path) -> Dataset | None:
     Every line must be plain (see ``_plain_fields``) and every value one the
     row checks accept.  Each block of ``_ROW_BLOCK`` lines is converted in one
     vectorized pass, so only the columns grow with the file.  The row reader
-    decides everything else, so its errors name the row and column.
+    decides everything else, a header field over the csv module's size limit
+    included, so its errors name the row and column.
     """
     blocks = []
     with path.open("rb") as fh:
         header = _plain_fields(fh.readline(), "utf-8-sig")
-        if header is None:
+        # a header field the csv module refuses is the row reader's error
+        if header is None or max(map(len, header)) > csv.field_size_limit():
             return None
         while lines := list(islice(fh, _ROW_BLOCK)):
             tokens = _plain_fields(b"".join(lines), "utf-8")

@@ -64,11 +64,14 @@ def origin_graded_edges(hi: float, panels: int) -> np.ndarray:
 
 
 def geometric_edges(lo: float, hi: float, ratio: float) -> np.ndarray:
-    """Geometrically spaced edges, suited to integrands singular just below lo."""
+    """Geometric edges from exactly lo to exactly hi, for integrands singular below lo."""
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     count = max(2, int(np.ceil(np.log(hi / lo) / np.log(ratio))))
-    return lo * (hi / lo) ** (np.arange(count + 1) / count)
+    edges = lo * (hi / lo) ** (np.arange(count + 1) / count)
+    # lo * (hi / lo) can round an ulp off hi
+    edges[-1] = hi
+    return edges
 
 
 def _antiderivative_matrix() -> np.ndarray:

@@ -6,9 +6,12 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-Three helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
+Four helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
-against small hand-made populations.  ``plugin_subject_influence_rowwise``
+against small hand-made populations.  ``oracle_subject_influence_loop``
+evaluates the oracle influence values one time at a time from the context's
+tables, the reference for the package's shared evaluator.
+``plugin_subject_influence_rowwise``
 evaluates the plugin influence values one time at a time from the context's
 prefix sums, the reference for the package's coefficient form, and
 ``plugin_variance_one_shot`` takes the plugin variance from it over the whole
@@ -314,6 +317,100 @@ def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain=None):
         t5 = inv_k_a * (pref_ws[kt] - pref_ws[ja_t])
         t6 = inv_k_v * (pref_ws[kt] - pref_ws[jv_t])
         psi2[j] = t1 + t2 - (t3 + t4) + t5 + t6
+    return phi, psi1, psi2
+
+
+def oracle_subject_influence_loop(ctx, a, v, delta, times):
+    """Oracle ``subject_influence`` evaluated one time at a time.
+
+    Each row reads the smooth tables ``m``, ``p`` and ``w`` and two tables
+    anchored below the sample, of ``rho`` and of ``rho S_A``, at every
+    subject's a, v and y and at the time, term by term as the influence
+    formulas are written; the package reads the cumulative of ``rho`` as
+    ``p`` plus the anchored ``rho S_A`` table and evaluates blocks of times at
+    once from per-subject constants.
+    """
+    from lbrc.errors import ComputeError
+    from lbrc.influence import _anchor, _anchored_table, _check_oracle_sample
+
+    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
+    delta, times = np.asarray(delta).astype(float), np.asarray(times, dtype=float)
+    _check_oracle_sample(a, v, delta)
+    y = a + v
+    model = ctx.model
+    m_t, p_t, w_t = ctx.tables
+
+    pos_v = v > 0
+    anchor = _anchor(ctx, a, v)
+    g_t = _anchored_table(ctx, anchor, model.influence_weight)
+    v_tab = _anchored_table(
+        ctx,
+        anchor,
+        lambda u: np.asarray(model.influence_weight(u), dtype=float)
+        * np.asarray(model.entry_survival(u), dtype=float),
+    )
+
+    def clipped(table, x):
+        # values beyond the window end are masked by the ``<= t`` clauses
+        # that read them, or multiplied by a masked zero
+        return table.query(np.clip(x, table.lo, table.hi))
+
+    m_a, m_v = clipped(m_t, a), clipped(m_t, v)
+    w_a, w_v = clipped(w_t, a), clipped(w_t, v)
+    g_a, g_y = clipped(g_t, a), clipped(g_t, y)
+    v_a, v_v = clipped(v_tab, a), clipped(v_tab, v)
+
+    k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
+    k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
+    r_y = np.asarray(model.risk(y), dtype=float)
+    tmax = float(times.max()) if times.size else 0.0
+    if np.any((a <= tmax) & (k_a <= 0)) or np.any(
+        (v <= tmax) & (delta == 1) & (k_v <= 0)
+    ):
+        raise ComputeError("pooled at-risk function vanishes at an observed point")
+    if np.any((y <= tmax) & (delta == 1) & (r_y <= 0)):
+        raise ComputeError("risk function vanishes at an observed event time")
+    k_a_safe = np.where(k_a > 0, k_a, 1.0)
+    k_v_safe = np.where(k_v > 0, k_v, 1.0)
+    r_y_safe = np.where(r_y > 0, r_y, 1.0)
+
+    phi = np.empty((times.size, a.size))
+    psi1 = np.empty_like(phi)
+    psi2 = np.empty_like(phi)
+
+    for j, t in enumerate(times):
+        m_at_t = m_t.query(t)
+        p_at_t = p_t.query(t)
+        w_at_t = w_t.query(t)
+        in_anchor = t >= anchor
+        g_at_t = g_t.query(t) if in_anchor else 0.0
+        v_at_t = v_tab.query(t) if in_anchor else 0.0
+
+        a_le = a <= t
+        v_le = v <= t
+        y_le = y <= t
+
+        jump_a = np.where(a_le, 1.0 / k_a_safe, 0.0)
+        jump_v = np.where(v_le & (delta == 1), 1.0 / k_v_safe, 0.0)
+        phi[j] = (
+            np.where(a_le, m_a, m_at_t) + np.where(v_le, m_v, m_at_t) - jump_a - jump_v
+        )
+
+        integral = np.where(a_le, np.where(y_le, g_y, g_at_t) - g_a, 0.0)
+        psi1[j] = integral - np.where(y_le, delta / r_y_safe, 0.0)
+
+        part_a = p_at_t - np.where(a_le, g_at_t - g_a, 0.0)
+        vdiff_a = np.where(a_le, v_at_t - v_a, 0.0)
+        vdiff_v = np.where(v_le & pos_v, v_at_t - v_v, 0.0)
+        x_i = (
+            np.where(a_le, w_a, w_at_t)
+            + m_a * vdiff_a
+            + np.where(v_le, w_v, w_at_t)
+            + m_v * vdiff_v
+            - jump_a * vdiff_a
+            - jump_v * vdiff_v
+        )
+        psi2[j] = part_a - x_i
     return phi, psi1, psi2
 
 

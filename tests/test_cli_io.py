@@ -249,6 +249,17 @@ class TestEstimateCommand:
             assert err.startswith("error: ") and said in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rows", ["1.0,2.0,1\n0.5,1.0,0\n", "1.0,2.0,1\n0.5,x,0\n"])
+    def test_long_header_field_has_one_message(self, tmp_path, capsys, rows):
+        # a header field over the csv module's size limit gets the row
+        # reader's message whether or not every row parses as numbers, and
+        # the message does not echo the field
+        src = tmp_path / "d.csv"
+        src.write_text("a,v," + "d" * 140_000 + "\n" + rows)
+        assert main(["estimate", str(src), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: header: field larger than field limit (131072)\n"
+
     @settings(max_examples=150, deadline=None)
     @given(st.binary(max_size=400))
     def test_arbitrary_bytes_end_in_an_exit_code(self, tmp_path_factory, data):

@@ -414,6 +414,69 @@ class TestAlgebraicIdentities:
         assert np.abs((psi1 + psi2).mean(axis=1)).max() < 1e-12
 
 
+class TestOracleEvaluator:
+    """The shared evaluator in oracle mode against the one-time-at-a-time loop."""
+
+    WEIBULL = WeibullModel(censor_rate=0.5, shape=1.5)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["exponential", "weibull-400", "zero-residuals", "times-on-data", "n=1",
+         "width-1", "ragged"],
+    )
+    def test_matches_reference_loop(self, case, monkeypatch):
+        ctx, ts = CTX, GRID.points
+        if case == "weibull-400":
+            # blocks of 327 and 73 times: the first has more times than
+            # subjects and runs in the (subjects, times) layout
+            ctx = make_oracle_context(self.WEIBULL, self.WEIBULL.default_grid(count=400))
+            ts = ctx.grid.points
+            d = sample_lbrc(self.WEIBULL, 200, seed=23)
+            assert influence._BLOCK_VALUES // d.n == 327
+        elif case == "zero-residuals":
+            d = TestAlgebraicIdentities._zero_residual_sample()
+        elif case == "times-on-data":
+            d, ts = TestAlgebraicIdentities._times_on_data()
+        elif case == "n=1":
+            d = Dataset([0.7], [0.4], [1])
+        else:
+            d = sample_lbrc(MODEL, 300, seed=29)
+        if case == "width-1":
+            monkeypatch.setattr(influence, "_BLOCK_VALUES", d.n)
+        elif case == "ragged":
+            # blocks of 7, 7, 7 and 4 of the 25 times
+            monkeypatch.setattr(influence, "_BLOCK_VALUES", 7 * d.n)
+        got = subject_influence(ctx, d.a, d.v, d.delta, ts)
+        want = oracles.oracle_subject_influence_loop(ctx, d.a, d.v, d.delta, ts)
+        for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
+            assert x.shape == (len(ts), d.n), name
+            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+    def test_builds_one_anchored_table(self, table_builds):
+        ctx = make_oracle_context(MODEL, GRID)
+        ctx.tables
+        built = table_builds(influence)
+        d = sample_lbrc(MODEL, 300, seed=29)
+        subject_influence(ctx, d.a, d.v, d.delta, GRID.points)
+        assert len(built) == 1
+        assert 0.0 < built[0][0] < min(d.a.min(), d.v[d.v > 0].min())
+
+    def test_memory_bounded_by_block(self):
+        # the (10, 1e5) outputs take 24 MB; evaluating all times at once held
+        # some 50 MB of temporaries on top, a block holds at most 512 KiB each
+        grid = MODEL.default_grid(count=10)
+        ctx = make_oracle_context(MODEL, grid)
+        ctx.tables
+        d = sample_lbrc(MODEL, 100_000, seed=202)
+        tracemalloc.start()
+        try:
+            subject_influence(ctx, d.a, d.v, d.delta, grid.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6
+
+
 class TestMeanZero:
     def test_all_influences_mean_zero_monte_carlo(self):
         d = sample_lbrc(MODEL, 20000, seed=202)

@@ -4,11 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
 
 from lbrc.errors import ComputeError
 from lbrc.influence import _anchored_table, make_oracle_context
-from lbrc.quadrature import SmoothCumulative, origin_graded_edges
+from lbrc.quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
 from lbrc.truth import ExponentialModel, WeibullModel
 
 SCENARIOS = {
@@ -94,6 +95,17 @@ class TestQueryContract:
         got = self.table.query(self.table.edges)
         assert np.array_equal(got, self.table.cum)
         assert self.table.query(self.table.hi) == self.table.cum[-1]
+
+    @given(st.floats(1e-150, 1e150), st.floats(1e-150, 1e150), st.floats(1.01, 2.0))
+    def test_geometric_edges_end_exactly_at_hi(self, x, y, ratio):
+        # the last edge is hi itself, so a query at hi is inside the domain
+        # at every scale; lo * (hi / lo) rounds an ulp off hi for some pairs
+        lo, hi = sorted((x, y))
+        if lo == hi:
+            return
+        edges = geometric_edges(lo, hi, ratio)
+        assert edges[0] == lo and edges[-1] == hi
+        assert np.all(np.diff(edges) > 0)
 
     def test_graded_edges(self):
         edges = origin_graded_edges(3.0, 40)

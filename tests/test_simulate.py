@@ -185,6 +185,14 @@ class TestRateExperiment:
         serial = rate_experiment(MODEL, [60, 120], 50, "Lemma33", self.GRID, seed=5)
         assert np.array_equal(rep.sup_residuals, serial.sup_residuals)
 
+    def test_rn2_runs_at_a_long_time_scale(self):
+        # times of order 1e4: the last edge of a geometric table could round
+        # an ulp short of the window end, and a query there raised
+        model = ExponentialModel(censor_rate=5e-5, rate=1e-4)
+        grid = model.default_grid()
+        rep = rate_experiment(model, [250, 500], 50, "Rn2", grid, seed=1)
+        assert np.all(np.isfinite(rep.sup_residuals)) and rep.slope < 0
+
     def test_rn2_sups_match_residual_cdf(self):
         rep = rate_experiment(MODEL, [100, 300], 50, "Rn2", self.GRID, seed=9)
         assert rep.sup_residuals.shape == (2, 50)
