@@ -128,10 +128,11 @@ def pooled_entry_cumhaz(emp: EmpiricalProcesses) -> StepFunction:
     return StepFunction(emp.pooled_times, np.cumsum(_pooled_ratio(emp)), 0.0)
 
 
-def _per_subject_product_limit(y_sorted: np.ndarray, factors: np.ndarray) -> StepFunction:
-    """CDF from one factor per subject, given in stable ascending order of exit time."""
+def _product_limit(times: np.ndarray, factors: np.ndarray) -> StepFunction:
+    """CDF from one factor per entry of the ascending ``times``, ties in stable
+    order; the running product after the last factor at a time is its value."""
     survival = np.cumprod(factors)
-    times, vals = _grouped_last(y_sorted, survival)
+    times, vals = _grouped_last(times, survival)
     times, vals = _drop_flat(times, 1.0 - vals, 0.0)
     return StepFunction(times, vals, 0.0)
 
@@ -147,7 +148,7 @@ def tjw_product_limit(d: Dataset) -> StepFunction:
     y = d.y[order]
     at_risk = counts_at(np.sort(d.a), y)[0] + counts_at(y, y)[1] - d.n
     factors = np.where(d.delta[order] == 1, 1.0 - 1.0 / at_risk, 1.0)
-    return _per_subject_product_limit(y, factors)
+    return _product_limit(y, factors)
 
 
 def safeguarded_cdf(d: Dataset, risk: Risk) -> StepFunction:
@@ -159,7 +160,7 @@ def safeguarded_cdf(d: Dataset, risk: Risk) -> StepFunction:
     order = np.argsort(d.y, kind="stable")
     y = d.y[order]
     raw = np.where(d.delta[order] == 1, 1.0 - 1.0 / (d.n * risk(y) + 1.0), 1.0)
-    return _per_subject_product_limit(y, np.clip(raw, 0.0, 1.0))
+    return _product_limit(y, np.clip(raw, 0.0, 1.0))
 
 
 def huang_qin_cdf(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
@@ -173,9 +174,7 @@ def huang_qin_cdf(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
     if emp.event_times.size == 0:
         return StepFunction.constant(0.0)
     factors = np.clip(1.0 - _hazard_steps(emp, risk)[0], 0.0, 1.0)
-    survival = np.cumprod(factors)
-    times, vals = _drop_flat(emp.event_times, 1.0 - survival, 0.0)
-    return StepFunction(times, vals, 0.0)
+    return _product_limit(emp.event_times, factors)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ estimates, not the continuous-hazard formulas evaluated at them.  The pooled
 entry survival is a Kaplan-Meier product, so each pooled increment carries the
 factor ``1 / (1 - dq/kq)`` of its product factor (pooled jump count ``dq``,
 pooled at-risk count ``kq``).  The CDF is a product over the hazard jumps, so
-in ``plugin_variance`` each event's hazard-increment terms carry the
-product-limit weight ``1 / (1 - dL(u))``.  For a continuous hazard both
-weights are 1; at the fitted hazard the early events, with small risk sets and
-large jumps, carry most of the variance, and dropping the weights understates
-it.
+in plugin ``subject_influence`` each event's hazard-increment terms carry the
+product-limit weight ``1 / (1 - dL(u))``, and ``psi1 + psi2`` is the influence
+of ``-log(1 - F_hat)``.  For a continuous hazard both weights are 1; at the
+fitted hazard the early events, with small risk sets and large jumps, carry
+most of the variance, and dropping the weights understates it.
 
 The CDF remainder takes the sign of the delta method: the product-limit map
 has derivative ``1 - F`` in the hazard, so ``F_hat - F = -(1 - F) mean(psi)``
@@ -218,9 +218,9 @@ class PluginContext:
 
     @cached_property
     def grid_reads(self):
-        """``_event_reads`` at the grid points with ``cdf_gain``: the reads of
-        every ``subject_influence`` call that ``plugin_variance`` makes."""
-        return _event_reads(self, self.grid.points, self.cdf_gain)
+        """``_event_reads`` at the grid points: the reads of every
+        ``subject_influence`` call that ``plugin_variance`` makes."""
+        return _event_reads(self, self.grid.points)
 
 
 def make_oracle_context(model: TruthModel, grid: EvalGrid) -> OracleContext:
@@ -240,16 +240,15 @@ def _plugin_m(ctx: PluginContext, x):
     return ctx.pooled[1][idx]
 
 
-def _event_reads(ctx: PluginContext, times: np.ndarray, event_gain):
+def _event_reads(ctx: PluginContext, times: np.ndarray):
     """Gain-weighted event prefix sums, and their values at ``times``.
 
-    With ``w = event_w * event_gain`` (``event_w`` alone for no gain), returns
-    ``(prefix, at_times)``: ``prefix`` holds the prefix sums over the distinct
-    event times of ``w``, ``w S_A`` and ``w S_A m``, and ``at_times`` those
-    three sums over the events up to each time, then the pooled prefix ``m``
-    at each time.
+    With ``w = event_w * cdf_gain``, returns ``(prefix, at_times)``:
+    ``prefix`` holds the prefix sums over the distinct event times of ``w``,
+    ``w S_A`` and ``w S_A m``, and ``at_times`` those three sums over the
+    events up to each time, then the pooled prefix ``m`` at each time.
     """
-    w = ctx.event_w if event_gain is None else ctx.event_w * event_gain
+    w = ctx.event_w * ctx.cdf_gain
     entry_surv, m_u = ctx.event_entry_m
     ws = w * entry_surv
     prefix = tuple(np.concatenate(([0.0], np.cumsum(x))) for x in (w, ws, ws * m_u))
@@ -305,9 +304,7 @@ def _check_oracle_sample(a, v, delta):
 # per-subject evaluation
 
 
-def subject_influence(
-    ctx: OracleContext | PluginContext, a, v, delta, times, *, event_gain=None
-):
+def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     """Influence values for each subject at each time.
 
     Returns three arrays of shape ``(len(times), n)``: the pooled-entry
@@ -317,12 +314,13 @@ def subject_influence(
 
     With a plugin context the subjects are those of the context's sample, in
     any order: each a, uncensored v and uncensored y must be a data point of
-    it, or ``ValueError`` is raised.  ``event_gain`` (one value per distinct
-    event time) multiplies every term of each event's hazard increment; left
-    at None the hazard influence is returned.  ``plugin_variance`` passes the
-    product-limit weights through it: handed the context's own ``grid.points``
-    and ``cdf_gain`` arrays, a call reads the grid from ``grid_reads``, which
-    are built once per context.
+    it, or ``ValueError`` is raised.  Every term of each event's hazard
+    increment carries the product-limit gain ``PluginContext.cdf_gain``, so
+    ``psi1 + psi2`` is the influence of ``-log(1 - F_hat)``, the plugin
+    counterpart of the oracle influence of ``Lambda = -log(1 - F)``, and
+    ``(1 - F_hat) (psi1 + psi2)`` is the exact derivative of the reported CDF
+    that ``plugin_variance`` sums.  Handed the context's own ``grid.points``
+    array, a call reads the grid from ``grid_reads``, built once per context.
     """
     own_grid = isinstance(ctx, PluginContext) and times is ctx.grid.points
     a = np.asarray(a, dtype=float).reshape(-1)
@@ -332,14 +330,9 @@ def subject_influence(
     if times.size and times.max() > ctx.grid.b + 1e-12:
         raise ValueError("evaluation time beyond the context window")
     if isinstance(ctx, OracleContext):
-        if event_gain is not None:
-            raise ValueError("event_gain applies to plugin contexts only")
         return _oracle_subject_influence(ctx, a, v, delta, times)
-    if own_grid and event_gain is not None and event_gain is ctx.cdf_gain:
-        reads = ctx.grid_reads
-    else:
-        reads = _event_reads(ctx, times, event_gain)
-    return _plugin_subject_influence(ctx, a, v, delta, times, event_gain, reads)
+    reads = ctx.grid_reads if own_grid else _event_reads(ctx, times)
+    return _plugin_subject_influence(ctx, a, v, delta, times, reads)
 
 
 def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
@@ -400,7 +393,7 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     return out
 
 
-def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain, reads):
+def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, reads):
     emp = ctx.curves.empirical
     u, s, y = emp.event_times, emp.pooled_times, a + v
     pooled_weight, pooled_m_prefix = ctx.pooled
@@ -436,10 +429,10 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, event_gain
     inv_k_a = pooled_weight[idx_pa - 1]
     inv_k_v = np.where(event, pooled_weight[idx_pv - 1], 0.0)
     # an uncensored exit time is a distinct event time, with its floored risk
+    # and gain
     own_event = np.zeros(a.size)
     own_event[event] = 1.0 / ctx.hazard[1][at_y]
-    if event_gain is not None:
-        own_event[event] *= event_gain[at_y]
+    own_event[event] *= ctx.cdf_gain[at_y]
     # prefix sums over events of w, w * S_A and w * S_A * m: the reads G, V
     # and Q, here sums over the events before (left search position) or up
     # to (right) a point, since each data point may be an event time
@@ -709,10 +702,10 @@ def plugin_variance(ctx: PluginContext) -> np.ndarray:
     derivative in the jump ``dL(u)`` is ``(1 - F(t)) / (1 - dL(u))``, so every
     event's hazard-increment terms carry the weight ``1 / (1 - dL(u))``; the
     entry-survival influence inside the hazard influence carries the
-    Kaplan-Meier factor in the same way (see ``PluginContext.pooled``).  With
-    a continuous hazard both weights would be 1 and the summand would be
-    ``(1 - F) * psi``.  A clamped factor (``dL(u) >= 1``) gets weight 0: it
-    makes ``F`` identically 1 from ``u`` on, where the variance is 0.
+    Kaplan-Meier factor in the same way (see ``PluginContext.pooled``).
+    Plugin ``subject_influence`` applies both, so the summand is
+    ``(1 - F) (psi1 + psi2)``.  A clamped factor (``dL(u) >= 1``) gets weight
+    0: it makes ``F`` identically 1 from ``u`` on, where the variance is 0.
 
     ``ctx`` is a plugin context; its dataset and grid fix the sample and the
     evaluation points.
@@ -731,15 +724,13 @@ def plugin_variance(ctx: PluginContext) -> np.ndarray:
     """
     if not isinstance(ctx, PluginContext):
         raise ValueError("plugin_variance requires a plugin context")
-    d, points, gain = ctx.dataset, ctx.grid.points, ctx.cdf_gain
+    d, points = ctx.dataset, ctx.grid.points
     scale = (1.0 - ctx.curves.cdf.at(points))[:, None]
     width = max(1, _BLOCK_VALUES // points.size)
     count, mean, m2 = 0, np.zeros(points.size), np.zeros(points.size)
     for lo in range(0, d.n, width):
         rows = slice(lo, lo + width)
-        _, x, psi2 = subject_influence(
-            ctx, d.a[rows], d.v[rows], d.delta[rows], points, event_gain=gain
-        )
+        _, x, psi2 = subject_influence(ctx, d.a[rows], d.v[rows], d.delta[rows], points)
         # x = scale * (psi1 + psi2), in place
         x += psi2
         x *= scale

@@ -101,17 +101,21 @@ def _schema(path, cells) -> tuple[bool, dict]:
 def _plain_fields(block: bytes, encoding: str) -> list[str] | None:
     """The fields of a block of whole lines, or None unless it is plain.
 
-    Plain means UTF-8 text with no quote or carriage return, and separators
-    that read ",,\n" on every line: three fields, no blank line.  The last
-    newline of the file is optional.
+    Plain means UTF-8 text with no quote or carriage return, separators that
+    read ",,\n" on every line (three fields, no blank line), and no field
+    longer than the csv module's size limit.  The last newline of the file is
+    optional.
     """
     if not block.endswith(b"\n"):
         block += b"\n"
     if b'"' in block or b"\r" in block:
         return None
     buf = np.frombuffer(block, dtype=np.uint8)
-    seps = buf[(buf == ord(",")) | (buf == ord("\n"))].tobytes()
-    if seps != b",,\n" * (len(seps) // 3):
+    at = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    if buf[at].tobytes() != b",,\n" * (at.size // 3):
+        return None
+    # bytes between separators: at least the characters the csv module counts
+    if np.diff(at, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
     try:
         text = block.decode(encoding)
@@ -123,17 +127,15 @@ def _plain_fields(block: bytes, encoding: str) -> list[str] | None:
 def _parse_plain(path: Path) -> Dataset | None:
     """Parse a plain CSV a block of lines at a time, or return None.
 
-    Every line must be plain (see ``_plain_fields``) and every value one the
-    row checks accept.  Each block of ``_ROW_BLOCK`` lines is converted in one
-    vectorized pass, so only the columns grow with the file.  The row reader
-    decides everything else, a header field over the csv module's size limit
-    included, so its errors name the row and column.
+    Every line must be plain (see ``_plain_fields``) and every value one
+    ``Dataset`` accepts.  Each block of ``_ROW_BLOCK`` lines is converted in
+    one vectorized pass, so only the columns grow with the file.  The row
+    reader decides everything else, so its errors name the row and column.
     """
     blocks = []
     with path.open("rb") as fh:
         header = _plain_fields(fh.readline(), "utf-8-sig")
-        # a header field the csv module refuses is the row reader's error
-        if header is None or max(map(len, header)) > csv.field_size_limit():
+        if header is None:
             return None
         while lines := list(islice(fh, _ROW_BLOCK)):
             tokens = _plain_fields(b"".join(lines), "utf-8")
@@ -151,23 +153,20 @@ def _parse_plain(path: Path) -> Dataset | None:
     del blocks
     a, dlt = cols[pos["a"]], cols[pos["delta"]]
     with np.errstate(over="ignore", invalid="ignore"):
-        if uses_total:
-            y = cols[pos["y"]]
-            v, ok = y - a, np.isfinite(y) & (y >= a)
-        else:
-            v = cols[pos["v"]]
-            ok = np.isfinite(a + v) & (v >= 0)
-    if not np.all(ok & np.isfinite(a) & (a >= 0) & ((dlt == 0) | (dlt == 1))):
-        return None
-    return Dataset(a, v, dlt)
+        v = cols[pos["y"]] - a if uses_total else cols[pos["v"]]
+        try:
+            return Dataset(a, v, dlt)
+        except InvalidDataError:
+            return None
 
 
 def parse_dataset(path) -> Dataset:
     """Read observations from CSV with columns {a,v,delta} or {a,y,delta}.
 
-    A plain file is parsed in one vectorized pass; anything else goes through
-    the row reader.  Rows violating the schema raise with the offending row
-    number and column.
+    A plain file is parsed in vectorized passes (see ``_parse_plain``);
+    anything else goes through the row reader, so a file gets the same
+    result or error whatever its line ends.  Rows violating the schema raise
+    with the offending row number and column.
     """
     path = Path(path)
     if not path.exists():

@@ -64,25 +64,21 @@ class StepFunction:
 
     def at(self, t):
         """Value at ``t`` (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tq = np.atleast_1d(t)
-        if self.jump_times.size == 0:
-            out = np.full(tq.shape, self.initial_value)
-            return float(out[0]) if scalar else out
-        idx = np.searchsorted(self.jump_times, tq, side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
-        return float(out[0]) if scalar else out
+        return self._lookup(t, "right")
 
     def left_at(self, t):
         """Left limit at ``t`` (vectorized)."""
+        return self._lookup(t, "left")
+
+    def _lookup(self, t, side: str):
+        """Value at ``t`` for side "right", left limit at ``t`` for "left"."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tq = np.atleast_1d(t)
         if self.jump_times.size == 0:
             out = np.full(tq.shape, self.initial_value)
             return float(out[0]) if scalar else out
-        idx = np.searchsorted(self.jump_times, tq, side="left") - 1
+        idx = np.searchsorted(self.jump_times, tq, side=side) - 1
         out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.initial_value)
         return float(out[0]) if scalar else out
 

@@ -246,13 +246,14 @@ class FunctionPopulation:
         return np.asarray(self.fu_density(u), dtype=float) / r**2
 
 
-def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain=None):
+def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain):
     """Plugin ``subject_influence`` evaluated one time at a time.
 
-    Each row reads the event prefix sums at every subject's search positions,
-    clipped at the time's own position, term by term as the influence
-    formulas are written; the package builds per-subject coefficients instead
-    and evaluates all times in one pass.
+    ``event_gain`` (one value per distinct event time) multiplies every term
+    of each event's hazard increment.  Each row reads the event prefix sums
+    at every subject's search positions, clipped at the time's own position,
+    term by term as the influence formulas are written; the package builds
+    per-subject coefficients instead and evaluates all times in one pass.
     """
     a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
     delta, times = np.asarray(delta).astype(float), np.asarray(times, dtype=float)
@@ -275,10 +276,8 @@ def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain=None):
     inv_k_v = np.where(event, pooled_weight[idx_pv - 1], 0.0)
     own_event = np.zeros(a.size)
     own_event[event] = 1.0 / ctx.hazard[1][at_y]
-    w = ctx.event_w
-    if event_gain is not None:
-        w = w * event_gain
-        own_event[event] *= event_gain[at_y]
+    w = ctx.event_w * event_gain
+    own_event[event] *= event_gain[at_y]
     entry_surv, m_u = ctx.event_entry_m
     ws = w * entry_surv
     pref_w, pref_ws, pref_wsm = (

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -184,6 +185,7 @@ DEFECTS = {
     "delta=2": lambda row, cols: [("2" if c == "delta" else f) for c, f in zip(cols, row)],
     "y < a": lambda row, cols: [("-1.0" if c in "vy" else f) for c, f in zip(cols, row)],
     "not a number": lambda row, cols: ["x" + f for f in row],
+    "long numeric field": lambda row, cols: ["0" * (csv.field_size_limit() + 1)] + row[1:],
     "crlf": lambda row, cols: row,
     "bom": lambda row, cols: row,
     "latin-1": lambda row, cols: row,
@@ -259,6 +261,19 @@ class TestEstimateCommand:
         assert main(["estimate", str(src), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {src}: header: field larger than field limit (131072)\n"
+
+    def test_long_data_field_fails_whatever_the_line_ends(self, tmp_path, capsys):
+        # a data field over the csv module's size limit is an input error in
+        # a plain file too, with the message of its CRLF copy; a field at the
+        # limit parses from both
+        src = tmp_path / "d.csv"
+        said = f"error: {src}: row 2: field larger than field limit (131072)\n"
+        for length, want in ((131_073, (1, said)), (131_072, (0, ""))):
+            for ending in ("\n", "\r\n"):
+                text = f"a,v,delta\n1.0,2.0,1\n{'0' * length},1.0,1\n"
+                src.write_bytes(text.replace("\n", ending).encode())
+                status = main(["estimate", str(src), "--out", str(tmp_path / "o")])
+                assert (status, capsys.readouterr().err) == want, (length, ending)
 
     @settings(max_examples=150, deadline=None)
     @given(st.binary(max_size=400))

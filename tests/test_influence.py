@@ -14,7 +14,6 @@ from lbrc.data import Dataset
 from lbrc.errors import ComputeError, WindowError
 from lbrc.empirical import build_empirical
 from lbrc.estimators import (
-    combined_cumulative_hazard,
     estimate_combined_risk,
     estimate_entry_survival,
     fit,
@@ -93,7 +92,7 @@ def fd_sample():
 
 
 def replicated_derivatives(d, times, copies):
-    """Finite-difference derivatives of log S_A, the hazard and the CDF.
+    """Finite-difference derivatives of log S_A, -log(1 - F) and the CDF F.
 
     The sample is replicated ``copies`` times and one more copy of subject i
     is added: that moves the empirical measure by ``1 / (copies * n + 1)``
@@ -107,13 +106,8 @@ def replicated_derivatives(d, times, copies):
         emp = build_empirical(sample)
         entry_surv = estimate_entry_survival(emp)
         risk = estimate_combined_risk(sample, entry_surv)
-        return np.array(
-            [
-                np.log(entry_surv.at(times)),
-                combined_cumulative_hazard(emp, risk).at(times),
-                huang_qin_cdf(emp, risk).at(times),
-            ]
-        )
+        cdf = huang_qin_cdf(emp, risk).at(times)
+        return np.array([np.log(entry_surv.at(times)), -np.log(1.0 - cdf), cdf])
 
     a, v, delta = (np.repeat(x, copies) for x in (d.a, d.v, d.delta))
     base = estimates(a, v, delta)
@@ -654,9 +648,11 @@ class TestPluginVariance:
         d, times, grid = fd_sample()
         ctx = make_plugin_context(d, grid)
         phi, psi1, psi2 = subject_influence(ctx, d.a, d.v, d.delta, times)
-        fd_log_sa, fd_hazard, _ = replicated_derivatives(d, times, 2000)
+        # the hazard terms carry the product-limit gain, so psi1 + psi2 is the
+        # influence of -log(1 - F)
+        fd_log_sa, fd_log_surv, _ = replicated_derivatives(d, times, 2000)
         assert np.abs(phi - fd_log_sa).max() <= 2e-3
-        assert np.abs(-(psi1 + psi2) - fd_hazard).max() <= 2e-3
+        assert np.abs(-(psi1 + psi2) - fd_log_surv).max() <= 2e-3
 
     def test_clamped_last_event_is_finite(self):
         d = sample_lbrc(MODEL, 30, seed=0)
@@ -679,14 +675,12 @@ class TestPluginVariance:
         d = TestContexts.SAMPLES["all-censored"]
         ctx = make_plugin_context(d, EvalGrid.of_points([0.25, 0.5, 1.0, 1.5]))
         zeros = np.zeros((4, 3))
-        for gain in (None, np.empty(0)):
-            phi, psi1, psi2 = subject_influence(
-                ctx, d.a, d.v, d.delta, ctx.grid.points, event_gain=gain
-            )
-            assert np.array_equal(psi1, zeros) and np.array_equal(psi2, zeros)
-            assert np.allclose(
-                phi, [[0.0, 0.0, 0.0], [-0.6, 0.3, 0.3], [-0.6, 0.8, -0.2], [-0.6, 0.8, -0.2]]
-            )
+        assert ctx.cdf_gain.size == 0
+        phi, psi1, psi2 = subject_influence(ctx, d.a, d.v, d.delta, ctx.grid.points)
+        assert np.array_equal(psi1, zeros) and np.array_equal(psi2, zeros)
+        assert np.allclose(
+            phi, [[0.0, 0.0, 0.0], [-0.6, 0.3, 0.3], [-0.6, 0.8, -0.2], [-0.6, 0.8, -0.2]]
+        )
         assert np.array_equal(plugin_variance(ctx), np.zeros(4))
 
     @pytest.mark.parametrize("case", ["weibull-jumps", "n=1", "all-tied", "width-1", "width-7"])
@@ -745,40 +739,35 @@ class TestPluginVariance:
         assert len(calls) == 1
         # a copy of the grid is not the context's own: its reads are built afresh
         d = ctx.dataset
-        subject_influence(ctx, d.a, d.v, d.delta, ctx.grid.points.copy(), event_gain=ctx.cdf_gain)
+        subject_influence(ctx, d.a, d.v, d.delta, ctx.grid.points.copy())
         assert len(calls) == 2
 
     @pytest.mark.parametrize("case", ["edge-cases", "weibull-jumps", "all-censored"])
     def test_grid_reads_match_fresh_reads(self, case):
-        # at the context's own grid and gain the cached reads give the bits
-        # that reads built afresh give
+        # at the context's own grid the cached reads give the bits that reads
+        # built afresh give
         if case == "weibull-jumps":
             ctx = weibull_jumps_context()
         else:
             d, times = (edge_case_sample() if case == "edge-cases" else
                         (TestContexts.SAMPLES[case], np.array([0.25, 0.5, 1.0, 1.5])))
             ctx = make_plugin_context(d, EvalGrid.of_points(times))
-        d, points, gain = ctx.dataset, ctx.grid.points, ctx.cdf_gain
+        d, points = ctx.dataset, ctx.grid.points
         for rows in (slice(0, 1), slice(1, 8), slice(0, 300)):
             args = (d.a[rows], d.v[rows], d.delta[rows])
-            cached = subject_influence(ctx, *args, points, event_gain=gain)
-            fresh = subject_influence(ctx, *args, points.copy(), event_gain=gain)
+            cached = subject_influence(ctx, *args, points)
+            fresh = subject_influence(ctx, *args, points.copy())
             for got, want in zip(cached, fresh):
                 assert np.array_equal(got, want)
 
     def test_permuted_sample_permutes_columns(self):
         d, times = edge_case_sample()
         ctx = make_plugin_context(d, EvalGrid.of_points(times))
-        rng = np.random.default_rng(3)
-        perm = rng.permutation(d.n)
-        gains = (None, rng.random(ctx.curves.empirical.event_times.size) + 0.5)
-        for gain in gains:
-            full = subject_influence(ctx, d.a, d.v, d.delta, times, event_gain=gain)
-            permuted = subject_influence(
-                ctx, d.a[perm], d.v[perm], d.delta[perm], times, event_gain=gain
-            )
-            for whole, part in zip(full, permuted):
-                assert np.array_equal(whole[:, perm], part)
+        perm = np.random.default_rng(3).permutation(d.n)
+        full = subject_influence(ctx, d.a, d.v, d.delta, times)
+        permuted = subject_influence(ctx, d.a[perm], d.v[perm], d.delta[perm], times)
+        for whole, part in zip(full, permuted):
+            assert np.array_equal(whole[:, perm], part)
 
     @pytest.mark.parametrize("case", ["edge-cases", "all-censored", "n=1"])
     def test_coefficient_form_matches_rowwise(self, case):
@@ -790,15 +779,64 @@ class TestPluginVariance:
             d = TestContexts.SAMPLES[case]
             times = np.array([0.25, 0.5, 0.7, 1.0, 1.1, 1.5])
         ctx = make_plugin_context(d, EvalGrid.of_points(times))
-        rng = np.random.default_rng(5)
-        for gain in (None, rng.random(ctx.curves.empirical.event_times.size) + 0.5):
-            got = subject_influence(ctx, d.a, d.v, d.delta, times, event_gain=gain)
-            want = oracles.plugin_subject_influence_rowwise(
-                ctx, d.a, d.v, d.delta, times, event_gain=gain
-            )
-            for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
-                assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), name
+        got = subject_influence(ctx, d.a, d.v, d.delta, times)
+        want = oracles.plugin_subject_influence_rowwise(
+            ctx, d.a, d.v, d.delta, times, event_gain=ctx.cdf_gain
+        )
+        for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), name
 
+
+
+class TestPluginRelations:
+    """Relations that the fitted CDF and its plugin variance keep exactly, or
+    to rounding, on a 500-row sample and its event-time or 50-point grid."""
+
+    @staticmethod
+    def fitted(d, points):
+        ctx = make_plugin_context(d, EvalGrid.of_points(points))
+        return ctx.curves.cdf.at(ctx.grid.points), plugin_variance(ctx)
+
+    @pytest.fixture(
+        params=[
+            (family, grid) for family in ("exponential", "weibull") for grid in ("jumps", "n:50")
+        ],
+        ids="-".join,
+    )
+    def sample(self, request):
+        family, grid = request.param
+        model = MODEL if family == "exponential" else WeibullModel(censor_rate=0.5, shape=1.5)
+        d = sample_lbrc(model, 500, seed=21)
+        events = np.unique(d.y[d.delta == 1])
+        points = events if grid == "jumps" else np.linspace(events.min(), events.max(), 50)
+        return d, points
+
+    def test_power_of_two_time_unit(self, sample):
+        d, points = sample
+        cdf, var = self.fitted(d, points)
+        for k in (20, -30, 60):
+            unit = 2.0**k
+            got = self.fitted(Dataset(d.a * unit, d.v * unit, d.delta), points * unit)
+            assert np.array_equal(got[0], cdf) and np.array_equal(got[1], var), k
+
+    def test_row_permutation(self, sample):
+        d, points = sample
+        cdf, var = self.fitted(d, points)
+        perm = np.random.default_rng(4).permutation(d.n)
+        got_cdf, got_var = self.fitted(Dataset(d.a[perm], d.v[perm], d.delta[perm]), points)
+        assert np.array_equal(got_cdf, cdf)
+        assert np.abs(got_var - var).max() <= 1e-13 * var.max()
+
+    def test_every_row_duplicated(self, sample):
+        # the empirical measure is unchanged and n doubles, so the variance
+        # halves
+        d, points = sample
+        cdf, var = self.fitted(d, points)
+        got_cdf, got_var = self.fitted(
+            Dataset(np.tile(d.a, 2), np.tile(d.v, 2), np.tile(d.delta, 2)), points
+        )
+        assert np.array_equal(got_cdf, cdf)
+        assert np.abs(2.0 * got_var - var).max() <= 1e-13 * var.max()
 
 
 class TestAssumptionDiagnostic:

@@ -193,6 +193,24 @@ class TestRateExperiment:
         rep = rate_experiment(model, [250, 500], 50, "Rn2", grid, seed=1)
         assert np.all(np.isfinite(rep.sup_residuals)) and rep.slope < 0
 
+    @pytest.mark.parametrize("family", ["exponential", "weibull"])
+    def test_power_of_two_time_unit_leaves_sups_unchanged(self, family):
+        # a time unit 2^k rescales the model, the grid and every sample
+        # exactly, so each replication's remainder is the same to the bit
+        def model(unit):
+            if family == "exponential":
+                return ExponentialModel(censor_rate=0.5 / unit, rate=1.0 / unit)
+            return WeibullModel(censor_rate=0.5 / unit, shape=1.5, scale=unit)
+
+        grid = model(1.0).default_grid(count=8)
+        for which in ("Rn1", "Rn2", "Rn3"):
+            want = rate_experiment(model(1.0), [60, 120], 50, which, grid, seed=11)
+            for k in (10, -20, 40):
+                unit = 2.0**k
+                scaled = EvalGrid(grid.points * unit, grid.b * unit)
+                got = rate_experiment(model(unit), [60, 120], 50, which, scaled, seed=11)
+                assert np.array_equal(got.sup_residuals, want.sup_residuals), (which, k)
+
     def test_rn2_sups_match_residual_cdf(self):
         rep = rate_experiment(MODEL, [100, 300], 50, "Rn2", self.GRID, seed=9)
         assert rep.sup_residuals.shape == (2, 50)
