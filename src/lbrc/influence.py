@@ -351,10 +351,12 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
         * np.asarray(model.entry_survival(u), dtype=float),
     )
 
-    def read(table, x):
-        # values beyond the window end are masked by the ``<= t`` clauses
-        # that read them, or multiplied by a masked zero
-        return table.query(np.clip(x, table.lo, table.hi))
+    def read(tables, x):
+        # the tables share their edges, so x is located once; values beyond
+        # the window end are masked by the ``<= t`` clauses that read them,
+        # or multiplied by a masked zero
+        at = tables[0].locate(np.clip(x, tables[0].lo, tables[0].hi))
+        return [table.read(at) for table in tables]
 
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
     k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
@@ -371,16 +373,18 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     own_event = delta / np.where(r_y > 0, r_y, 1.0)
     del k_a, k_v, r_y  # each (n,) array freed here lowers the peak
 
-    m_a, m_v, v_a = read(m_t, a), read(m_t, v), read(v_tab, a)
-    g_a = read(p_t, a) + v_a
-    psi1_y = read(p_t, y) + read(v_tab, y) - g_a - own_event
-    const_a = g_a - read(w_t, a) + (m_a - inv_k_a) * v_a
-    const_v = (m_v - inv_k_v) * read(v_tab, v) - read(w_t, v)
-    del own_event, v_a
+    (m_a, p_a, w_a), (v_a,) = read((m_t, p_t, w_t), a), read((v_tab,), a)
+    g_a = p_a + v_a
+    const_a = g_a - w_a + (m_a - inv_k_a) * v_a
+    del p_a, w_a, v_a
+    psi1_y = read((p_t,), y)[0] + read((v_tab,), y)[0] - g_a - own_event
+    (m_v, w_v), (v_v,) = read((m_t, w_t), v), read((v_tab,), v)
+    const_v = (m_v - inv_k_v) * v_v - w_v
+    del own_event, w_v, v_v
     subject = (g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
 
-    v_at = read(v_tab, times)
-    at_times = (read(p_t, times) + v_at, v_at, read(w_t, times), read(m_t, times))
+    (p_at, w_at, m_at), (v_at,) = read((p_t, w_t, m_t), times), read((v_tab,), times)
+    at_times = (p_at + v_at, v_at, w_at, m_at)
     out = tuple(np.empty((times.size, a.size)) for _ in range(3))
     width = max(1, _BLOCK_VALUES // max(a.size, 1))
     for lo in range(0, times.size, width):
@@ -583,10 +587,11 @@ def influence_means(
     coarse = np.flatnonzero(coarse[: breaks.size])
     lo = coarse[:-1]
     c = 1.0 + phi_at_breaks[lo] - k_panel[lo] * m_at_breaks[lo]
+    at_coarse = p_table.locate(breaks[coarse])
     psi2_panel = (
         (bar_a[lo] - c) * np.add.reduceat(dg, lo)
-        + c * np.diff(p_table.query(breaks[coarse]))
-        - k_panel[lo] * np.diff(w_table.query(breaks[coarse]))
+        + c * np.diff(p_table.read(at_coarse))
+        - k_panel[lo] * np.diff(w_table.read(at_coarse))
     )
     psi2_prefix = np.concatenate(([0.0], np.cumsum(psi2_panel)))
     out["mean_psi2"] = psi2_prefix[np.searchsorted(coarse, t_idx)]

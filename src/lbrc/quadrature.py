@@ -8,12 +8,16 @@ helper evaluates the density once, at the nodes of every panel, when it is
 built.  It stores the panel sums at the edges and, per panel, the Legendre
 coefficients of the antiderivative of the polynomial that interpolates the
 density at those nodes; an interior query is then a lookup plus one
-polynomial evaluation, with no further density call.  A table whose sums,
-coefficients or inverse panel widths overflow a float raises
+polynomial evaluation, with no further density call.  Each series is chopped
+when its table is built (Aurentz and Trefethen, ACM TOMS 43, 2017), and
+tables on the same edges share one ``locate`` of a point set.  A table whose
+sums, coefficients or inverse panel widths overflow a float raises
 ``ComputeError`` when it is built.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .errors import ComputeError
 __all__ = [
     "panel_integrals",
     "SmoothCumulative",
+    "Position",
     "origin_graded_edges",
     "geometric_edges",
 ]
@@ -67,7 +72,9 @@ def geometric_edges(lo: float, hi: float, ratio: float) -> np.ndarray:
     """Geometric edges from exactly lo to exactly hi, for integrands singular below lo."""
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
-    count = max(2, int(np.ceil(np.log(hi / lo) / np.log(ratio))))
+    # a span narrower than one ratio step gets one panel: a second edge
+    # inside it can round onto lo or hi
+    count = max(1, int(np.ceil(np.log(hi / lo) / np.log(ratio))))
     edges = lo * (hi / lo) ** (np.arange(count + 1) / count)
     # lo * (hi / lo) can round an ulp off hi
     edges[-1] = hi
@@ -91,6 +98,12 @@ def _antiderivative_matrix() -> np.ndarray:
 _ANTIDERIVATIVE = _antiderivative_matrix()
 
 
+# points on a table's edges: the last edge at or below each point, its panel
+# (the last one at hi), its coordinate on that panel in [-1, 1], and the mask
+# of points on an edge
+Position = namedtuple("Position", "edges index panel xi on_edge scalar")
+
+
 class SmoothCumulative:
     """Cumulative integral of a smooth density from ``edges[0]``.
 
@@ -99,7 +112,9 @@ class SmoothCumulative:
     density's node interpolant over the partial panel.  On a panel edge this
     is the stored prefix exactly; inside a panel its error is the degree-14
     interpolation error of the density, so ``edges`` should put any point
-    where the density is not smooth on an edge.
+    where the density is not smooth on an edge.  The series is kept up to the
+    highest degree (at least 1) whose largest coefficient over the panels
+    exceeds 2^-53 of the largest |cumulative|, at any power-of-two scale.
     """
 
     nodes = NODES
@@ -112,15 +127,15 @@ class SmoothCumulative:
             w, vals = _node_values(density, self.edges)
             self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
             half = 0.5 * np.diff(self.edges)
-            # (coefficient, panel): each query gathers one row per coefficient
-            self._coef = np.ascontiguousarray(
-                ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
-            )
+            # (coefficient, panel): each read gathers one row per coefficient
+            coef = ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
             self._inv_half = 1.0 / half
-        if not all(np.isfinite(x).all() for x in (self.cum, self._coef, self._inv_half)):
+        if not all(np.isfinite(x).all() for x in (self.cum, coef, self._inv_half)):
             raise ComputeError(
                 f"panel sums or widths on [{self.lo:g}, {self.hi:g}] overflow a float"
             )
+        kept = np.abs(coef).max(axis=1) > 2.0**-53 * np.abs(self.cum).max()
+        self._coef = np.ascontiguousarray(coef[: max(1, np.flatnonzero(kept).max(initial=0)) + 1])
 
     @property
     def lo(self) -> float:
@@ -130,19 +145,35 @@ class SmoothCumulative:
     def hi(self) -> float:
         return float(self.edges[-1])
 
-    def query(self, s):
+    def locate(self, s) -> Position:
+        """The ``Position`` of each point, for any table on the same edges.
+
+        Unsorted points are searched in sorted order, after one argsort: the
+        search walks the edges in order, and its result depends on the value
+        alone."""
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        sq = np.atleast_1d(s).astype(float)
+        sq = np.atleast_1d(s)
         if sq.size and (sq.min() < self.lo - 1e-12 or sq.max() > self.hi + 1e-12):
             raise ValueError(
                 f"query outside domain [{self.lo}, {self.hi}]: "
                 f"[{sq.min()}, {sq.max()}]"
             )
         sq = np.clip(sq, self.lo, self.hi)
-        idx = np.searchsorted(self.edges, sq, side="right") - 1
+        if np.all(sq[1:] >= sq[:-1]):
+            idx = np.searchsorted(self.edges, sq, side="right") - 1
+        else:
+            order = np.argsort(sq)
+            idx = np.empty(sq.size, dtype=np.intp)
+            idx[order] = np.searchsorted(self.edges, sq[order], side="right") - 1
         panel = np.minimum(idx, self.edges.size - 2)
         xi = (sq - self.edges[panel]) * self._inv_half[panel] - 1.0
+        return Position(self.edges, idx, panel, xi, sq == self.edges[idx], s.ndim == 0)
+
+    def read(self, position: Position):
+        """The cumulative at points located on this table's edges."""
+        if position.edges is not self.edges and not np.array_equal(position.edges, self.edges):
+            raise ValueError("position was located on other edges")
+        panel, xi = position.panel, position.xi
         # Clenshaw recurrence for the Legendre series of the partial integral,
         # from P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1)
         coef = self._coef
@@ -152,5 +183,9 @@ class SmoothCumulative:
         for k in range(order - 2, -1, -1):
             b2, b1 = b1, b0
             b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
-        out = self.cum[idx] + np.where(sq == self.edges[idx], 0.0, b0)
-        return float(out[0]) if scalar else out
+        out = self.cum[position.index] + np.where(position.on_edge, 0.0, b0)
+        return float(out[0]) if position.scalar else out
+
+    def query(self, s):
+        """``read(locate(s))``: the integral from the first edge to each ``s``."""
+        return self.read(self.locate(s))

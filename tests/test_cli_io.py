@@ -35,6 +35,38 @@ from lbrc.truth import ExponentialModel
 SPECIAL = [0.1 + 0.2, 5e-324, -0.0, 1e16, 1.0]
 
 
+def _full_width(text):
+    return text.translate({ord(c): 0xFF10 + int(c) for c in "0123456789"})
+
+
+# spellings of a field: float() reads each one, though not every value passes
+SPELLINGS = st.sampled_from([repr] * 16 + [
+    lambda x: f" {x!r} ",
+    lambda x: _full_width(repr(x)),
+    lambda x: "-0" if x == 0 else repr(x),
+    lambda x: "1_0",
+    lambda x: "1e400",
+    lambda x: "inf",
+    lambda x: "nan",
+])
+
+# one defect in one row; the byte-level ones are applied to the encoded file
+DEFECTS = {
+    "quoted": lambda row, cols: [f'"{f}"' for f in row],
+    "blank line": lambda row, cols: [],
+    "two fields": lambda row, cols: row[:2],
+    "four fields": lambda row, cols: row + ["1"],
+    "delta=2": lambda row, cols: [("2" if c == "delta" else f) for c, f in zip(cols, row)],
+    "y < a": lambda row, cols: [("-1.0" if c in "vy" else f) for c, f in zip(cols, row)],
+    "not a number": lambda row, cols: ["x" + f for f in row],
+    "long numeric field": lambda row, cols: ["0" * (csv.field_size_limit() + 1)] + row[1:],
+    "crlf": lambda row, cols: row,
+    "bom": lambda row, cols: row,
+    "latin-1": lambda row, cols: row,
+    "no final newline": lambda row, cols: row,
+}
+
+
 class TestParseDataset:
     def test_residual_schema(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -121,19 +153,20 @@ class TestParseDataset:
         # a written dataset is plain, so it takes the vectorized pass
         assert lbrc_io._parse_plain(p) is not None
 
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("defect", [None, *sorted(DEFECTS)])
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, data):
+    def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, defect, data):
         # the block-wise parse returns what the row reader returns, or falls
         # back to it, so every error keeps its row and column; with 2-line
-        # blocks a defect can land in any block
+        # blocks a defect can land in any block, and every defect is tried
+        # in every run
         cols = data.draw(st.permutations(["a", data.draw(st.sampled_from("vy")), "delta"]))
         rows = []
         for _ in range(data.draw(st.integers(1, 6))):
             a, v = (data.draw(st.floats(0, 50)) for _ in range(2))
             value = {"a": a, "v": v, "y": a + v, "delta": data.draw(st.sampled_from([0.0, 1.0]))}
             rows.append([data.draw(SPELLINGS)(value[c]) for c in cols])
-        defect = data.draw(st.sampled_from(sorted(DEFECTS) + [None] * 10))
         if defect:
             at = data.draw(st.integers(0, len(rows) - 1))
             rows[at] = DEFECTS[defect](rows[at], cols)
@@ -159,38 +192,6 @@ class TestParseDataset:
         for name in ("a", "v", "delta", "y"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and np.array_equal(g, w), name
-
-
-def _full_width(text):
-    return text.translate({ord(c): 0xFF10 + int(c) for c in "0123456789"})
-
-
-# spellings of a field: float() reads each one, though not every value passes
-SPELLINGS = st.sampled_from([repr] * 16 + [
-    lambda x: f" {x!r} ",
-    lambda x: _full_width(repr(x)),
-    lambda x: "-0" if x == 0 else repr(x),
-    lambda x: "1_0",
-    lambda x: "1e400",
-    lambda x: "inf",
-    lambda x: "nan",
-])
-
-# one defect in one row; the byte-level ones are applied to the encoded file
-DEFECTS = {
-    "quoted": lambda row, cols: [f'"{f}"' for f in row],
-    "blank line": lambda row, cols: [],
-    "two fields": lambda row, cols: row[:2],
-    "four fields": lambda row, cols: row + ["1"],
-    "delta=2": lambda row, cols: [("2" if c == "delta" else f) for c, f in zip(cols, row)],
-    "y < a": lambda row, cols: [("-1.0" if c in "vy" else f) for c, f in zip(cols, row)],
-    "not a number": lambda row, cols: ["x" + f for f in row],
-    "long numeric field": lambda row, cols: ["0" * (csv.field_size_limit() + 1)] + row[1:],
-    "crlf": lambda row, cols: row,
-    "bom": lambda row, cols: row,
-    "latin-1": lambda row, cols: row,
-    "no final newline": lambda row, cols: row,
-}
 
 
 class TestEstimateCommand:

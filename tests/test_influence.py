@@ -342,6 +342,19 @@ class TestAlgebraicIdentities:
         for key in ("mean_phi", "mean_psi1", "mean_psi2"):
             assert np.array_equal(got[key], want[key]), key
 
+    def test_pickled_context_keeps_its_chopped_series(self):
+        model = WeibullModel(censor_rate=0.5, shape=1.5)
+        ctx = make_oracle_context(model, model.default_grid())
+        copy = pickle.loads(pickle.dumps(ctx))
+        for table, back in zip(ctx.tables, copy.tables):
+            # degrees 0 to 11 at most: the chop survives the pickle
+            assert len(table._coef) <= 12
+            assert np.array_equal(back._coef, table._coef)
+        # the m, p and w tables still share one edges array, so one position
+        # serves all three
+        m_t, p_t, w_t = copy.tables
+        assert m_t.edges is p_t.edges is w_t.edges
+
     def test_want_takes_phi_or_both(self):
         ctx = make_oracle_context(MODEL, GRID)
         d = sample_lbrc(MODEL, 50, seed=3)
@@ -454,6 +467,23 @@ class TestOracleEvaluator:
         subject_influence(ctx, d.a, d.v, d.delta, GRID.points)
         assert len(built) == 1
         assert 0.0 < built[0][0] < min(d.a.min(), d.v[d.v > 0].min())
+
+    def test_locates_each_point_set_once_per_edge_set(self, monkeypatch):
+        # a, v, y and the times, once on the m, p and w edges and once on
+        # the anchored edges; every table reads a position located on its own
+        calls = []
+        locate = influence.SmoothCumulative.locate
+
+        def counted(table, s):
+            calls.append(table.edges)
+            return locate(table, s)
+
+        monkeypatch.setattr(influence.SmoothCumulative, "locate", counted)
+        d = sample_lbrc(MODEL, 300, seed=29)
+        CTX.tables
+        subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
+        assert len(calls) == 8
+        assert sum(edges is CTX.tables[0].edges for edges in calls) == 4
 
     def test_memory_bounded_by_block(self):
         # the (10, 1e5) outputs take 24 MB; evaluating all times at once held

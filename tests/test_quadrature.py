@@ -1,12 +1,14 @@
 """Cumulative tables against adaptive quadrature, plus the query contract."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import integrate
 
+from lbrc import influence, quadrature
 from lbrc.errors import ComputeError
 from lbrc.influence import _anchored_table, make_oracle_context
 from lbrc.quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
@@ -97,6 +99,7 @@ class TestQueryContract:
         assert self.table.query(self.table.hi) == self.table.cum[-1]
 
     @given(st.floats(1e-150, 1e150), st.floats(1e-150, 1e150), st.floats(1.01, 2.0))
+    @example(x=1.0000000000000001e-150, y=1e-150, ratio=2.0)
     def test_geometric_edges_end_exactly_at_hi(self, x, y, ratio):
         # the last edge is hi itself, so a query at hi is inside the domain
         # at every scale; lo * (hi / lo) rounds an ulp off hi for some pairs
@@ -127,3 +130,113 @@ class TestQueryContract:
         assert type(self.table.query(1.3)) is float
         assert type(self.table.query(np.float64(0.0))) is float
         assert self.table.query([1.3]).shape == (1,)
+
+
+def _full_coef(density, edges):
+    """The unchopped Legendre rows of a table, computed as its constructor does."""
+    _, vals = quadrature._node_values(density, edges)
+    half = 0.5 * np.diff(edges)
+    return ((half[:, None] * vals) @ quadrature._ANTIDERIVATIVE).T
+
+
+def _reference_query(table, coef, s):
+    """A table read over the Legendre rows ``coef``, as one call found its
+    points: one unsorted search, then the Clenshaw recurrence over every row."""
+    s = np.asarray(s, dtype=float)
+    sq = np.clip(np.atleast_1d(s), table.lo, table.hi)
+    idx = np.searchsorted(table.edges, sq, side="right") - 1
+    panel = np.minimum(idx, table.edges.size - 2)
+    xi = (sq - table.edges[panel]) * table._inv_half[panel] - 1.0
+    order = coef.shape[0] - 1
+    b1 = coef[order][panel]
+    b0 = coef[order - 1][panel] + (2 * order - 1) / order * xi * b1
+    for k in range(order - 2, -1, -1):
+        b2, b1 = b1, b0
+        b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
+    out = table.cum[idx] + np.where(sq == table.edges[idx], 0.0, b0)
+    return float(out[0]) if s.ndim == 0 else out
+
+
+CHOP_MODELS = {
+    "exponential": ExponentialModel(censor_rate=0.5, rate=1.0),
+    "weibull-1.5": WeibullModel(censor_rate=0.5, shape=1.5),
+    "weibull-2.5": WeibullModel(censor_rate=0.5, shape=2.5),
+    "weibull-0.7": WeibullModel(censor_rate=0.5, shape=0.7),
+}
+
+
+@pytest.fixture(scope="module", params=list(CHOP_MODELS))
+def recorded_tables(request):
+    """The m, p and w tables of a model's context, with their unchopped rows."""
+    built = []
+
+    class Recorded(SmoothCumulative):
+        def __init__(self, density, edges):
+            super().__init__(density, edges)
+            built.append((self, _full_coef(density, self.edges)))
+
+    model = CHOP_MODELS[request.param]
+    with mock.patch.object(influence, "SmoothCumulative", Recorded):
+        make_oracle_context(model, model.default_grid()).tables
+    return request.param, built
+
+
+class TestLocateRead:
+    table = TestQueryContract.table
+    full = _full_coef(lambda u: np.sqrt(u) * np.exp(-u), table.edges)
+    rng = np.random.default_rng(5)
+    POINTS = {
+        "sorted": np.sort(rng.uniform(0.0, 3.0, 500)),
+        "unsorted": rng.uniform(0.0, 3.0, 500),
+        "duplicates": np.repeat(rng.uniform(0.0, 3.0, 50), 4)[rng.permutation(200)],
+        "edges": table.edges[rng.permutation(table.edges.size)],
+        "ends": np.array([3.0, 0.0, 3.0 + 1e-13, -1e-13, 0.0, 3.0]),
+        "empty": np.array([]),
+        "scalar": np.float64(1.3),
+    }
+
+    @pytest.mark.parametrize("kind", list(POINTS))
+    def test_read_of_located_points_matches_unchopped_query(self, kind):
+        # the u^(1/2) density needs every degree, so nothing is chopped and
+        # locate-then-read is the one-search query to the bit
+        assert len(self.table._coef) == quadrature.NODES + 1
+        s = self.POINTS[kind]
+        got = self.table.read(self.table.locate(s))
+        want = _reference_query(self.table, self.full, s)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        assert np.array_equal(self.table.query(s), want)
+
+    def test_position_refused_on_other_edges(self):
+        other = SmoothCumulative(np.exp, np.linspace(0.0, 3.0, 41))
+        with pytest.raises(ValueError, match="other edges"):
+            other.read(self.table.locate([0.5, 1.5]))
+        same = SmoothCumulative(np.exp, self.table.edges.copy())
+        at = self.table.locate([0.5, 1.5])
+        assert np.array_equal(same.read(at), same.query([0.5, 1.5]))
+
+    def test_chopped_degrees(self, recorded_tables):
+        # smooth densities keep few terms, and the Weibull-0.7 ones, singular
+        # at the origin, keep them all: the rule is not tuned to the
+        # exponential tables
+        name, built = recorded_tables
+        degrees = [len(table._coef) - 1 for table, _ in built]
+        if name == "exponential":
+            assert max(degrees) <= 6
+        if name == "weibull-0.7":
+            assert max(degrees) == quadrature.NODES
+        for table, full in built:
+            kept = len(table._coef)
+            assert np.array_equal(table._coef, full[:kept])
+            dropped = np.abs(full[kept:])
+            assert np.all(dropped <= 2.0**-53 * np.abs(table.cum).max())
+
+    def test_chopped_reads_match_full_series(self, recorded_tables):
+        _, built = recorded_tables
+        s = np.random.default_rng(11).uniform(0.0, built[0][0].hi, 100_000)
+        s[:100] = built[0][0].edges[:100]
+        for table, full in built:
+            got = table.read(table.locate(s))
+            assert np.array_equal(got, _reference_query(table, full[: len(table._coef)], s))
+            err = np.abs(got - _reference_query(table, full, s)).max()
+            assert err <= 2e-15 * np.abs(table.cum).max()
