@@ -154,7 +154,7 @@ class TestParseDataset:
         assert lbrc_io._parse_plain(p) is not None
 
     @pytest.mark.parametrize("defect", [None, *sorted(DEFECTS)])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, defect, data):
         # the block-wise parse returns what the row reader returns, or falls
