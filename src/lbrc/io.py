@@ -5,11 +5,14 @@ written file parses back to bit-identical floats and identical inputs always
 produce byte-identical files.  Curve files carry '#'-prefixed metadata lines
 (estimator name, sample size, config hash) ahead of the header row.
 
-Readers and writers work in blocks of ``_ROW_BLOCK`` rows: a reader converts
-each block of lines into columns before it reads the next, and a writer
-formats a block of rows into one string and writes it.  Besides the numeric
-columns they hold one block of rows, whatever the length of the file, and a
-file's bytes do not depend on the block size.
+A data file is read by numpy's C parser (see ``_loadtxt``); the csv-module
+row reader reads what numpy does not accept, and names the bad row and
+column.  The row reader and the writers work in blocks of ``_ROW_BLOCK``
+rows: the row reader converts each block of rows into columns before it
+reads the next, and a writer formats a block of rows into one string and
+writes it.  Besides the numeric columns they hold one block of rows,
+whatever the length of the file, and a file's bytes do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import csv
 import hashlib
 import math
 import os
-from itertools import islice
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +43,7 @@ __all__ = [
 ]
 
 
-# rows that a reader converts, or a writer formats, at once
+# rows that the row reader converts, or a writer formats, at once
 _ROW_BLOCK = 2**13
 
 
@@ -98,59 +101,30 @@ def _schema(path, cells) -> tuple[bool, dict]:
     return "y" in cols, {name: cols.index(name) for name in cols}
 
 
-def _plain_fields(block: bytes, encoding: str) -> list[str] | None:
-    """The fields of a block of whole lines, or None unless it is plain.
+def _loadtxt(path: Path, uses_total: bool, pos: dict) -> Dataset | None:
+    """The observations as numpy's C parser reads them, or None.
 
-    Plain means UTF-8 text with no quote or carriage return, separators that
-    read ",,\n" on every line (three fields, no blank line), and no field
-    longer than the csv module's size limit.  The last newline of the file is
-    optional.
+    numpy reads LF, CRLF and quoted files alike, and gives every number it
+    accepts the double that ``float()`` gives.  The row reader decides the
+    rest, so its errors name the row and column: a file with a line longer
+    than the csv module's field size limit (numpy has no such limit), a
+    file numpy refuses or cannot decode, a result that is not three columns
+    or has no rows, and columns that ``Dataset`` refuses.
     """
-    if not block.endswith(b"\n"):
-        block += b"\n"
-    if b'"' in block or b"\r" in block:
-        return None
-    buf = np.frombuffer(block, dtype=np.uint8)
-    at = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    if buf[at].tobytes() != b",,\n" * (at.size // 3):
-        return None
-    # bytes between separators: at least the characters the csv module counts
-    if np.diff(at, prepend=-1).max() - 1 > csv.field_size_limit():
-        return None
-    try:
-        text = block.decode(encoding)
-    except UnicodeDecodeError:
-        return None
-    return text.replace("\n", ",").split(",")[:-1]
-
-
-def _parse_plain(path: Path) -> Dataset | None:
-    """Parse a plain CSV a block of lines at a time, or return None.
-
-    Every line must be plain (see ``_plain_fields``) and every value one
-    ``Dataset`` accepts.  Each block of ``_ROW_BLOCK`` lines is converted in
-    one vectorized pass, so only the columns grow with the file.  The row
-    reader decides everything else, so its errors name the row and column.
-    """
-    blocks = []
     with path.open("rb") as fh:
-        header = _plain_fields(fh.readline(), "utf-8-sig")
-        if header is None:
+        if max(map(len, fh)) > csv.field_size_limit():
             return None
-        while lines := list(islice(fh, _ROW_BLOCK)):
-            tokens = _plain_fields(b"".join(lines), "utf-8")
-            del lines
-            if tokens is None:
-                return None
-            try:
-                blocks.append(np.array(tokens, dtype=float).reshape(-1, 3).T)
-            except ValueError:
-                return None
-    if not blocks:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            cols = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=2,
+                encoding="utf-8-sig",
+            ).T
+    except ValueError:
         return None
-    uses_total, pos = _schema(path, header)
-    cols = np.concatenate(blocks, axis=1)
-    del blocks
+    if cols.shape[0] != 3:
+        return None
     a, dlt = cols[pos["a"]], cols[pos["delta"]]
     with np.errstate(over="ignore", invalid="ignore"):
         v = cols[pos["y"]] - a if uses_total else cols[pos["v"]]
@@ -163,17 +137,15 @@ def _parse_plain(path: Path) -> Dataset | None:
 def parse_dataset(path) -> Dataset:
     """Read observations from CSV with columns {a,v,delta} or {a,y,delta}.
 
-    A plain file is parsed in vectorized passes (see ``_parse_plain``);
-    anything else goes through the row reader, so a file gets the same
-    result or error whatever its line ends.  Rows violating the schema raise
-    with the offending row number and column.
+    numpy's parser reads the file once (see ``_loadtxt``); whatever it does
+    not accept, and a header that spans more than one line, goes through
+    the row reader, so a file gets the same result or error whatever its
+    line ends.  Rows violating the schema raise with the offending row
+    number and column.
     """
     path = Path(path)
     if not path.exists():
         raise InvalidDataError(f"no such file: {path}")
-    plain = _parse_plain(path)
-    if plain is not None:
-        return plain
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
         try:
@@ -183,6 +155,9 @@ def parse_dataset(path) -> Dataset:
         except csv.Error as exc:
             raise InvalidDataError(f"{path}: header: {exc}") from None
         uses_total, pos = _schema(path, header)
+        # numpy skips the header's first line, not its record
+        if reader.line_num == 1 and (parsed := _loadtxt(path, uses_total, pos)) is not None:
+            return parsed
 
         blocks, block = [], []
         for rownum, row in _records(reader, path):
@@ -298,6 +273,7 @@ def parse_rate_config(path) -> dict:
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     raw: dict[str, str] = {}
+    given_at: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -308,6 +284,11 @@ def parse_rate_config(path) -> dict:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}: unknown config key: {key}")
+        if key in given_at:
+            raise ConfigError(
+                f"{path}: config key {key} given twice: lines {given_at[key]} and {lineno}"
+            )
+        given_at[key] = lineno
         raw[key] = value.strip()
 
     for required in ("family", "sizes", "reps", "which", "seed"):

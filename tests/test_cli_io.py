@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -150,18 +151,19 @@ class TestParseDataset:
         assert np.array_equal(back.a, d.a)
         assert np.array_equal(back.v, d.v)
         assert np.array_equal(back.delta, d.delta)
-        # a written dataset is plain, so it takes the vectorized pass
-        assert lbrc_io._parse_plain(p) is not None
+        # numpy's parser reads a written dataset; the row reader is not needed
+        assert lbrc_io._loadtxt(p, False, {"a": 0, "v": 1, "delta": 2}) is not None
 
+    @pytest.mark.parametrize("schema", ["v", "y"])
     @pytest.mark.parametrize("defect", [None, *sorted(DEFECTS)])
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=15, deadline=None)
     @given(st.data())
-    def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, defect, data):
-        # the block-wise parse returns what the row reader returns, or falls
-        # back to it, so every error keeps its row and column; with 2-line
-        # blocks a defect can land in any block, and every defect is tried
-        # in every run
-        cols = data.draw(st.permutations(["a", data.draw(st.sampled_from("vy")), "delta"]))
+    def test_vectorized_pass_agrees_with_row_reader(self, tmp_path_factory, schema, defect, data):
+        # numpy's parse returns what the row reader returns, or hands the file
+        # to it, so every error keeps its row and column; the reference reads
+        # 2-row blocks, so a defect can land in any block, and every defect is
+        # tried in both schemas in every run
+        cols = data.draw(st.permutations(["a", schema, "delta"]))
         rows = []
         for _ in range(data.draw(st.integers(1, 6))):
             a, v = (data.draw(st.floats(0, 50)) for _ in range(2))
@@ -175,23 +177,63 @@ class TestParseDataset:
                "latin-1": raw + b"0.5,\xe9,1\n", "no final newline": raw[:-1]}.get(defect, raw)
         src = tmp_path_factory.mktemp("parse") / "d.csv"
         src.write_bytes(raw)
+        _assert_same(*_parse_both(src))
 
-        def outcome():
-            try:
-                return parse_dataset(src)
-            except InvalidDataError as exc:
-                return str(exc)
+    @pytest.mark.parametrize("body", [
+        "1.0,2.0\n0.5,1.0\n",
+        "1.0,2.0,1,1\n0.5,1.0,0,1\n",
+        "\n\n",
+        ",,\n,,\n",
+        "",
+        "1_0,2.0,1\n1_0,1.0,0\n",
+        _full_width("1.0,2.0,1\n0.5,1.0,0\n"),
+        "0" * 131_073 + ",1.0,1\n",
+        "0" * 131_073 + ",1.0,1\r\n",
+    ], ids=["two fields", "four fields", "blank lines", "empty fields", "header only",
+            "underscore", "full width", "long field", "long field crlf"])
+    def test_numpy_refusals_go_to_row_reader(self, tmp_path, body):
+        # numpy refuses each of these files, reads no sample from it, or is
+        # not tried on a line over the csv module's field size limit; the row
+        # reader gives the verdict, and no warning is raised
+        src = tmp_path / "d.csv"
+        src.write_bytes(b"a,v,delta\n" + body.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lbrc_io._loadtxt(src, False, {"a": 0, "v": 1, "delta": 2}) is None
+            _assert_same(*_parse_both(src))
 
-        with mock.patch.object(lbrc_io, "_ROW_BLOCK", 2):
-            got = outcome()
-        with mock.patch.object(lbrc_io, "_parse_plain", return_value=None):
-            want = outcome()
-        if isinstance(want, str) or isinstance(got, str):
-            assert got == want
-            return
-        for name in ("a", "v", "delta", "y"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert g.dtype == w.dtype and np.array_equal(g, w), name
+    def test_header_over_two_lines_goes_to_row_reader(self, tmp_path):
+        # numpy skips a line, not a record: after the header's first line it
+        # would read '"\n1"' as the number 1, which the row reader refuses
+        src = tmp_path / "d.csv"
+        src.write_text('v,delta,"a\n"\n1",1,2\n')
+        got, want = _parse_both(src)
+        assert got == want == f"{src}: row 1: column 'v': not a number: '1\"'"
+
+
+def _parse_both(src):
+    """parse_dataset's outcome, and the row reader's with 2-row blocks: the
+    Dataset or the error message."""
+
+    def outcome():
+        try:
+            return parse_dataset(src)
+        except InvalidDataError as exc:
+            return str(exc)
+
+    got = outcome()
+    with mock.patch.object(lbrc_io, "_loadtxt", return_value=None), \
+            mock.patch.object(lbrc_io, "_ROW_BLOCK", 2):
+        return got, outcome()
+
+
+def _assert_same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name in ("a", "v", "delta", "y"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 class TestEstimateCommand:
@@ -509,6 +551,19 @@ class TestRateExperimentCommand:
         assert capsys.readouterr().err == f"error: threads must be >= 1, got {bad}\n"
         assert not (tmp_path / "r.csv").exists()
 
+    def test_key_given_twice_exits_one(self, tmp_path, capsys):
+        # the second seed would silently win, and the config hash would hide the first
+        cfg = tmp_path / "exp.cfg"
+        write_config(cfg)
+        lines = cfg.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines, start=1) if line.startswith("seed="))
+        cfg.write_text("".join(lines) + "# again\nSeed = 2\n")
+        assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg}: config key seed given twice: "
+                       f"lines {first} and {len(lines) + 2}\n")
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         write_config(cfg, seed=None)
@@ -640,9 +695,9 @@ def _floats(rng, n, low=0.0):
 
 
 class TestRowBlocks:
-    # the writers write the bytes of the one-shot reference, and the plain
-    # reader reads what the row reader reads, wherever the rows end relative
-    # to a block
+    # the writers write the bytes of the one-shot reference, and numpy's
+    # parse reads what the row reader reads, wherever the rows end relative
+    # to a block of the writer or the row reader
     @staticmethod
     def sizes(block):
         return sorted({1, block - 1, block, block + 1} - {0})
@@ -677,8 +732,10 @@ class TestRowBlocks:
                 assert got.read_bytes() == want.read_bytes(), ("rate report", n, sizes)
 
     @pytest.mark.parametrize("block", [1, 2, 7, lbrc_io._ROW_BLOCK])
-    @pytest.mark.parametrize("form", ["final newline", "no final newline", "byte-order mark"])
-    def test_plain_reader_matches_row_reader(self, tmp_path, monkeypatch, block, form):
+    @pytest.mark.parametrize(
+        "form", ["final newline", "no final newline", "byte-order mark", "crlf", "quoted"]
+    )
+    def test_numpy_parse_matches_row_reader(self, tmp_path, monkeypatch, block, form):
         monkeypatch.setattr(lbrc_io, "_ROW_BLOCK", block)
         rng = np.random.default_rng(block)
         path = tmp_path / "d.csv"
@@ -687,10 +744,12 @@ class TestRowBlocks:
             write_dataset_csv(path, d)
             raw = path.read_bytes()
             path.write_bytes({"no final newline": raw[:-1],
-                              "byte-order mark": b"\xef\xbb\xbf" + raw}.get(form, raw))
-            got = lbrc_io._parse_plain(path)
+                              "byte-order mark": b"\xef\xbb\xbf" + raw,
+                              "crlf": raw.replace(b"\n", b"\r\n"),
+                              "quoted": re.sub(rb"[^,\n]+", rb'"\g<0>"', raw)}.get(form, raw))
+            got = lbrc_io._loadtxt(path, False, {"a": 0, "v": 1, "delta": 2})
             assert got is not None
-            with mock.patch.object(lbrc_io, "_parse_plain", return_value=None):
+            with mock.patch.object(lbrc_io, "_loadtxt", return_value=None):
                 want = parse_dataset(path)
             for name in ("a", "v", "delta", "y"):
                 g, w = getattr(got, name), getattr(want, name)

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import oracles
@@ -660,6 +661,28 @@ class TestPluginVariance:
     def test_nonnegative_over_grid(self):
         d = sample_lbrc(MODEL, 300, seed=8)
         assert np.all(plugin_variance(make_plugin_context(d, GRID)) >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nonnegative_and_zero_where_the_cdf_is_one(self, data):
+        # small samples full of ties: shared entry, residual and total times,
+        # samples whose rows are all one event, and n = 1
+        n = data.draw(st.integers(1, 40))
+        times = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+        if data.draw(st.booleans()):
+            a, v = data.draw(times), data.draw(times)
+            d = Dataset([a] * n, [v] * n, [1] * n)
+        else:
+            rows = st.tuples(times, times, st.sampled_from([0, 1]))
+            d = Dataset(*zip(*data.draw(st.lists(rows, min_size=n, max_size=n))))
+        # every positive total time, and a point past the last one
+        grid = EvalGrid.of_points(np.union1d(d.y[d.y > 0], d.y.max() + 1.0))
+        ctx = make_plugin_context(d, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            var = plugin_variance(ctx)
+        assert np.all(var >= 0)
+        assert np.all(var[ctx.curves.cdf.at(grid.points) == 1.0] == 0.0)
 
     def test_matches_finite_difference_derivative(self):
         # n * plugin_variance is the variance over subjects of the derivative
