@@ -75,7 +75,13 @@ from .data import Dataset
 from .empirical import build_empirical, counts_at
 from .errors import ComputeError, WindowError
 from .estimators import FittedCurves, _hazard_steps, fit
-from .quadrature import SmoothCumulative, geometric_edges, origin_graded_edges, panel_integrals
+from .quadrature import (
+    SmoothCumulative,
+    geometric_edges,
+    node_points,
+    origin_graded_edges,
+    panel_integrals,
+)
 from .stepfun import EvalGrid
 from .truth import TruthModel
 
@@ -111,10 +117,11 @@ class OracleContext:
     """Oracle mode: influence values against a known population.
 
     ``model`` supplies the population functions ``risk``, ``entry_survival``,
-    ``pooled_at_risk``, ``entry_cdf``, ``influence_weight``, ``pooled_density``
-    and ``event_subdist_density``; every ``TruthModel`` has them, and the
-    representation residuals take only a ``TruthModel``.  The evaluation
-    window is the grid's [lower, b] span.
+    ``pooled_at_risk``, ``entry_cdf``, ``entry_terms`` (the previous three
+    from one entry-survival evaluation, for the tables), ``influence_weight``,
+    ``pooled_density`` and ``event_subdist_density``; every ``TruthModel`` has
+    them, and the representation residuals take only a ``TruthModel``.  The
+    evaluation window is the grid's [lower, b] span.
     """
 
     model: TruthModel
@@ -126,26 +133,25 @@ class OracleContext:
 
         ``m`` integrates the pooled density over the squared pooled at-risk
         function, ``p`` the influence weight ``rho`` times ``1 - S_A``, and
-        ``w`` the product ``rho S_A m``.
+        ``w`` the product ``rho S_A m``.  The three share their edges, and the
+        population is evaluated once at their nodes.
         """
         model = self.model
         edges = origin_graded_edges(self.grid.b, _TABLE_PANELS)
-        m_table = SmoothCumulative(
-            lambda u: np.asarray(model.pooled_density(u), dtype=float)
-            / np.asarray(model.pooled_at_risk(u), dtype=float) ** 2,
-            edges,
-        )
-        p_table = SmoothCumulative(
-            lambda u: np.asarray(model.influence_weight(u), dtype=float)
-            * np.asarray(model.entry_cdf(u), dtype=float),
-            edges,
-        )
-        w_table = SmoothCumulative(
-            lambda u: np.asarray(model.influence_weight(u), dtype=float)
-            * np.asarray(model.entry_survival(u), dtype=float)
-            * m_table.query(u),
-            edges,
-        )
+        u = node_points(edges).ravel()
+        with np.errstate(all="ignore"):
+            s_a, f_a, k = (np.asarray(x, dtype=float) for x in model.entry_terms(u))
+            m_table = SmoothCumulative.from_node_values(
+                edges, np.asarray(model.pooled_density(u), dtype=float) / k**2
+            )
+            del k
+            rho = np.asarray(model.influence_weight(u), dtype=float)
+            p_table = SmoothCumulative.from_node_values(edges, rho * f_a)
+            # each node array is freed once read, so the m read at the nodes,
+            # the peak of the build, holds only u and rho S_A beside it
+            rho_s_a = rho * s_a
+            del s_a, f_a, rho
+            w_table = SmoothCumulative.from_node_values(edges, rho_s_a * m_table.query(u))
         return m_table, p_table, w_table
 
 
@@ -327,7 +333,9 @@ def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     v = np.asarray(v, dtype=float).reshape(-1)
     delta = np.asarray(delta).reshape(-1).astype(float)
     times = np.asarray(times, dtype=float).reshape(-1)
-    if times.size and times.max() > ctx.grid.b + 1e-12:
+    # a slack relative to b, so that a power-of-two change of time unit
+    # scales it exactly
+    if times.size and times.max() > ctx.grid.b + 1e-12 * ctx.grid.b:
         raise ValueError("evaluation time beyond the context window")
     if isinstance(ctx, OracleContext):
         return _oracle_subject_influence(ctx, a, v, delta, times)

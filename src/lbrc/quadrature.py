@@ -5,10 +5,13 @@ diagnostic of ``influence`` use it, and the truth models need none.
 Integrands here are smooth between a known set of breakpoints, so composite
 fixed-order Gauss-Legendre on panels is effectively exact.  The cumulative
 helper evaluates the density once, at the nodes of every panel, when it is
-built.  It stores the panel sums at the edges and, per panel, the Legendre
-coefficients of the antiderivative of the polynomial that interpolates the
-density at those nodes; an interior query is then a lookup plus one
-polynomial evaluation, with no further density call.  Each series is chopped
+built, or takes the values there (``SmoothCumulative.from_node_values``), so
+tables on the same edges can share one evaluation of the functions their
+densities have in common at ``node_points``.  It stores the panel sums at the
+edges and, per panel, the Legendre coefficients of the antiderivative of the
+polynomial that interpolates the density at those nodes; an interior query
+is then a lookup plus one polynomial evaluation, with no further density
+call.  Each series is chopped
 when its table is built (Aurentz and Trefethen, ACM TOMS 43, 2017), and
 tables on the same edges share one ``locate`` of a point set.  A table whose
 sums, coefficients or inverse panel widths overflow a float raises
@@ -24,6 +27,7 @@ import numpy as np
 from .errors import ComputeError
 
 __all__ = [
+    "node_points",
     "panel_integrals",
     "SmoothCumulative",
     "Position",
@@ -39,14 +43,23 @@ NODES = 15
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(NODES)
 
 
+def node_points(edges: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre nodes of each panel of ``edges``, shape
+    ``(n_panels, NODES)``: where every table and panel sum on those edges
+    reads its density."""
+    edges = np.asarray(edges, dtype=float)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return mid[:, None] + half[:, None] * _GL_X[None, :]
+
+
 def _node_values(density, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre weights of each panel of ``edges``, and ``density`` at
     its nodes, both of shape ``(n_panels, NODES)``."""
     edges = np.asarray(edges, dtype=float)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = mid[:, None] + half[:, None] * _GL_X[None, :]
+    x = node_points(edges)
     vals = np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
+    half = 0.5 * (edges[1:] - edges[:-1])
     return half[:, None] * _GL_W[None, :], vals
 
 
@@ -98,6 +111,13 @@ def _antiderivative_matrix() -> np.ndarray:
 _ANTIDERIVATIVE = _antiderivative_matrix()
 
 
+def _strict_edges(edges) -> np.ndarray:
+    edges = np.asarray(edges, dtype=float)
+    if edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValueError("edges must be strictly increasing with >= 2 entries")
+    return edges
+
+
 # points on a table's edges: the last edge at or below each point, its panel
 # (the last one at hi), its coordinate on that panel in [-1, 1], and the mask
 # of points on an edge
@@ -120,13 +140,26 @@ class SmoothCumulative:
     nodes = NODES
 
     def __init__(self, density, edges):
-        self.edges = np.asarray(edges, dtype=float)
-        if self.edges.size < 2 or not np.all(np.diff(self.edges) > 0):
-            raise ValueError("edges must be strictly increasing with >= 2 entries")
+        edges = _strict_edges(edges)
         with np.errstate(all="ignore"):
-            w, vals = _node_values(density, self.edges)
+            values = density(node_points(edges).ravel())
+        self._build(edges, values)
+
+    @classmethod
+    def from_node_values(cls, edges, values) -> SmoothCumulative:
+        """The table of a density given by its values at ``node_points(edges)``,
+        in any shape with as many entries, as ``cls(density, edges)`` builds it."""
+        table = cls.__new__(cls)
+        table._build(_strict_edges(edges), values)
+        return table
+
+    def _build(self, edges: np.ndarray, values):
+        self.edges = edges
+        with np.errstate(all="ignore"):
+            half = 0.5 * np.diff(edges)
+            vals = np.asarray(values, dtype=float).reshape(half.size, NODES)
+            w = half[:, None] * _GL_W[None, :]
             self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
-            half = 0.5 * np.diff(self.edges)
             # (coefficient, panel): each read gathers one row per coefficient
             coef = ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
             self._inv_half = 1.0 / half
@@ -153,7 +186,10 @@ class SmoothCumulative:
         alone."""
         s = np.asarray(s, dtype=float)
         sq = np.atleast_1d(s)
-        if sq.size and (sq.min() < self.lo - 1e-12 or sq.max() > self.hi + 1e-12):
+        # the slack scales with the domain, so a power-of-two change of time
+        # unit scales it exactly
+        slack = 1e-12 * max(abs(self.lo), abs(self.hi))
+        if sq.size and (sq.min() < self.lo - slack or sq.max() > self.hi + slack):
             raise ValueError(
                 f"query outside domain [{self.lo}, {self.hi}]: "
                 f"[{sq.min()}, {sq.max()}]"

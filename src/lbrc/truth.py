@@ -76,7 +76,17 @@ class TruthModel:
 
     # -- generic population functions ------------------------------------
     def entry_cdf(self, t):
-        return 1.0 - self.entry_survival(t)
+        return self._entry_cdf_given(t, self.entry_survival(t))
+
+    def _entry_cdf_given(self, t, s_a):
+        """``entry_cdf(t)``, given ``s_a = entry_survival(t)``."""
+        return 1.0 - s_a
+
+    def entry_terms(self, t):
+        """``entry_survival``, ``entry_cdf`` and ``pooled_at_risk`` at t, from
+        one evaluation of the entry survival."""
+        s_a = self.entry_survival(t)
+        return s_a, self._entry_cdf_given(t, s_a), self._pooled_at_risk_given(t, s_a)
 
     def entry_cumhaz(self, t):
         t = np.asarray(t, dtype=float)
@@ -105,7 +115,10 @@ class TruthModel:
         return self.survival(t) * self.wc(t) / self.mu
 
     def pooled_at_risk(self, t):
-        return self.entry_survival(t) * (1.0 + self.censor_survival(t))
+        return self._pooled_at_risk_given(t, self.entry_survival(t))
+
+    def _pooled_at_risk_given(self, t, s_a):
+        return s_a * (1.0 + self.censor_survival(t))
 
     def pooled_density(self, t):
         return self.survival(t) * (1.0 + self.censor_survival(t)) / self.mu
@@ -203,6 +216,9 @@ class ExponentialModel(TruthModel):
 
     def entry_cdf(self, t):
         return self.cdf(t)
+
+    def _entry_cdf_given(self, t, s_a):
+        return self.entry_cdf(t)
 
     def entry_cumhaz(self, t):
         return self.cumhaz(t)

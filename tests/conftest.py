@@ -10,15 +10,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def table_builds(monkeypatch):
     """``table_builds(module)`` records the edges of every ``SmoothCumulative``
-    that ``module`` builds from then on, in the returned list."""
+    that ``module`` builds from then on, from a density or from its node
+    values, in the returned list."""
 
     def patch(module):
         built = []
 
         class Counted(module.SmoothCumulative):
-            def __init__(self, density, edges):
+            def _build(self, edges, values):
                 built.append(edges)
-                super().__init__(density, edges)
+                super()._build(edges, values)
 
         monkeypatch.setattr(module, "SmoothCumulative", Counted)
         return built

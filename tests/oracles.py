@@ -6,9 +6,12 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-Four helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
+Five helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
-against small hand-made populations.  ``oracle_subject_influence_loop``
+against small hand-made populations.  ``oracle_tables_three_builds`` builds
+an oracle context's tables one density at a time, the reference for the
+tables built from one evaluation of the population.
+``oracle_subject_influence_loop``
 evaluates the oracle influence values one time at a time from the context's
 tables, the reference for the package's shared evaluator.
 ``plugin_subject_influence_rowwise``
@@ -241,6 +244,9 @@ class FunctionPopulation:
     def entry_cdf(self, u):
         return 1.0 - np.asarray(self.s_a_fn(u), dtype=float)
 
+    def entry_terms(self, u):
+        return self.entry_survival(u), self.entry_cdf(u), self.pooled_at_risk(u)
+
     def influence_weight(self, u):
         r = np.asarray(self.r_fn(u), dtype=float)
         return np.asarray(self.fu_density(u), dtype=float) / r**2
@@ -317,6 +323,34 @@ def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain):
         t6 = inv_k_v * (pref_ws[kt] - pref_ws[jv_t])
         psi2[j] = t1 + t2 - (t3 + t4) + t5 + t6
     return phi, psi1, psi2
+
+
+def oracle_tables_three_builds(ctx):
+    """The m, p and w tables of an oracle context, each built from its own
+    density on the context's edges, so the population is evaluated once per
+    table: the reference for ``OracleContext.tables``."""
+    from lbrc.influence import _TABLE_PANELS
+    from lbrc.quadrature import SmoothCumulative, origin_graded_edges
+
+    model = ctx.model
+    edges = origin_graded_edges(ctx.grid.b, _TABLE_PANELS)
+    m_table = SmoothCumulative(
+        lambda u: np.asarray(model.pooled_density(u), dtype=float)
+        / np.asarray(model.pooled_at_risk(u), dtype=float) ** 2,
+        edges,
+    )
+    p_table = SmoothCumulative(
+        lambda u: np.asarray(model.influence_weight(u), dtype=float)
+        * np.asarray(model.entry_cdf(u), dtype=float),
+        edges,
+    )
+    w_table = SmoothCumulative(
+        lambda u: np.asarray(model.influence_weight(u), dtype=float)
+        * np.asarray(model.entry_survival(u), dtype=float)
+        * m_table.query(u),
+        edges,
+    )
+    return m_table, p_table, w_table
 
 
 def oracle_subject_influence_loop(ctx, a, v, delta, times):

@@ -479,9 +479,10 @@ class TestOracleEvaluator:
             calls.append(table.edges)
             return locate(table, s)
 
+        # built first: the w table's build reads the m table at its nodes
+        CTX.tables
         monkeypatch.setattr(influence.SmoothCumulative, "locate", counted)
         d = sample_lbrc(MODEL, 300, seed=29)
-        CTX.tables
         subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
         assert len(calls) == 8
         assert sum(edges is CTX.tables[0].edges for edges in calls) == 4
@@ -500,6 +501,55 @@ class TestOracleEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < 45e6
+
+
+class TestSharedNodeTables:
+    """The m, p and w tables from one evaluation of the population at their
+    shared nodes, against one build per table."""
+
+    POPULATIONS = {
+        "exponential": ExponentialModel(rate=1.0),
+        "exponential-censored": MODEL,
+        "exponential-1e-4": ExponentialModel(rate=1e-4),
+        "exponential-1e-4-censored": ExponentialModel(censor_rate=0.5e-4, rate=1e-4),
+        "weibull-0.7": WeibullModel(censor_rate=0.5, shape=0.7),
+        "weibull-1.5": WeibullModel(censor_rate=0.5, shape=1.5),
+        "weibull-2.5": WeibullModel(censor_rate=0.5, shape=2.5),
+        "upper-half": upper_half_context,
+        "unit-risk-uniform": unit_risk_uniform_context,
+    }
+
+    @pytest.mark.parametrize("name", list(POPULATIONS))
+    def test_tables_bit_identical_to_one_build_per_table(self, name):
+        population = self.POPULATIONS[name]
+        if callable(population):
+            ctx = population()
+        else:
+            ctx = make_oracle_context(population, population.default_grid())
+        want = oracles.oracle_tables_three_builds(ctx)
+        for label, got, ref in zip("mpw", ctx.tables, want):
+            assert np.array_equal(got.edges, ref.edges), label
+            assert np.array_equal(got.cum, ref.cum), label
+            assert np.array_equal(got._coef, ref._coef), label
+
+    def test_entry_survival_evaluated_once_per_node(self, monkeypatch):
+        # counted on the class, so the reads inside pooled_at_risk and
+        # entry_cdf count too; 1620 panels of 15 nodes
+        points = []
+        entry_survival = WeibullModel.entry_survival
+
+        def counted(model, t):
+            points.append(np.size(t))
+            return entry_survival(model, t)
+
+        monkeypatch.setattr(WeibullModel, "entry_survival", counted)
+        model = WeibullModel(censor_rate=0.5, shape=1.5)
+        ctx = make_oracle_context(model, model.default_grid())
+        ctx.tables
+        assert sum(points) == 24_300
+        points.clear()
+        oracles.oracle_tables_three_builds(ctx)
+        assert sum(points) == 3 * 24_300
 
 
 class TestMeanZero:
@@ -953,6 +1003,24 @@ class TestErrorPaths:
     def test_time_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             subject_influence(CTX, [0.5], [1.0], [1], [GRID.b + 1.0])
+
+    def test_window_slack_scales_with_the_time_unit(self):
+        # at a 2^-60 unit an absolute slack of 1e-12 spans some 1e6 windows,
+        # and the clipped reads of a time beyond b are those at b
+        unit = 2.0**-60
+        model = ExponentialModel(censor_rate=0.5 / unit, rate=1.0 / unit)
+        ctx = make_oracle_context(model, model.default_grid())
+        b = ctx.grid.b
+        with pytest.raises(ValueError, match="beyond the context window"):
+            subject_influence(ctx, [0.5 * b], [0.25 * b], [1], [2.0 * b])
+        for table in ctx.tables:
+            with pytest.raises(ValueError, match="outside domain"):
+                table.query(2.0 * b)
+            with pytest.raises(ValueError, match="outside domain"):
+                table.query(-0.5 * b)
+            assert table.query(b) == table.cum[-1]
+        phi, _, _ = subject_influence(ctx, [0.5 * b], [0.25 * b], [1], [b])
+        assert np.isfinite(phi).all()
 
     def test_plugin_rejects_points_outside_the_sample(self):
         d = sample_lbrc(MODEL, 50, seed=4)

@@ -134,8 +134,13 @@ class TestQueryContract:
 
 def _full_coef(density, edges):
     """The unchopped Legendre rows of a table, computed as its constructor does."""
-    _, vals = quadrature._node_values(density, edges)
+    return _full_coef_of_values(quadrature._node_values(density, edges)[1], edges)
+
+
+def _full_coef_of_values(values, edges):
+    """The unchopped Legendre rows of a table with density ``values`` at its nodes."""
     half = 0.5 * np.diff(edges)
+    vals = np.asarray(values, dtype=float).reshape(half.size, quadrature.NODES)
     return ((half[:, None] * vals) @ quadrature._ANTIDERIVATIVE).T
 
 
@@ -171,9 +176,9 @@ def recorded_tables(request):
     built = []
 
     class Recorded(SmoothCumulative):
-        def __init__(self, density, edges):
-            super().__init__(density, edges)
-            built.append((self, _full_coef(density, self.edges)))
+        def _build(self, edges, values):
+            super()._build(edges, values)
+            built.append((self, _full_coef_of_values(values, edges)))
 
     model = CHOP_MODELS[request.param]
     with mock.patch.object(influence, "SmoothCumulative", Recorded):

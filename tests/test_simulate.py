@@ -135,24 +135,28 @@ class TestRateExperiment:
         assert rep1.slope < 0
 
     @pytest.mark.parametrize(
-        "which, reps, threads",
-        [("Lemma33", 50, 2), ("Rn2", 50, 2), ("Rn2", 53, 3)],
-        ids=["Lemma33", "Rn2", "Rn2-reps53-threads3"],
+        "which, reps, threads, model",
+        [
+            ("Lemma33", 50, 2, MODEL),
+            ("Rn2", 50, 2, MODEL),
+            ("Rn2", 53, 3, MODEL),
+            ("Rn2", 50, 2, WeibullModel(censor_rate=0.5, shape=1.5)),
+        ],
+        ids=["Lemma33", "Rn2", "Rn2-reps53-threads3", "Rn2-weibull-1.5"],
     )
-    def test_threads_do_not_change_results(self, which, reps, threads):
+    def test_threads_do_not_change_results(self, which, reps, threads, model):
         # Rn2 reads the oracle tables, so its pool workers use shipped ones;
         # 53 replications in interleaved tasks leave the tasks uneven
-        serial = rate_experiment(MODEL, [60, 120], reps, which, self.GRID, seed=5)
-        parallel = rate_experiment(
-            MODEL, [60, 120], reps, which, self.GRID, seed=5, threads=threads
-        )
+        grid = model.default_grid(count=8)
+        serial = rate_experiment(model, [60, 120], reps, which, grid, seed=5)
+        parallel = rate_experiment(model, [60, 120], reps, which, grid, seed=5, threads=threads)
         assert np.array_equal(serial.sup_residuals, parallel.sup_residuals)
         if which == "Rn2":
             # the last replication sits in its own column
             seed_seq = np.random.SeedSequence(5, spawn_key=(1, reps - 1))
-            d = sample_lbrc(MODEL, 120, seed_seq)
-            ctx = make_oracle_context(MODEL, self.GRID)
-            sup = residual_cdf(d, ctx, self.GRID, fit(d)).residual_sup
+            d = sample_lbrc(model, 120, seed_seq)
+            ctx = make_oracle_context(model, grid)
+            sup = residual_cdf(d, ctx, grid, fit(d)).residual_sup
             assert parallel.sup_residuals[1, reps - 1] == sup
 
     @pytest.mark.parametrize("threads", [0, -3])
