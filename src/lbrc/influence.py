@@ -770,12 +770,15 @@ def assumption3_diagnostic(ctx: OracleContext, b: float) -> float:
     if b <= lower:
         raise ValueError("b must exceed the window's lower edge")
     model = ctx.model
-    val = float(
-        panel_integrals(
-            lambda u: model.event_subdist_density(u) / model.risk(u) ** 3,
-            geometric_edges(lower, b, ratio=1.12),
-        ).sum()
-    )
+    # an integrand that leaves the float range makes the sum inf or NaN,
+    # which the cap check below refuses
+    with np.errstate(all="ignore"):
+        val = float(
+            panel_integrals(
+                lambda u: model.event_subdist_density(u) / model.risk(u) ** 3,
+                geometric_edges(lower, b, ratio=1.12),
+            ).sum()
+        )
     if not np.isfinite(val) or val > DIVERGENCE_CAP:
         raise WindowError(
             f"window diagnostic {val:.6g} exceeds cap {DIVERGENCE_CAP:.6g}; "

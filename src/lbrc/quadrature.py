@@ -35,8 +35,10 @@ __all__ = [
     "geometric_edges",
 ]
 
-# halvings of the first uniform panel in ``origin_graded_edges``
+# halvings of the first uniform panel in ``origin_graded_edges``, and the
+# least graded edge: above it, nodes and their reciprocals are normal floats
 _ORIGIN_HALVINGS = 20
+_GRADED_FLOOR = 2.0**12 * np.finfo(float).tiny
 
 # Gauss-Legendre order of every panel, and the rule on [-1, 1]
 NODES = 15
@@ -74,11 +76,13 @@ def origin_graded_edges(hi: float, panels: int) -> np.ndarray:
 
     The first uniform panel is split geometrically a fixed number of times,
     so an integrand that behaves like a fractional power of u at the origin
-    is interpolated on a panel of width ``hi / panels / 2**20`` only.
+    is interpolated on a panel of width ``hi / panels / 2**20`` only.  The
+    halving stops before an edge falls below ``2**12`` times the smallest
+    normal float, which only a ``hi`` below about 1e-290 reaches.
     """
     uniform = np.linspace(0.0, hi, panels + 1)
     graded = uniform[1] * 0.5 ** np.arange(_ORIGIN_HALVINGS, 0, -1)
-    return np.concatenate(([0.0], graded, uniform[1:]))
+    return np.concatenate(([0.0], graded[graded >= _GRADED_FLOOR], uniform[1:]))
 
 
 def geometric_edges(lo: float, hi: float, ratio: float) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Analytic population models for stationary length-biased sampling.
 
+Each lifetime family is given by its cumulative hazard Λ, its hazard h and
+the inverse of Λ; ``TruthModel`` derives the survival ``exp(-Λ)``, the CDF
+``-expm1(-Λ)``, the density ``h exp(-Λ)`` and the quantile
+``Λ⁻¹(-log1p(-p))`` from them, once for every family.
+
 Under a constant disease-onset rate, the sampled subject's lifetime is a
 length-biased draw from the underlying lifetime distribution, the entry delay
 is uniform on (0, lifetime), and the entry delay and the residual lifetime
@@ -19,13 +24,15 @@ either not entered yet or is still at risk, so the observed exit time has
 ``P(Y > t) = S_A(t) + r(t)`` and ``exit_cdf = entry_cdf - risk`` for every
 family.
 
-scipy is imported inside the methods that call it (the incomplete gamma
-functions and ``brentq``), so importing this module, and the package, loads
-no scipy.
+Every elementwise function takes a scalar or an array and returns a float for
+a scalar.  scipy is imported inside the methods that call it (the incomplete
+gamma functions and ``brentq``), so importing this module, and the package,
+loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -37,9 +44,31 @@ from .stepfun import EvalGrid
 __all__ = ["TruthModel", "ExponentialModel", "WeibullModel", "FAMILIES", "make_model"]
 
 
+def _elementwise(method):
+    """A method of one argument, given it as a float array; a 0-d result
+    comes back as a Python float."""
+
+    @functools.wraps(method)
+    def wrapped(self, t):
+        out = method(self, np.asarray(t, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    return wrapped
+
+
 @dataclass(frozen=True)
 class TruthModel:
-    """Shared machinery; subclasses provide the lifetime family."""
+    """Shared machinery for a lifetime family with exponential censoring.
+
+    A family supplies its fields and their validation, and:
+
+    * ``mu``, the mean lifetime;
+    * ``cumhaz(t)``, the cumulative hazard Λ;
+    * ``_hazard(t)``, the hazard h, which is 0 off the support;
+    * ``_inverse_cumhaz(x)``, Λ⁻¹;
+    * ``lb_quantile(p)``, the quantile of the length-biased lifetime;
+    * ``entry_survival(t)``, the survival S_A of the entry delay.
+    """
 
     censor_rate: float | None = None
 
@@ -53,26 +82,26 @@ class TruthModel:
                 lc = None
             object.__setattr__(self, "censor_rate", lc)
 
-    # -- lifetime family interface, with closed-form ``cdf`` and ``cumhaz`` --
-    @property
-    def mu(self) -> float:
-        raise NotImplementedError
-
+    # -- the lifetime functions, from the family's cumulative hazard ------
+    @_elementwise
     def survival(self, t):
-        raise NotImplementedError
+        return np.exp(-self.cumhaz(t))
 
+    @_elementwise
+    def cdf(self, t):
+        return -np.expm1(-self.cumhaz(t))
+
+    @_elementwise
     def density(self, t):
-        raise NotImplementedError
+        # 0 where h is, whether or not Λ is defined there (a Weibull Λ is
+        # NaN below 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = self._hazard(t)
+            return np.where(h > 0, h * np.exp(-self.cumhaz(t)), 0.0)
 
+    @_elementwise
     def quantile(self, p):
-        raise NotImplementedError
-
-    def lb_quantile(self, p):
-        """Quantile of the length-biased lifetime distribution."""
-        raise NotImplementedError
-
-    def entry_survival(self, t):
-        raise NotImplementedError
+        return self._inverse_cumhaz(-np.log1p(-p))
 
     # -- generic population functions ------------------------------------
     def entry_cdf(self, t):
@@ -88,28 +117,23 @@ class TruthModel:
         s_a = self.entry_survival(t)
         return s_a, self._entry_cdf_given(t, s_a), self._pooled_at_risk_given(t, s_a)
 
+    @_elementwise
     def entry_cumhaz(self, t):
-        t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
-            out = -np.log(self.entry_survival(t))
-        return out if out.ndim else float(out)
+            return -np.log(self.entry_survival(t))
 
+    @_elementwise
     def censor_survival(self, t):
-        t = np.asarray(t, dtype=float)
         if self.censor_rate is None:
-            out = np.ones_like(t)
-        else:
-            out = np.exp(-self.censor_rate * t)
-        return out if out.ndim else float(out)
+            return np.ones_like(t)
+        return np.exp(-self.censor_rate * t)
 
+    @_elementwise
     def wc(self, t):
         """Integral of censoring survival over (0, t); equals t uncensored."""
-        t = np.asarray(t, dtype=float)
         if self.censor_rate is None:
-            out = t.astype(float)
-        else:
-            out = -np.expm1(-self.censor_rate * t) / self.censor_rate
-        return out if out.ndim else float(out)
+            return t.astype(float)
+        return -np.expm1(-self.censor_rate * t) / self.censor_rate
 
     def risk(self, t):
         return self.survival(t) * self.wc(t) / self.mu
@@ -178,47 +202,28 @@ class ExponentialModel(TruthModel):
     def mu(self) -> float:
         return 1.0 / self.rate
 
-    def survival(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.exp(-self.rate * t)
-        return out if out.ndim else float(out)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.rate * np.exp(-self.rate * t)
-        return out if out.ndim else float(out)
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        out = -np.expm1(-self.rate * t)
-        return out if out.ndim else float(out)
-
+    @_elementwise
     def cumhaz(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.rate * t
-        return out if out.ndim else float(out)
+        return self.rate * t
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        out = -np.log1p(-p) / self.rate
-        return out if out.ndim else float(out)
+    def _hazard(self, t):
+        return self.rate
 
+    def _inverse_cumhaz(self, x):
+        return x / self.rate
+
+    @_elementwise
     def lb_quantile(self, p):
         from scipy import special
 
-        p = np.asarray(p, dtype=float)
-        out = special.gammaincinv(2.0, p) / self.rate
-        return out if out.ndim else float(out)
+        return special.gammaincinv(2.0, p) / self.rate
 
     # the entry delay of an exponential lifetime is again exponential
     def entry_survival(self, t):
         return self.survival(t)
 
-    def entry_cdf(self, t):
-        return self.cdf(t)
-
     def _entry_cdf_given(self, t, s_a):
-        return self.entry_cdf(t)
+        return self.cdf(t)
 
     def entry_cumhaz(self, t):
         return self.cumhaz(t)
@@ -242,47 +247,28 @@ class WeibullModel(TruthModel):
     def mu(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
 
-    def _z(self, t):
-        return (np.asarray(t, dtype=float) / self.scale) ** self.shape
-
-    def survival(self, t):
-        out = np.exp(-self._z(t))
-        return out if out.ndim else float(out)
-
-    def density(self, t):
-        t = np.asarray(t, dtype=float)
-        k, th = self.shape, self.scale
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                t > 0, (k / th) * (t / th) ** (k - 1.0) * np.exp(-self._z(t)), 0.0
-            )
-        return out if out.ndim else float(out)
-
-    def cdf(self, t):
-        out = -np.expm1(-self._z(t))
-        return out if out.ndim else float(out)
-
+    @_elementwise
     def cumhaz(self, t):
-        out = self._z(t)
-        return out if out.ndim else float(out)
+        return (t / self.scale) ** self.shape
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        out = self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
-        return out if out.ndim else float(out)
+    def _hazard(self, t):
+        k, th = self.shape, self.scale
+        return np.where(t > 0, (k / th) * (t / th) ** (k - 1.0), 0.0)
 
+    def _inverse_cumhaz(self, x):
+        return self.scale * x ** (1.0 / self.shape)
+
+    @_elementwise
     def lb_quantile(self, p):
         from scipy import special
 
-        p = np.asarray(p, dtype=float)
-        out = self.scale * special.gammaincinv(1.0 + 1.0 / self.shape, p) ** (1.0 / self.shape)
-        return out if out.ndim else float(out)
+        return self.scale * special.gammaincinv(1.0 + 1.0 / self.shape, p) ** (1.0 / self.shape)
 
+    @_elementwise
     def entry_survival(self, t):
         from scipy import special
 
-        out = special.gammaincc(1.0 / self.shape, self._z(t))
-        return out if out.ndim else float(out)
+        return special.gammaincc(1.0 / self.shape, self.cumhaz(t))
 
 
 FAMILIES = {"exponential": ExponentialModel, "weibull": WeibullModel}

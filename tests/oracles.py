@@ -6,9 +6,12 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-Five helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
+Seven helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
-against small hand-made populations.  ``oracle_tables_three_builds`` builds
+against small hand-made populations.  ``ClosedFormExponential`` and
+``ClosedFormWeibull`` write each lifetime function of a family out in closed
+form, each with its own scalar rule, the reference for the truth models that
+derive them from the cumulative hazard.  ``oracle_tables_three_builds`` builds
 an oracle context's tables one density at a time, the reference for the
 tables built from one evaluation of the population.
 ``oracle_subject_influence_loop``
@@ -30,6 +33,8 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from lbrc.truth import ExponentialModel, WeibullModel
 
 
 def r_bar_at(d, t):
@@ -250,6 +255,127 @@ class FunctionPopulation:
     def influence_weight(self, u):
         r = np.asarray(self.r_fn(u), dtype=float)
         return np.asarray(self.fu_density(u), dtype=float) / r**2
+
+
+class _ClosedFormTruth:
+    """The population functions that take one argument elementwise, each
+    with its own scalar rule."""
+
+    def entry_cumhaz(self, t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            out = -np.log(self.entry_survival(t))
+        return out if out.ndim else float(out)
+
+    def censor_survival(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.censor_rate is None:
+            out = np.ones_like(t)
+        else:
+            out = np.exp(-self.censor_rate * t)
+        return out if out.ndim else float(out)
+
+    def wc(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.censor_rate is None:
+            out = t.astype(float)
+        else:
+            out = -np.expm1(-self.censor_rate * t) / self.censor_rate
+        return out if out.ndim else float(out)
+
+
+class ClosedFormExponential(_ClosedFormTruth, ExponentialModel):
+    """``ExponentialModel`` with every lifetime function in closed form."""
+
+    def survival(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.exp(-self.rate * t)
+        return out if out.ndim else float(out)
+
+    def density(self, t):
+        t = np.asarray(t, dtype=float)
+        out = self.rate * np.exp(-self.rate * t)
+        return out if out.ndim else float(out)
+
+    def cdf(self, t):
+        t = np.asarray(t, dtype=float)
+        out = -np.expm1(-self.rate * t)
+        return out if out.ndim else float(out)
+
+    def cumhaz(self, t):
+        t = np.asarray(t, dtype=float)
+        out = self.rate * t
+        return out if out.ndim else float(out)
+
+    def quantile(self, p):
+        p = np.asarray(p, dtype=float)
+        out = -np.log1p(-p) / self.rate
+        return out if out.ndim else float(out)
+
+    def lb_quantile(self, p):
+        from scipy import special
+
+        p = np.asarray(p, dtype=float)
+        out = special.gammaincinv(2.0, p) / self.rate
+        return out if out.ndim else float(out)
+
+    def entry_survival(self, t):
+        return self.survival(t)
+
+    def entry_cdf(self, t):
+        return self.cdf(t)
+
+    def _entry_cdf_given(self, t, s_a):
+        return self.entry_cdf(t)
+
+    def entry_cumhaz(self, t):
+        return self.cumhaz(t)
+
+
+class ClosedFormWeibull(_ClosedFormTruth, WeibullModel):
+    """``WeibullModel`` with every lifetime function in closed form."""
+
+    def _z(self, t):
+        return (np.asarray(t, dtype=float) / self.scale) ** self.shape
+
+    def survival(self, t):
+        out = np.exp(-self._z(t))
+        return out if out.ndim else float(out)
+
+    def density(self, t):
+        t = np.asarray(t, dtype=float)
+        k, th = self.shape, self.scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(
+                t > 0, (k / th) * (t / th) ** (k - 1.0) * np.exp(-self._z(t)), 0.0
+            )
+        return out if out.ndim else float(out)
+
+    def cdf(self, t):
+        out = -np.expm1(-self._z(t))
+        return out if out.ndim else float(out)
+
+    def cumhaz(self, t):
+        out = self._z(t)
+        return out if out.ndim else float(out)
+
+    def quantile(self, p):
+        p = np.asarray(p, dtype=float)
+        out = self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
+        return out if out.ndim else float(out)
+
+    def lb_quantile(self, p):
+        from scipy import special
+
+        p = np.asarray(p, dtype=float)
+        out = self.scale * special.gammaincinv(1.0 + 1.0 / self.shape, p) ** (1.0 / self.shape)
+        return out if out.ndim else float(out)
+
+    def entry_survival(self, t):
+        from scipy import special
+
+        out = special.gammaincc(1.0 / self.shape, self._z(t))
+        return out if out.ndim else float(out)
 
 
 def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain):

@@ -499,15 +499,15 @@ class TestRateExperimentCommand:
         tiny_shape, tiny_rate, huge_rate, huge_bare = (tmp_path / f"{k}.cfg" for k in range(4))
         write_config(tiny_shape, family="weibull", rate=None, shape="0.001", which="Rn2")
         write_config(tiny_rate, rate="1e-320", which="Rn2")
-        write_config(huge_rate, rate="1e300", which="Rn2")
-        write_config(huge_bare, rate="1e300", censor_rate="none", which="Rn2")
+        write_config(huge_rate, rate="1e305", which="Rn2")
+        write_config(huge_bare, rate="1e305", censor_rate="none", which="Rn2")
         for path, said in (
             (cfg, "seed"),
             (latin, "not UTF-8"),
             (tiny_shape, "grid: 'quantiles:0.10:0.90:8' on WeibullModel(censor_rate=0.5, shape=0.001"),
             (tiny_rate, "grid: 'quantiles:0.10:0.90:8' on ExponentialModel(censor_rate=0.5, rate=1e-320"),
-            (huge_rate, "ExponentialModel(censor_rate=0.5, rate=1e+300): oracle tables"),
-            (huge_bare, "ExponentialModel(censor_rate=None, rate=1e+300): oracle tables"),
+            (huge_rate, "ExponentialModel(censor_rate=0.5, rate=1e+305): oracle tables"),
+            (huge_bare, "ExponentialModel(censor_rate=None, rate=1e+305): oracle tables"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -582,6 +582,44 @@ class TestRateExperimentCommand:
         cfg = tmp_path / "exp.cfg"
         write_config(cfg, grid="quantiles:0.10:0.999:8")
         assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "unit, extreme",
+        [
+            ({"rate": "1", "censor_rate": "none"}, {"rate": "1e300", "censor_rate": "none"}),
+            (
+                {"family": "weibull", "rate": None, "shape": "1.5", "scale": "1"},
+                {"family": "weibull", "rate": None, "shape": "1.5", "scale": "1e-300",
+                 "censor_rate": "5e299"},
+            ),
+        ],
+    )
+    def test_extreme_time_scales_run(self, tmp_path, capsys, unit, extreme):
+        # the oracle tables' origin grading stays in normal floats, so a
+        # window end near 1e-300 gives the unit-scale slope
+        slopes = []
+        for k, keys in enumerate((unit, extreme)):
+            cfg, report = tmp_path / f"{k}.cfg", tmp_path / f"{k}.csv"
+            write_config(cfg, which="Rn2", seed="11", **keys)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["rate-experiment", str(cfg), "--out", str(report)]) == 0
+            line = next(l for l in report.read_text().splitlines() if l.startswith("# slope="))
+            slopes.append(float(line.split("=")[1]))
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-12)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_window_diagnostic_overflow_exits_2_without_warning(self, tmp_path, capsys):
+        # at rate 1e307 the diagnostic's integrand overflows a float
+        cfg = tmp_path / "exp.cfg"
+        write_config(cfg, rate="1e307", censor_rate="none", which="Rn2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rate-experiment", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "compute error: window diagnostic inf exceeds cap 10000; "
+            "shrink b below the heavy tail\n"
+        )
 
 
 class TestInfluenceCommand:

@@ -122,9 +122,23 @@ class TestQueryContract:
             self.table.query(s)
 
     def test_overflowing_table_refused(self):
-        # panels below the smallest normal float have infinite inverse widths
+        # a panel narrower than the smallest normal float has an infinite inverse width
         with pytest.raises(ComputeError, match="overflow"):
-            SmoothCumulative(lambda u: np.ones_like(u), origin_graded_edges(1e-300, 1600))
+            SmoothCumulative(lambda u: np.ones_like(u), np.array([0.0, 1e-310, 1e-300, 1.0]))
+
+    def test_origin_grading_stays_normal(self):
+        # the halving stops above the smallest normal float, and leaves wider
+        # windows' edges as they were
+        tiny = np.finfo(float).tiny
+        for hi in (1e-305, 1e-300, 1e-296, 1e-290, 1.0, 1e300):
+            edges = origin_graded_edges(hi, 1600)
+            assert np.all(np.diff(edges) > 0) and edges[-1] == hi
+            assert edges[1] >= 2.0**12 * tiny or edges.size == 1601
+            if hi >= 1e-290:
+                first = hi / 1600 * 0.5 ** np.arange(20, 0, -1)
+                assert np.array_equal(edges[1:21], first)
+        # so a table at a window end of 1e-300 builds
+        SmoothCumulative(lambda u: np.ones_like(u), origin_graded_edges(1e-300, 1600))
 
     def test_scalar_query_returns_float(self):
         assert type(self.table.query(1.3)) is float

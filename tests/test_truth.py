@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
 from lbrc.errors import ConfigError
 from lbrc.truth import ExponentialModel, WeibullModel, make_model
 
@@ -255,3 +256,63 @@ def test_built_tables_leave_equality_and_hash_alone():
     fresh = WeibullModel(censor_rate=0.5, shape=1.5, scale=1.0)
     assert model == fresh
     assert hash(model) == hash(fresh)
+
+
+def _with_reference(cls, ref, **params):
+    return cls(**params), ref(**params)
+
+
+# (model, closed-form reference) pairs: the families derive their lifetime
+# functions from the cumulative hazard, the references write each one out
+CLOSED_FORM = [
+    *(
+        _with_reference(ExponentialModel, oracles.ClosedFormExponential, censor_rate=lc, rate=rate)
+        for rate in (1.0, 0.3, 7.0, 2.0**-40)
+        for lc in (None, 0.5)
+    ),
+    *(
+        _with_reference(
+            WeibullModel, oracles.ClosedFormWeibull, censor_rate=lc, shape=shape, scale=scale
+        )
+        for shape in (0.7, 1.0, 1.5, 2.5)
+        for scale in (1.0, 3.3)
+        for lc in (None, 0.5)
+    ),
+]
+OF_TIME = [
+    "survival", "density", "cdf", "cumhaz", "entry_survival", "entry_cdf", "entry_cumhaz",
+    "censor_survival", "wc", "risk", "pooled_at_risk", "pooled_density",
+    "event_subdist_density", "influence_weight", "exit_cdf",
+]
+OF_LEVEL = ["quantile", "lb_quantile"]
+
+
+def _value_or_error(fn, x):
+    # a scalar 0 divides a Python float by zero in influence_weight
+    try:
+        return fn(x)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("model, ref", CLOSED_FORM, ids=[str(m) for m, _ in CLOSED_FORM])
+def test_lifetime_functions_match_closed_forms_bit_for_bit(model, ref):
+    unit = float(ref.quantile(0.5))
+    t = unit * np.array([-3.0, -1.0, -1e-9, 0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.3, 1.0, 2.5,
+                         7.0, 40.0, 1e3, 1e6, np.inf])
+    p = np.array([0.0, 1e-300, 1e-16, 1e-9, 0.01, 0.1, 0.5, 0.9, 0.999, 1 - 2**-53, 1.0])
+    with np.errstate(all="ignore"):
+        for name, x in [*((n, t) for n in OF_TIME), *((n, p) for n in OF_LEVEL)]:
+            # the array, each entry as a Python float, and one as a numpy scalar
+            for arg in (x, *x.tolist(), x[5]):
+                got, want = (_value_or_error(getattr(m, name), arg) for m in (model, ref))
+                assert type(got) is type(want), (name, arg)
+                assert got == want if type(got) is str else np.array_equal(
+                    got, want, equal_nan=True
+                ), (name, arg)
+        assert type(model.survival(1)) is float
+        for got, want in zip(model.entry_terms(t), ref.entry_terms(t)):
+            assert np.array_equal(got, want, equal_nan=True)
+    assert model.mu == ref.mu
+    assert model.h_quantile(0.9) == ref.h_quantile(0.9)
+    assert np.array_equal(model.default_grid(8).points, ref.default_grid(8).points)
