@@ -22,7 +22,9 @@ from .estimators import (
     combined_cumulative_hazard,
     estimate_combined_risk,
     estimate_entry_survival,
+    exit_order,
     fit,
+    hazard_steps,
     huang_qin_cdf,
     pooled_entry_cumhaz,
     safeguarded_cdf,
@@ -72,6 +74,8 @@ __all__ = [
     "fit",
     "estimate_entry_survival",
     "estimate_combined_risk",
+    "hazard_steps",
+    "exit_order",
     "classic_cumulative_hazard",
     "combined_cumulative_hazard",
     "pooled_entry_cumhaz",

@@ -18,6 +18,7 @@ from .estimators import fit
 from .influence import lil_quantities, make_plugin_context, plugin_variance
 from .io import (
     config_hash,
+    curve_times,
     parse_censor_rate,
     parse_dataset,
     parse_rate_config,
@@ -133,8 +134,9 @@ def _cmd_estimate(args) -> int:
         ]
     if args.estimator in ("tjw", "both"):
         exports.append(("f_tjw.csv", curves.tjw_cdf, "tjw-cdf"))
-    for fname, step, label in exports:
-        write_curve_csv(out_dir / fname, step, label, d.n, cfg, extra)
+    columns = curve_times([step for _, step, _ in exports], extra)
+    for (fname, step, label), times in zip(exports, columns):
+        write_curve_csv(out_dir / fname, step, label, d.n, cfg, times)
         print(f"wrote {out_dir / fname}")
     return 0
 

@@ -11,9 +11,9 @@ points where they change:
 
 "At risk" uses ">= t" (closed) semantics: the subject leaving at ``t`` still
 counts at ``t``.  Such values are read from exact counts at the query points
-(``counts_at`` on a sorted column), never stored as curves; the classic
-at-risk proportion, the fraction with entry delay <= t <= exit, is one of
-them (``classic_at_risk``).
+(``count_at_most`` and ``count_at_least`` on a sorted column), never stored
+as curves; the classic at-risk proportion, the fraction with entry delay
+<= t <= exit, is one of them (``classic_at_risk``).
 """
 
 from __future__ import annotations
@@ -29,16 +29,19 @@ __all__ = [
     "EmpiricalProcesses",
     "build_empirical",
     "classic_at_risk",
-    "counts_at",
+    "count_at_least",
+    "count_at_most",
 ]
 
 
-def counts_at(column: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """``#{x <= t}`` and ``#{x >= t}`` at the query points, for a sorted column x."""
-    return (
-        np.searchsorted(column, t, side="right"),
-        column.size - np.searchsorted(column, t, side="left"),
-    )
+def count_at_most(column: np.ndarray, t) -> np.ndarray:
+    """``#{x <= t}`` at the query points, for a sorted column x."""
+    return np.searchsorted(column, t, side="right")
+
+
+def count_at_least(column: np.ndarray, t) -> np.ndarray:
+    """``#{x >= t}`` at the query points, for a sorted column x."""
+    return column.size - np.searchsorted(column, t, side="left")
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ def classic_at_risk(d: Dataset) -> Callable[[np.ndarray], np.ndarray]:
     a_sorted, y_sorted = np.sort(d.a), np.sort(d.y)
 
     def at_risk(t):
-        return (counts_at(a_sorted, t)[0] / d.n + counts_at(y_sorted, t)[1] / d.n) - 1.0
+        return (count_at_most(a_sorted, t) / d.n + count_at_least(y_sorted, t) / d.n) - 1.0
 
     return at_risk
 

@@ -25,7 +25,13 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .empirical import EmpiricalProcesses, build_empirical, classic_at_risk, counts_at
+from .empirical import (
+    EmpiricalProcesses,
+    build_empirical,
+    classic_at_risk,
+    count_at_least,
+    count_at_most,
+)
 from .stepfun import StepFunction
 
 Risk = Callable[[np.ndarray], np.ndarray]
@@ -35,6 +41,8 @@ __all__ = [
     "fit",
     "estimate_entry_survival",
     "estimate_combined_risk",
+    "hazard_steps",
+    "exit_order",
     "classic_cumulative_hazard",
     "combined_cumulative_hazard",
     "pooled_entry_cumhaz",
@@ -87,12 +95,15 @@ def estimate_combined_risk(d: Dataset, entry_survival: StepFunction) -> Risk:
     y_sorted = np.sort(d.y)
 
     def risk(t):
-        return counts_at(y_sorted, t)[1] / d.n - entry_survival.at(t)
+        return count_at_least(y_sorted, t) / d.n - entry_survival.at(t)
 
     return risk
 
 
-def _hazard_steps(emp: EmpiricalProcesses, risk: Risk) -> tuple[np.ndarray, np.ndarray]:
+Steps = tuple[np.ndarray, np.ndarray]
+
+
+def hazard_steps(emp: EmpiricalProcesses, risk: Risk) -> Steps:
     """Hazard increments at the distinct event times, and their denominators.
 
     The denominator is ``risk`` floored at 1/n; the increment is the event
@@ -102,15 +113,16 @@ def _hazard_steps(emp: EmpiricalProcesses, risk: Risk) -> tuple[np.ndarray, np.n
     return (emp.event_counts / emp.n) / denom, denom
 
 
-def _hazard_from_events(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
+def _hazard_from_events(emp: EmpiricalProcesses, steps: Steps) -> StepFunction:
     if emp.event_times.size == 0:
         return StepFunction.constant(0.0)
-    return StepFunction(emp.event_times, np.cumsum(_hazard_steps(emp, risk)[0]), 0.0)
+    return StepFunction(emp.event_times, np.cumsum(steps[0]), 0.0)
 
 
-def combined_cumulative_hazard(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
-    """Cumulative hazard with the pooled-risk denominator, floored at 1/n."""
-    return _hazard_from_events(emp, risk)
+def combined_cumulative_hazard(emp: EmpiricalProcesses, steps: Steps) -> StepFunction:
+    """Cumulative hazard with the pooled-risk denominator, floored at 1/n,
+    from its ``hazard_steps``."""
+    return _hazard_from_events(emp, steps)
 
 
 def classic_cumulative_hazard(emp: EmpiricalProcesses) -> StepFunction:
@@ -118,7 +130,7 @@ def classic_cumulative_hazard(emp: EmpiricalProcesses) -> StepFunction:
 
     Equals Nelson-Aalen when every entry delay is zero.
     """
-    return _hazard_from_events(emp, classic_at_risk(emp.dataset))
+    return _hazard_from_events(emp, hazard_steps(emp, classic_at_risk(emp.dataset)))
 
 
 def pooled_entry_cumhaz(emp: EmpiricalProcesses) -> StepFunction:
@@ -137,34 +149,39 @@ def _product_limit(times: np.ndarray, factors: np.ndarray) -> StepFunction:
     return StepFunction(times, vals, 0.0)
 
 
-def tjw_product_limit(d: Dataset) -> StepFunction:
+def exit_order(d: Dataset) -> np.ndarray:
+    """The subjects in ascending order of exit time, ties in data order."""
+    return np.argsort(d.y, kind="stable")
+
+
+def tjw_product_limit(d: Dataset, order: np.ndarray) -> StepFunction:
     """Classic truncation product-limit estimate of the event-time CDF.
 
     One factor ``1 - 1/(at-risk count at y_i)`` per uncensored subject, taken
-    in ascending order of exit time.  At-risk counts are exact integers,
+    in the ``exit_order`` of the sample.  At-risk counts are exact integers,
     ``#{a <= y_i} + #{y >= y_i} - n``.
     """
-    order = np.argsort(d.y, kind="stable")
     y = d.y[order]
-    at_risk = counts_at(np.sort(d.a), y)[0] + counts_at(y, y)[1] - d.n
+    at_risk = count_at_most(np.sort(d.a), y) + count_at_least(y, y) - d.n
     factors = np.where(d.delta[order] == 1, 1.0 - 1.0 / at_risk, 1.0)
     return _product_limit(y, factors)
 
 
-def safeguarded_cdf(d: Dataset, risk: Risk) -> StepFunction:
+def safeguarded_cdf(d: Dataset, risk: Risk, order: np.ndarray) -> StepFunction:
     """Pooled-risk product-limit with the +1 safeguard in each denominator.
 
-    Factors are ``1 - 1/(n * risk(y_i) + 1)`` for uncensored subjects,
-    clamped into [0, 1] to guard against a negative finite-sample risk value.
+    Factors are ``1 - 1/(n * risk(y_i) + 1)`` for uncensored subjects, taken
+    in the ``exit_order`` of the sample and clamped into [0, 1] to guard
+    against a negative finite-sample risk value.
     """
-    order = np.argsort(d.y, kind="stable")
     y = d.y[order]
     raw = np.where(d.delta[order] == 1, 1.0 - 1.0 / (d.n * risk(y) + 1.0), 1.0)
     return _product_limit(y, np.clip(raw, 0.0, 1.0))
 
 
-def huang_qin_cdf(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
-    """Pooled-risk product-limit CDF: product of one-minus-hazard-increments.
+def huang_qin_cdf(emp: EmpiricalProcesses, steps: Steps) -> StepFunction:
+    """Pooled-risk product-limit CDF from the ``hazard_steps`` of the pooled
+    risk: product of one-minus-hazard-increments.
 
     Each factor ``1 - (hazard increment)`` is clamped into [0, 1].  The
     factors are built from the increments themselves, not from differences
@@ -173,7 +190,7 @@ def huang_qin_cdf(emp: EmpiricalProcesses, risk: Risk) -> StepFunction:
     """
     if emp.event_times.size == 0:
         return StepFunction.constant(0.0)
-    factors = np.clip(1.0 - _hazard_steps(emp, risk)[0], 0.0, 1.0)
+    factors = np.clip(1.0 - steps[0], 0.0, 1.0)
     return _product_limit(emp.event_times, factors)
 
 
@@ -183,7 +200,11 @@ class FittedCurves:
 
     Each curve is built from `empirical` the first time it is read and kept
     from then on, so a caller pays only for the curves it reads.  The pooled
-    risk ``combined_risk`` is a function of t, not a step curve.
+    risk ``combined_risk`` is a function of t, not a step curve.  Two
+    intermediates are kept the same way, each computed once for the curves
+    that share it: the pooled-risk ``hazard_steps`` (``combined_cumhaz``,
+    ``cdf`` and the plugin context) and the ``exit_order`` (``tjw_cdf`` and
+    ``cdf_safeguarded``).
     """
 
     empirical: EmpiricalProcesses
@@ -197,24 +218,32 @@ class FittedCurves:
         return estimate_combined_risk(self.empirical.dataset, self.entry_survival)
 
     @cached_property
+    def hazard_steps(self) -> Steps:
+        return hazard_steps(self.empirical, self.combined_risk)
+
+    @cached_property
+    def exit_order(self) -> np.ndarray:
+        return exit_order(self.empirical.dataset)
+
+    @cached_property
     def classic_cumhaz(self) -> StepFunction:
         return classic_cumulative_hazard(self.empirical)
 
     @cached_property
     def combined_cumhaz(self) -> StepFunction:
-        return combined_cumulative_hazard(self.empirical, self.combined_risk)
+        return combined_cumulative_hazard(self.empirical, self.hazard_steps)
 
     @cached_property
     def tjw_cdf(self) -> StepFunction:
-        return tjw_product_limit(self.empirical.dataset)
+        return tjw_product_limit(self.empirical.dataset, self.exit_order)
 
     @cached_property
     def cdf(self) -> StepFunction:
-        return huang_qin_cdf(self.empirical, self.combined_risk)
+        return huang_qin_cdf(self.empirical, self.hazard_steps)
 
     @cached_property
     def cdf_safeguarded(self) -> StepFunction:
-        return safeguarded_cdf(self.empirical.dataset, self.combined_risk)
+        return safeguarded_cdf(self.empirical.dataset, self.combined_risk, self.exit_order)
 
     @cached_property
     def entry_cumhaz(self) -> StepFunction:

@@ -72,9 +72,9 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .empirical import build_empirical, counts_at
+from .empirical import build_empirical, count_at_least
 from .errors import ComputeError, WindowError
-from .estimators import FittedCurves, _hazard_steps, fit
+from .estimators import FittedCurves, fit
 from .quadrature import (
     SmoothCumulative,
     geometric_edges,
@@ -172,16 +172,10 @@ class PluginContext:
         return self.curves.empirical.dataset
 
     @cached_property
-    def hazard(self) -> tuple[np.ndarray, np.ndarray]:
-        """Hazard steps at the distinct event times, and the fitted risk
-        floored at 1/n that they divide by."""
-        return _hazard_steps(self.curves.empirical, self.curves.combined_risk)
-
-    @cached_property
     def event_w(self) -> np.ndarray:
         """Event fraction over squared floored risk at each distinct event time."""
         emp = self.curves.empirical
-        return emp.event_counts / emp.n / self.hazard[1] ** 2
+        return emp.event_counts / emp.n / self.curves.hazard_steps[1] ** 2
 
     @cached_property
     def pooled(self) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +195,7 @@ class PluginContext:
         dq = emp.pooled_jumps.astype(float)
         open_factor = dq < kq
         gain = np.where(open_factor, kq / np.where(open_factor, kq - dq, 1.0), 0.0)
-        at_risk_a, at_risk_v = (counts_at(np.sort(x), s)[1] for x in (d.a, d.v))
+        at_risk_a, at_risk_v = (count_at_least(np.sort(x), s) for x in (d.a, d.v))
         k = at_risk_a / n + at_risk_v / n
         return gain / k, np.concatenate(([0.0], np.cumsum(n * dq / kq**2 * gain)))
 
@@ -218,7 +212,7 @@ class PluginContext:
         A clamped factor (``dL(u) >= 1``) gets 0: it makes the fitted CDF
         identically 1 from ``u`` on (see ``plugin_variance``).
         """
-        factor = 1.0 - self.hazard[0]
+        factor = 1.0 - self.curves.hazard_steps[0]
         open_factor = factor > 0
         return np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
 
@@ -443,7 +437,7 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, reads):
     # an uncensored exit time is a distinct event time, with its floored risk
     # and gain
     own_event = np.zeros(a.size)
-    own_event[event] = 1.0 / ctx.hazard[1][at_y]
+    own_event[event] = 1.0 / ctx.curves.hazard_steps[1][at_y]
     own_event[event] *= ctx.cdf_gain[at_y]
     # prefix sums over events of w, w * S_A and w * S_A * m: the reads G, V
     # and Q, here sums over the events before (left search position) or up

@@ -12,7 +12,10 @@ rows: the row reader converts each block of rows into columns before it
 reads the next, and a writer formats a block of rows into one string and
 writes it.  Besides the numeric columns they hold one block of rows,
 whatever the length of the file, and a file's bytes do not depend on the
-block size.
+block size.  The one exception is a t column that several curve files of
+one command write (``curve_times``): it is formatted once, and its text is
+kept for the rest of the command, one newline-joined string per block
+(about 19 B a row).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from .truth import TruthModel, make_model
 __all__ = [
     "parse_dataset",
     "write_dataset_csv",
+    "CurveTimes",
+    "curve_times",
     "write_curve_csv",
     "parse_rate_config",
     "parse_censor_rate",
@@ -45,25 +50,29 @@ __all__ = [
 
 # rows that the row reader converts, or a writer formats, at once
 _ROW_BLOCK = 2**13
+# bytes of a data file that the line-length scan reads at once
+_SCAN_CHUNK = 2**20
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, head: list[str], columns, lines) -> None:
-    """Write the ``head`` lines, then the rows of the equal-length ``columns``.
-
-    The rows go a block of ``_ROW_BLOCK`` at a time: ``lines`` takes the
-    block's columns as lists and returns its lines, which are joined, encoded
-    as UTF-8 and written at once.
-    """
+def _row_blocks(*columns):
+    """The rows of the equal-length ``columns``, ``_ROW_BLOCK`` at a time:
+    each block's columns as lists."""
     columns = [np.asarray(col) for col in columns]
+    for lo in range(0, columns[0].size, _ROW_BLOCK):
+        yield [col[lo : lo + _ROW_BLOCK].tolist() for col in columns]
+
+
+def _write_csv(path, head: list[str], blocks) -> None:
+    """Write the ``head`` lines, then each block of lines of ``blocks``: a
+    block's lines are joined, encoded as UTF-8 and written at once."""
     with Path(path).open("wb") as fh:
         fh.write("".join(head).encode())
-        for lo in range(0, columns[0].size, _ROW_BLOCK):
-            block = lines(*(col[lo : lo + _ROW_BLOCK].tolist() for col in columns))
-            fh.write("".join(block).encode())
+        for lines in blocks:
+            fh.write("".join(lines).encode())
 
 
 def config_hash(parts: dict) -> str:
@@ -111,9 +120,8 @@ def _loadtxt(path: Path, uses_total: bool, pos: dict) -> Dataset | None:
     file numpy refuses or cannot decode, a result that is not three columns
     or has no rows, and columns that ``Dataset`` refuses.
     """
-    with path.open("rb") as fh:
-        if max(map(len, fh)) > csv.field_size_limit():
-            return None
+    if not _lines_fit(path, csv.field_size_limit()):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no data rows
@@ -125,13 +133,37 @@ def _loadtxt(path: Path, uses_total: bool, pos: dict) -> Dataset | None:
         return None
     if cols.shape[0] != 3:
         return None
-    a, dlt = cols[pos["a"]], cols[pos["delta"]]
+    # copies, so the parsed rows, the delta column with them, are freed
+    a, dlt = cols[pos["a"]].copy(), cols[pos["delta"]]
     with np.errstate(over="ignore", invalid="ignore"):
-        v = cols[pos["y"]] - a if uses_total else cols[pos["v"]]
+        v = cols[pos["y"]] - a if uses_total else cols[pos["v"]].copy()
         try:
             return Dataset(a, v, dlt)
         except InvalidDataError:
             return None
+
+
+def _lines_fit(path: Path, limit: int) -> bool:
+    """Whether every line of the file, its newline included, is at most
+    ``limit`` bytes long.
+
+    The file is read ``_SCAN_CHUNK`` bytes at a time.  From the start of a
+    line, the last newline within the next ``limit`` bytes ends a run of
+    lines that fit; with more than ``limit`` bytes left and no newline among
+    them, the line is too long.  Each search skips up to ``limit`` bytes,
+    and at most ``limit`` bytes of a chunk carry over to the next.
+    """
+    tail = b""
+    with path.open("rb") as fh:
+        while chunk := fh.read(_SCAN_CHUNK):
+            buf, pos = tail + chunk, 0
+            while len(buf) - pos > limit:
+                end = buf.rfind(b"\n", pos, pos + limit)
+                if end < 0:
+                    return False
+                pos = end + 1
+            tail = buf[pos:]
+    return True
 
 
 def parse_dataset(path) -> Dataset:
@@ -209,25 +241,73 @@ def parse_dataset(path) -> Dataset:
 
 
 def write_dataset_csv(path, d: Dataset) -> None:
+    blocks = _row_blocks(d.a, d.v, d.delta)
     _write_csv(
         path,
         ["a,v,delta\n"],
-        (d.a, d.v, d.delta),
-        lambda a, v, dlt: [f"{x!r},{y!r},{z}\n" for x, y, z in zip(a, v, dlt)],
+        ([f"{x!r},{y!r},{z}\n" for x, y, z in zip(a, v, dlt)] for a, v, dlt in blocks),
     )
+
+
+class CurveTimes:
+    """The t column of a curve file: a step's jump times and any extra points.
+
+    The text of the points, the shortest repr of each, is one newline-joined
+    string per block of ``_ROW_BLOCK`` rows.  A ``shared`` column, one that
+    several files write, formats its text once and keeps it; any other
+    formats each block as it is written.
+    """
+
+    def __init__(self, jump_times: np.ndarray, extra_points=None):
+        self.jump_times = jump_times
+        self.points = (
+            jump_times
+            if extra_points is None
+            else np.union1d(jump_times, np.asarray(extra_points, dtype=float))
+        )
+        self.shared = False
+        self._texts = None
+
+    def texts(self):
+        """An iterator over the text of each block of points."""
+        texts = self._texts
+        if texts is None:
+            texts = ("\n".join(map(repr, block)) for (block,) in _row_blocks(self.points))
+            if self.shared:
+                texts = self._texts = list(texts)
+        return iter(texts)
+
+
+def curve_times(steps, extra_points=None) -> list[CurveTimes]:
+    """The ``CurveTimes`` of each step's curve file: steps with bit-identical
+    jump times get one, which is then ``shared``."""
+    columns = []
+    for step in steps:
+        bits = step.jump_times.view(np.int64)
+        same = next((c for c in columns if np.array_equal(c.jump_times.view(np.int64), bits)), None)
+        if same is not None:
+            same.shared = True
+        columns.append(same or CurveTimes(step.jump_times, extra_points))
+    return columns
 
 
 def write_curve_csv(
-    path, step: StepFunction, name: str, n_obs: int, cfg_hash: str, extra_points=None
+    path, step: StepFunction, name: str, n_obs: int, cfg_hash: str, times: CurveTimes
 ) -> None:
-    """Write (t, value) rows at all jump points plus any requested points."""
-    pts = step.jump_times
-    if extra_points is not None:
-        pts = np.union1d(pts, np.asarray(extra_points, dtype=float))
+    """Write (t, value) rows of ``step`` at the points of its t column ``times``.
+
+    The values are read a block of points at a time, so no column of values
+    and none of its lookup's temporaries is held.
+    """
     head = [f"# estimator={name}\n", f"# n={n_obs}\n", f"# config={cfg_hash}\n", "t,value\n"]
-    _write_csv(
-        path, head, (pts, step.at(pts)), lambda t, val: [f"{x!r},{y!r}\n" for x, y in zip(t, val)]
-    )
+    pts = times.points
+
+    def lines():
+        for lo, text in zip(range(0, pts.size, _ROW_BLOCK), times.texts()):
+            vals = step.at(pts[lo : lo + _ROW_BLOCK]).tolist()
+            yield [f"{t},{y!r}\n" for t, y in zip(text.split("\n"), vals)]
+
+    _write_csv(path, head, lines())
 
 
 _MODEL_KEYS = ("rate", "shape", "scale")
@@ -359,9 +439,11 @@ def write_rate_report_csv(path, report, cfg_hash: str) -> None:
     ]
     head += [f"# median n={n}: {med!r}\n" for n, med in zip(sizes, report.medians.tolist())]
     head.append("n,rep,sup_residual\n")
-    columns = (np.repeat(sizes, reps), np.tile(np.arange(reps), len(sizes)), sups.reshape(-1))
+    blocks = _row_blocks(
+        np.repeat(sizes, reps), np.tile(np.arange(reps), len(sizes)), sups.reshape(-1)
+    )
     _write_csv(
-        path, head, columns, lambda n, r, sup: [f"{i},{j},{x!r}\n" for i, j, x in zip(n, r, sup)]
+        path, head, ([f"{i},{j},{x!r}\n" for i, j, x in zip(*block)] for block in blocks)
     )
 
 
@@ -374,7 +456,7 @@ def write_influence_csv(path, columns, n_obs: int, level: float, cfg_hash: str) 
         f"# config={cfg_hash}\n",
         "t,cdf,se,ci_low,ci_high,d,v\n",
     ]
-    columns = [np.asarray(col, dtype=float) for col in columns]
+    blocks = _row_blocks(*(np.asarray(col, dtype=float) for col in columns))
     _write_csv(
-        path, head, columns, lambda *cols: [",".join(map(repr, row)) + "\n" for row in zip(*cols)]
+        path, head, ([",".join(map(repr, row)) + "\n" for row in zip(*block)] for block in blocks)
     )

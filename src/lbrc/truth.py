@@ -150,9 +150,16 @@ class TruthModel:
     def event_subdist_density(self, u):
         return self.density(u) * self.wc(u) / self.mu
 
+    @_elementwise
     def influence_weight(self, u):
-        """Event-subdistribution density over squared risk."""
-        return self.mu * self.density(u) / (self.survival(u) ** 2 * self.wc(u))
+        """Event-subdistribution density over squared risk.
+
+        At 0, where ``wc`` is 0, the weight is inf, or nan where the density
+        is 0 too, with no warning, for a scalar as for an array; the density
+        is taken as an array so that a scalar divides by zero as numpy does.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.mu * np.asarray(self.density(u)) / (self.survival(u) ** 2 * self.wc(u))
 
     def exit_cdf(self, t):
         """CDF of the observed exit time ``Y = A + V``."""

@@ -407,7 +407,7 @@ def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain):
     inv_k_a = pooled_weight[idx_pa - 1]
     inv_k_v = np.where(event, pooled_weight[idx_pv - 1], 0.0)
     own_event = np.zeros(a.size)
-    own_event[event] = 1.0 / ctx.hazard[1][at_y]
+    own_event[event] = 1.0 / ctx.curves.hazard_steps[1][at_y]
     w = ctx.event_w * event_gain
     own_event[event] *= event_gain[at_y]
     entry_surv, m_u = ctx.event_entry_m
@@ -580,7 +580,7 @@ def plugin_variance_one_shot(ctx):
     and each row's variance is taken over the whole sample in one pass.
     """
     d, grid = ctx.dataset, ctx.grid
-    factor = 1.0 - ctx.hazard[0]
+    factor = 1.0 - ctx.curves.hazard_steps[0]
     open_factor = factor > 0
     gain = np.where(open_factor, 1.0 / np.where(open_factor, factor, 1.0), 0.0)
     _, psi1, psi2 = plugin_subject_influence_rowwise(

@@ -18,8 +18,11 @@ from lbrc import io as lbrc_io
 from lbrc.cli import main
 from lbrc.data import Dataset
 from lbrc.errors import InvalidDataError
+from lbrc.estimators import fit
 from lbrc.io import (
+    CurveTimes,
     _fmt,
+    config_hash,
     parse_dataset,
     parse_rate_config,
     write_curve_csv,
@@ -266,6 +269,50 @@ class TestEstimateCommand:
         assert sorted(f.name for f in tmp_path.iterdir()) == [f.name for f in want]
         for f in want:
             assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
+
+    @staticmethod
+    def sample(kind):
+        d = sample_lbrc(ExponentialModel(censor_rate=0.5, rate=1.0), 300, seed=1)
+        if kind == "reaches one early":
+            # an event at 0.001 with entry at 0 takes the whole floored risk:
+            # F-hat is 1 from there, so f_tilde and f_tjw drop the later jumps
+            # that f_bar and lambda_tilde keep
+            return Dataset(np.append(d.a, 0.0), np.append(d.v, 0.001), np.append(d.delta, 1))
+        # with a = v, s_a has one point as the other four files do, at a
+        # different time
+        return {"four share t": d,
+                "all tied": Dataset([1.0] * 6, [0.5] * 6, [1] * 6),
+                "one row": Dataset([1.5], [1.5], [1])}[kind]
+
+    @pytest.mark.parametrize("block", [1, 7, lbrc_io._ROW_BLOCK])
+    @pytest.mark.parametrize("kind", ["four share t", "reaches one early", "all tied", "one row"])
+    def test_files_match_one_shot_writer(self, tmp_path, monkeypatch, block, kind):
+        # files whose t columns are equal share one formatted column; each
+        # file still holds the bytes of the one-shot writer run on it alone
+        monkeypatch.setattr(lbrc_io, "_ROW_BLOCK", block)
+        src, want = tmp_path / "d.csv", tmp_path / "want.csv"
+        write_dataset_csv(src, self.sample(kind))
+        d = parse_dataset(src)
+        curves = fit(d)
+        files = {
+            "f_tilde.csv": (curves.cdf, "huang-qin-cdf"),
+            "f_bar.csv": (curves.cdf_safeguarded, "huang-qin-cdf-safeguarded"),
+            "s_a.csv": (curves.entry_survival, "pooled-entry-survival"),
+            "lambda_tilde.csv": (curves.combined_cumhaz, "combined-cumulative-hazard"),
+            "f_tjw.csv": (curves.tjw_cdf, "tjw-cdf"),
+        }
+        jumps = [step.jump_times for step, _ in files.values()]
+        if kind == "four share t":
+            assert all(np.array_equal(jumps[0], jumps[k]) for k in (1, 3, 4))
+        if kind == "reaches one early":
+            assert jumps[0].size == jumps[4].size == 1 < jumps[1].size == jumps[3].size
+        for grid, extra in (("jumps", None), ("n:7", np.linspace(0.0, float(d.y.max()), 7))):
+            out = tmp_path / grid.replace(":", "")
+            assert main(["estimate", str(src), "--grid", grid, "--out", str(out)]) == 0
+            cfg = config_hash({"input": str(src), "estimator": "both", "grid": grid})
+            for name, (step, label) in files.items():
+                oracles.curve_csv_one_shot(want, step, label, d.n, cfg, extra)
+                assert (out / name).read_bytes() == want.read_bytes(), (grid, name)
 
     def test_estimator_selection(self, tmp_path):
         src = tmp_path / "d.csv"
@@ -700,7 +747,8 @@ class TestWriters:
 
     def test_curve_rows(self, tmp_path):
         times = sorted(SPECIAL)
-        write_curve_csv(tmp_path / "c.csv", StepFunction(times, SPECIAL, 0.0), "x", 5, "h")
+        step = StepFunction(times, SPECIAL, 0.0)
+        write_curve_csv(tmp_path / "c.csv", step, "x", 5, "h", CurveTimes(step.jump_times))
         expected = [f"{_fmt(t)},{_fmt(v)}" for t, v in zip(times, SPECIAL)]
         assert self.body(tmp_path / "c.csv") == ["t,value"] + expected
 
@@ -753,7 +801,7 @@ class TestRowBlocks:
 
             step = StepFunction(np.cumsum(rng.random(n) + 1e-3), _floats(rng, n), 0.0)
             for extra in (None, np.linspace(0.0, 2.0 * step.jump_times[-1], 5)):
-                write_curve_csv(got, step, "x", n, "h", extra)
+                write_curve_csv(got, step, "x", n, "h", CurveTimes(step.jump_times, extra))
                 oracles.curve_csv_one_shot(want, step, "x", n, "h", extra)
                 assert got.read_bytes() == want.read_bytes(), ("curve", n, extra)
 
@@ -811,7 +859,20 @@ class TestMemoryGuards:
         times = np.cumsum(np.random.default_rng(1).random(150_000) + 1e-3)
         step = StepFunction(times, np.linspace(0.0, 1.0, times.size), 0.0)
         extra = np.linspace(0.0, times[-1], 200)
-        assert self.peak(write_curve_csv, tmp_path / "c.csv", step, "x", 1, "h", extra) < 10e6
+        # the column's points are built inside the measured call
+        assert self.peak(lambda: write_curve_csv(
+            tmp_path / "c.csv", step, "x", 1, "h", CurveTimes(step.jump_times, extra)
+        )) < 10e6
+
+    def test_estimate_command(self, tmp_path):
+        # four of the five curve files share a t column of 66,664 points,
+        # which is kept as one string per block of rows, not one per row
+        d = sample_lbrc(ExponentialModel(censor_rate=0.5, rate=1.0), 100_000, seed=1)
+        write_dataset_csv(tmp_path / "d.csv", d)
+        argv = ["estimate", str(tmp_path / "d.csv"), "--grid", "n:200", "--out", str(tmp_path)]
+        status = []
+        assert self.peak(lambda: status.append(main(argv))) < 26e6
+        assert status == [0]
 
     def test_dataset_writer(self, tmp_path):
         d = sample_lbrc(ExponentialModel(censor_rate=0.5, rate=1.0), 100_000, seed=1)

@@ -2,10 +2,11 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from lbrc.data import Dataset
-from lbrc.empirical import build_empirical, classic_at_risk, counts_at
+from lbrc.empirical import build_empirical, classic_at_risk, count_at_least, count_at_most
 from lbrc.influence import make_plugin_context
 from lbrc.stepfun import EvalGrid
 
@@ -152,8 +153,8 @@ def test_monotonicity_and_bounds(seed):
     r = classic_at_risk(d)(pts)
     assert np.all((r >= -1e-15) & (r <= 1))
     # counting consistency: at risk can't exceed entered or still-present
-    entered = counts_at(np.sort(d.a), pts)[0] / d.n
-    present = counts_at(np.sort(d.y), pts)[1] / d.n
+    entered = count_at_most(np.sort(d.a), pts) / d.n
+    present = count_at_least(np.sort(d.y), pts) / d.n
     assert np.all(r <= entered + 1e-15)
     assert np.all(r <= present + 1e-15)
     # the pooled at-risk count falls by at least the jump at each mass point
@@ -163,6 +164,23 @@ def test_monotonicity_and_bounds(seed):
     assert np.all(k[:-1] - k[1:] >= dq[:-1])
     assert np.all(np.diff(e.event_times) > 0)
     assert np.all(e.event_counts >= 1)
+
+
+# a coarse lattice, so columns and queries tie often
+_LATTICE = st.integers(-4, 12).map(lambda k: k * 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LATTICE, max_size=30), st.lists(_LATTICE | st.floats(-1e3, 1e3), max_size=20))
+def test_one_sided_counts_equal_brute_force(column, queries):
+    # ties, an empty column and queries outside the data all take the
+    # comparisons' counts, as integers
+    x, t = np.sort(np.array(column, dtype=float)), np.array(queries, dtype=float)
+    at_most, at_least = count_at_most(x, t), count_at_least(x, t)
+    assert at_most.tolist() == [int(np.sum(x <= q)) for q in t]
+    assert at_least.tolist() == [int(np.sum(x >= q)) for q in t]
+    for q in t.tolist():
+        assert count_at_most(x, q) == np.sum(x <= q) and count_at_least(x, q) == np.sum(x >= q)
 
 
 def test_totals():

@@ -14,7 +14,9 @@ from lbrc.estimators import (
     combined_cumulative_hazard,
     estimate_combined_risk,
     estimate_entry_survival,
+    exit_order,
     fit,
+    hazard_steps,
     huang_qin_cdf,
     pooled_entry_cumhaz,
     safeguarded_cdf,
@@ -77,7 +79,8 @@ class TestProductLimitFromHazard:
 
     @staticmethod
     def cdf(d):
-        return huang_qin_cdf(build_empirical(d), StepFunction.constant(1.0).at)
+        emp = build_empirical(d)
+        return huang_qin_cdf(emp, hazard_steps(emp, StepFunction.constant(1.0).at))
 
     def test_single_unit_jump_gives_indicator(self):
         f = self.cdf(Dataset([1.0], [1.0], [1]))
@@ -96,17 +99,17 @@ class TestProductLimitFromHazard:
 class TestReductions:
     def test_tjw_no_truncation_no_censoring_is_ecdf(self):
         d = Dataset([0.0, 0.0], [1.0, 2.0], [1, 1])
-        f = tjw_product_limit(d)
+        f = tjw_product_limit(d, exit_order(d))
         assert f.at(1.0) == 0.5
         assert f.at(2.0) == 1.0
 
     def test_tjw_single_censored_is_zero(self):
         d = Dataset([0.0], [1.0], [0])
-        assert tjw_product_limit(d).at(5.0) == 0.0
+        assert tjw_product_limit(d, exit_order(d)).at(5.0) == 0.0
 
     def test_tjw_handles_trailing_censor(self):
         d = Dataset([0.0, 0.0], [1.0, 2.0], [1, 0])
-        f = tjw_product_limit(d)
+        f = tjw_product_limit(d, exit_order(d))
         assert f.at(1.0) == 0.5
         assert f.at(2.0) == 0.5
 
@@ -117,7 +120,7 @@ class TestReductions:
         times = rng.uniform(0.1, 5.0, n)
         events = (rng.random(n) > 0.35).astype(int)
         d = Dataset(np.zeros(n), times, events)
-        f = tjw_product_limit(d)
+        f = tjw_product_limit(d, exit_order(d))
         for x in np.concatenate([times, [0.0, 6.0], rng.uniform(0, 5, 10)]):
             assert f.at(x) == oracles.kaplan_meier_cdf_at(times, events, x)
 
@@ -128,7 +131,7 @@ class TestReductions:
         a = rng.uniform(0.05, 2.0, n)
         y = a + rng.uniform(0.01, 3.0, n)
         d = Dataset(a, y - a, np.ones(n, dtype=int))
-        f = tjw_product_limit(d)
+        f = tjw_product_limit(d, exit_order(d))
         for x in np.concatenate([y, [0.0, 10.0], rng.uniform(0, 5, 10)]):
             assert f.at(x) == oracles.lynden_bell_cdf_at(a, y, x)
 
@@ -219,10 +222,10 @@ def test_two_cdf_constructions_coincide():
     for _ in range(10):
         d = random_dataset(rng, int(rng.integers(1, 40)))
         emp = build_empirical(d)
-        risk = estimate_combined_risk(d, estimate_entry_survival(emp))
-        direct = huang_qin_cdf(emp, risk)
+        steps = hazard_steps(emp, estimate_combined_risk(d, estimate_entry_survival(emp)))
+        direct = huang_qin_cdf(emp, steps)
         # the product-limit map of the running hazard sum, from its differences
-        lam = combined_cumulative_hazard(emp, risk)
+        lam = combined_cumulative_hazard(emp, steps)
         factors = np.clip(1.0 - np.diff(lam.values, prepend=0.0), 0.0, 1.0)
         via_hazard = StepFunction(lam.jump_times, 1.0 - np.cumprod(factors), 0.0)
         pts = probe_points(d)
@@ -267,14 +270,18 @@ def direct_fit(d):
     emp = build_empirical(d)
     entry = estimate_entry_survival(emp)
     risk = estimate_combined_risk(d, entry)
+    steps = hazard_steps(emp, risk)
+    order = exit_order(d)
     return {
         "entry_survival": entry,
         "combined_risk": risk,
+        "hazard_steps": steps,
+        "exit_order": order,
         "classic_cumhaz": classic_cumulative_hazard(emp),
-        "combined_cumhaz": combined_cumulative_hazard(emp, risk),
-        "tjw_cdf": tjw_product_limit(d),
-        "cdf": huang_qin_cdf(emp, risk),
-        "cdf_safeguarded": safeguarded_cdf(d, risk),
+        "combined_cumhaz": combined_cumulative_hazard(emp, steps),
+        "tjw_cdf": tjw_product_limit(d, order),
+        "cdf": huang_qin_cdf(emp, steps),
+        "cdf_safeguarded": safeguarded_cdf(d, risk, order),
         "entry_cumhaz": pooled_entry_cumhaz(emp),
     }
 
@@ -297,6 +304,11 @@ def test_fit_fields_equal_direct_estimators(case):
                 cuts = np.unique(np.concatenate([d.a, d.v, d.y]))
                 pts = np.concatenate([cuts, (cuts[:-1] + cuts[1:]) / 2])
                 assert np.array_equal(curves.combined_risk(pts), want[name](pts)), name
+            elif name == "hazard_steps":
+                for got, ref in zip(curves.hazard_steps, want[name], strict=True):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+            elif name == "exit_order":
+                assert np.array_equal(curves.exit_order, want[name]), name
             else:
                 assert_same_step(getattr(curves, name), want[name], name)
 

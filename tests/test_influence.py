@@ -18,6 +18,7 @@ from lbrc.estimators import (
     estimate_combined_risk,
     estimate_entry_survival,
     fit,
+    hazard_steps,
     huang_qin_cdf,
 )
 from lbrc.influence import (
@@ -86,7 +87,7 @@ def fd_sample():
     u = emp.event_times[emp.event_times <= times.max()]
     assert np.all(emp.event_times.min() <= times)
     assert np.all(ctx.curves.combined_risk(u) > 1.0 / d.n)
-    assert np.all(ctx.hazard[0][: u.size] < 1.0)
+    assert np.all(ctx.curves.hazard_steps[0][: u.size] < 1.0)
     pooled = emp.pooled_times <= times.max()
     assert np.all(emp.pooled_jumps[pooled] < emp.pooled_at_risk_counts[pooled])
     return d, times, grid
@@ -107,7 +108,7 @@ def replicated_derivatives(d, times, copies):
         emp = build_empirical(sample)
         entry_surv = estimate_entry_survival(emp)
         risk = estimate_combined_risk(sample, entry_surv)
-        cdf = huang_qin_cdf(emp, risk).at(times)
+        cdf = huang_qin_cdf(emp, hazard_steps(emp, risk)).at(times)
         return np.array([np.log(entry_surv.at(times)), -np.log(1.0 - cdf), cdf])
 
     a, v, delta = (np.repeat(x, copies) for x in (d.a, d.v, d.delta))
@@ -175,7 +176,8 @@ class TestContexts:
             assert np.array_equal(
                 getattr(ctx.curves.empirical, name), getattr(curves.empirical, name)
             ), name
-        assert ctx.hazard[0].shape == ctx.event_w.shape == curves.empirical.event_times.shape
+        hazard = ctx.curves.hazard_steps
+        assert hazard[0].shape == ctx.event_w.shape == curves.empirical.event_times.shape
 
     def test_contexts_are_frozen(self):
         plugin = make_plugin_context(self.SAMPLES["seed-0"], GRID)
@@ -763,7 +765,7 @@ class TestPluginVariance:
         ctx = make_plugin_context(d, grid)
         # the last event has a unit hazard jump, and the last pooled factor
         # of the entry-survival fit is 0
-        assert ctx.hazard[0][-1] == 1.0
+        assert ctx.curves.hazard_steps[0][-1] == 1.0
         emp = ctx.curves.empirical
         assert emp.pooled_jumps[-1] == emp.pooled_at_risk_counts[-1]
         with warnings.catch_warnings():
@@ -797,7 +799,7 @@ class TestPluginVariance:
             assert width == 22  # 2,964 times
             assert 1 < width < ctx.dataset.n
             assert ctx.dataset.n % width != 0  # the last chunk is ragged
-            assert ctx.hazard[0][-1] == 1.0  # the clamped last event
+            assert ctx.curves.hazard_steps[0][-1] == 1.0  # the clamped last event
         elif case == "n=1":
             ctx = make_plugin_context(Dataset([0.7], [0.4], [1]), EvalGrid.of_points([1.1]))
         elif case == "all-tied":
