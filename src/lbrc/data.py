@@ -39,7 +39,7 @@ class Dataset:
         y = a + v
         if not np.all(np.isfinite(y)) or np.any(v < 0):
             raise InvalidDataError("residual times must be >= 0, with a + v finite")
-        if not np.all(np.isin(delta, (0, 1))):
+        if not np.logical_or(delta == 0, delta == 1).all():
             raise InvalidDataError("event indicators must be 0 or 1")
         delta = delta.astype(np.int8)
         for arr in (a, v, delta, y):

@@ -150,8 +150,20 @@ def _product_limit(times: np.ndarray, factors: np.ndarray) -> StepFunction:
 
 
 def exit_order(d: Dataset) -> np.ndarray:
-    """The subjects in ascending order of exit time, ties in data order."""
-    return np.argsort(d.y, kind="stable")
+    """The subjects in ascending order of exit time, ties in data order.
+
+    This is ``np.argsort(d.y, kind="stable")``, found with the faster
+    unstable sort: only the order inside a run of tied exit times can differ,
+    and one integer sort of (tie run, subject) keys puts each run in data
+    order.
+    """
+    order = np.argsort(d.y)
+    y = d.y[order]
+    tied = y[1:] == y[:-1]
+    if not tied.any():
+        return order
+    run = np.concatenate(([0], np.cumsum(~tied, dtype=np.int64))) * d.n
+    return np.sort(run + order) - run
 
 
 def tjw_product_limit(d: Dataset, order: np.ndarray) -> StepFunction:

@@ -6,7 +6,7 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-Seven helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
+Eight helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
 against small hand-made populations.  ``ClosedFormExponential`` and
 ``ClosedFormWeibull`` write each lifetime function of a family out in closed
@@ -17,6 +17,9 @@ tables built from one evaluation of the population.
 ``oracle_subject_influence_loop``
 evaluates the oracle influence values one time at a time from the context's
 tables, the reference for the package's shared evaluator.
+``influence_means_fine_panels`` sums the oracle sample means over the panels
+between every data point, the reference for the package's sums over the
+entry and residual breaks.
 ``plugin_subject_influence_rowwise``
 evaluates the plugin influence values one time at a time from the context's
 prefix sums, the reference for the package's coefficient form, and
@@ -639,3 +642,103 @@ def influence_csv_one_shot(path, rows, n_obs, level, cfg_hash):
         "t,cdf,se,ci_low,ci_high,d,v\n",
     ]
     _write_lines(path, head + [",".join(repr(float(x)) for x in row) + "\n" for row in rows])
+
+
+def influence_means_fine_panels(ctx, d, times, want="both"):
+    """``influence_means`` summed over the fine panels between all data points.
+
+    The breaks are 0, the times and every a, v and y up to the largest time
+    (3n + T + 1 points at most).  Each sample step function is constant on a
+    panel between two breaks, so each mean is a sum over the panels of a
+    constant times an oracle-table difference; the risk correction is folded
+    onto the coarser panels between 0, the times, a and v.  The reference for
+    the package's sums over the coarse breaks with a per-subject direct
+    hazard term.
+    """
+    from lbrc.empirical import build_empirical
+    from lbrc.influence import OracleContext, _anchor, _anchored_table, _check_oracle_sample
+
+    if not isinstance(ctx, OracleContext):
+        raise ValueError("influence_means requires an oracle context")
+    if want not in ("phi", "both"):
+        raise ValueError(f"want must be 'phi' or 'both', got {want!r}")
+    _check_oracle_sample(d.a, d.v, d.delta)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    tmax = float(times.max())
+    n = d.n
+    model = ctx.model
+    m_table, p_table, w_table = ctx.tables
+
+    # the breaks are the points up to tmax; ``where`` places a, v, y, the
+    # times and 0 among them
+    points, where = np.unique(
+        np.concatenate([d.a, d.v, d.y, times, [0.0]]), return_inverse=True
+    )
+    t_idx = where[3 * n : -1]
+    breaks = points[: t_idx.max() + 1]
+    left = breaks[:-1]
+    # #{a <= b}, #{v <= b} and #{y <= b} at the left break b of each panel
+    le_a, le_v, le_y = (
+        np.cumsum(np.bincount(where[k * n : (k + 1) * n], minlength=points.size))[: left.size]
+        for k in range(3)
+    )
+    bar_a = (n - le_a) / n
+    k_panel = (2 * n - le_a - le_v) / n
+    r_bar_panel = (le_a - le_y) / n
+
+    emp = build_empirical(d)
+
+    # entry influence mean: smooth part against the pooled measure minus the
+    # exact pooled-sample jump sum
+    in_range = emp.pooled_times <= tmax
+    s_pool = emp.pooled_times[in_range]
+    dq_pool = emp.pooled_jumps[in_range] / n
+    k_pop_pool = np.asarray(model.pooled_at_risk(s_pool), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jump_terms = np.where(k_pop_pool > 0, dq_pool / np.where(k_pop_pool > 0, k_pop_pool, 1.0), 0.0)
+    jump_prefix = np.concatenate(([0.0], np.cumsum(jump_terms)))
+
+    m_at_breaks = m_table.query(breaks)
+    phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
+    phi_at_breaks = phi_smooth_prefix - jump_prefix[
+        np.searchsorted(s_pool, breaks, side="right")
+    ]
+    out = {"mean_phi": phi_at_breaks[t_idx]}
+    if want == "phi":
+        return out
+
+    # g is tabulated from the anchor on; the panels left of it carry no dg
+    anchor = _anchor(ctx, d.a, d.v)
+    g_at_breaks = _anchored_table(ctx, anchor, model.influence_weight).query(
+        np.maximum(breaks, anchor)
+    )
+    dg = np.where(left >= anchor, np.diff(g_at_breaks), 0.0)
+
+    # direct hazard influence mean
+    ev_in = emp.event_times <= tmax
+    u_ev = emp.event_times[ev_in]
+    dn_ev = emp.event_counts[ev_in] / n
+    r_pop_ev = np.asarray(model.risk(u_ev), dtype=float)
+    event_prefix = np.concatenate(([0.0], np.cumsum(dn_ev / r_pop_ev)))
+    psi1_prefix = np.concatenate(([0.0], np.cumsum(r_bar_panel * dg)))
+    out["mean_psi1"] = psi1_prefix[t_idx] - event_prefix[
+        np.searchsorted(u_ev, times, side="right")
+    ]
+
+    # risk-correction influence mean, over the coarse panels; p and w are
+    # read at their ends only
+    coarse = np.zeros(points.size, dtype=bool)
+    coarse[where[: 2 * n]] = True
+    coarse[where[3 * n :]] = True
+    coarse = np.flatnonzero(coarse[: breaks.size])
+    lo = coarse[:-1]
+    c = 1.0 + phi_at_breaks[lo] - k_panel[lo] * m_at_breaks[lo]
+    at_coarse = p_table.locate(breaks[coarse])
+    psi2_panel = (
+        (bar_a[lo] - c) * np.add.reduceat(dg, lo)
+        + c * np.diff(p_table.read(at_coarse))
+        - k_panel[lo] * np.diff(w_table.read(at_coarse))
+    )
+    psi2_prefix = np.concatenate(([0.0], np.cumsum(psi2_panel)))
+    out["mean_psi2"] = psi2_prefix[np.searchsorted(coarse, t_idx)]
+    return out

@@ -108,6 +108,30 @@ class TestParseDataset:
         with pytest.raises(InvalidDataError, match=r"row 2.*'delta'"):
             parse_dataset(p)
 
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            np.array([0, 1, 1]),
+            np.array([True, False, True]),
+            np.array([0.0, 1.0, 1.0]),
+            np.array([0, 2, 1]),
+            np.array([0, -1, 1]),
+            np.array([0.0, np.nan, 1.0]),
+            np.array(["0", "1", "1"]),
+        ],
+        ids=["int", "bool", "float", "two", "minus-one", "nan", "string"],
+    )
+    def test_delta_check_agrees_with_set_membership(self, delta):
+        # the two comparisons with 0 and 1 accept exactly the columns that
+        # membership in {0, 1} accepts
+        member = bool(np.all(np.isin(delta, (0, 1))))
+        try:
+            Dataset([1.0, 2.0, 3.0], [0.5, 0.5, 0.5], delta)
+        except InvalidDataError as err:
+            assert not member and "event indicators" in str(err)
+        else:
+            assert member
+
     def test_non_numeric_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,v,delta\n1.0,oops,1\n")

@@ -3,6 +3,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from lbrc import empirical, estimators
@@ -175,6 +176,24 @@ def test_brute_force_equality_small_n(seed):
             got = curve(t) if name == "combined_risk" else curve.at(t)
             want = oracle(d, float(t))
             assert got == pytest.approx(want, abs=1e-12), (name, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 1)),
+        min_size=1,
+        max_size=120,
+    )
+)
+@example([(3, 2, 1)])
+@example([(2, 4, 1), (2, 4, 0)] * 20)
+def test_exit_order_is_the_stable_argsort(rows):
+    # a, v and delta on a coarse lattice: most exit times are tied; the
+    # examples are one subject and a sample whose exit times all tie
+    a, v, delta = (np.array(col) for col in zip(*rows))
+    d = Dataset(0.5 * a, 0.25 * v, delta)
+    assert np.array_equal(exit_order(d), np.argsort(d.y, kind="stable"))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -44,6 +44,10 @@ GRID = MODEL.default_grid()
 # sample's largest variance
 VARIANCE_RTOL = 1e-12
 CTX = make_oracle_context(MODEL, GRID)
+# ``influence_means`` and its fine-panel reference sum the same table reads
+# in different orders; they agree to this fraction of each mean's largest
+# value
+COARSE_BREAKS_RTOL = 1e-11
 
 
 def upper_half_context():
@@ -300,6 +304,51 @@ class TestAlgebraicIdentities:
         assert np.abs(phi.mean(axis=1) - means["mean_phi"]).max() < 1e-10
         assert np.abs(psi1.mean(axis=1) - means["mean_psi1"]).max() < 1e-10
         assert np.abs(psi2.mean(axis=1) - means["mean_psi2"]).max() < 1e-10
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "exponential-4000",
+            "weibull-1.5",
+            "weibull-0.7",
+            "zero-residuals",
+            "times-on-data",
+            "n=1",
+            "time-below-anchor",
+            "phi",
+        ],
+    )
+    def test_coarse_breaks_match_fine_panels(self, case):
+        # the sums over the breaks 0, a, v and the times, with the direct
+        # hazard term per subject, agree with the sums over the fine panels
+        # between all data points to a fraction of each mean's largest value
+        ctx, ts, want = CTX, GRID.points, "both"
+        if case == "exponential-4000":
+            d = sample_lbrc(MODEL, 4000, seed=23)
+        elif case.startswith("weibull"):
+            model = WeibullModel(censor_rate=0.5, shape=float(case.split("-")[1]))
+            ctx = make_oracle_context(model, model.default_grid())
+            ts = ctx.grid.points
+            d = sample_lbrc(model, 1000, seed=23)
+        elif case == "zero-residuals":
+            d = self._zero_residual_sample()
+        elif case == "times-on-data":
+            d, ts = self._times_on_data()
+        elif case == "n=1":
+            d = Dataset([0.7], [0.4], [1])
+        elif case == "time-below-anchor":
+            d = sample_lbrc(MODEL, 300, seed=29)
+            first = min(d.a.min(), d.v[d.v > 0].min())
+            ts = np.concatenate([[0.25 * first], GRID.points])
+            assert ts[0] < influence._anchor(ctx, d.a, d.v)
+        else:
+            d, want = sample_lbrc(MODEL, 1000, seed=23), "phi"
+        got = influence_means(ctx, d, ts, want=want)
+        ref = oracles.influence_means_fine_panels(ctx, d, ts, want=want)
+        assert got.keys() == ref.keys()
+        for key, value in ref.items():
+            scale = np.abs(value).max()
+            assert np.abs(got[key] - value).max() <= COARSE_BREAKS_RTOL * scale, key
 
     def test_means_read_tables_not_densities(self):
         # once the oracle tables exist, a call evaluates rho only to build the
