@@ -556,9 +556,12 @@ def influence_means(
     at_breaks = m_table.locate(breaks)
     m_at_breaks = m_table.read(at_breaks)
     phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
-    phi_at_breaks = phi_smooth_prefix - jump_prefix[
-        np.searchsorted(s_pool, breaks, side="right")
-    ]
+    # every pooled mass point up to tmax is a break: the jumps up to a break
+    # are those on the breaks up to it that hold an a or an uncensored v
+    mass = np.bincount(
+        np.concatenate([where[:n], where[n : 2 * n][d.delta == 1]]), minlength=points.size
+    )
+    phi_at_breaks = phi_smooth_prefix - jump_prefix[np.cumsum(mass[: breaks.size] > 0)]
     out = {"mean_phi": phi_at_breaks[t_idx]}
     if want == "phi":
         return out

@@ -1,4 +1,9 @@
+import ast
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +163,27 @@ class TestRateExperiment:
             ctx = make_oracle_context(model, grid)
             sup = residual_cdf(d, ctx, grid, fit(d)).residual_sup
             assert parallel.sup_residuals[1, reps - 1] == sup
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rate_experiment_loads_no_scipy_optimize(self, threads):
+        # the window check's h_quantile finds its root without scipy.optimize,
+        # whose import would add some 250 modules to the parent and its workers
+        code = (
+            "import sys\n"
+            "from lbrc.simulate import rate_experiment\n"
+            "from lbrc.truth import ExponentialModel\n"
+            "model = ExponentialModel(censor_rate=0.5, rate=1.0)\n"
+            "grid = model.default_grid(count=8)\n"
+            f"rate_experiment(model, [60, 120], 50, 'Rn2', grid, seed=11, threads={threads})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_refused(self, threads):

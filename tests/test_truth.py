@@ -1,12 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 import oracles
 from lbrc.errors import ConfigError
-from lbrc.truth import ExponentialModel, WeibullModel, make_model
+from lbrc.truth import ExponentialModel, WeibullModel, _brentq, make_model
 
 MODELS = [
     ExponentialModel(censor_rate=0.5, rate=1.0),
@@ -325,3 +326,83 @@ def test_lifetime_functions_match_closed_forms_bit_for_bit(model, ref):
     assert model.mu == ref.mu
     assert model.h_quantile(0.9) == ref.h_quantile(0.9)
     assert np.array_equal(model.default_grid(8).points, ref.default_grid(8).points)
+
+
+# h_quantile's root, pinned bit for bit to scipy's brentq on the bracket and
+# tolerance that h_quantile uses, at rates and scales far from 1
+BRENT_MODELS = [
+    *(
+        ExponentialModel(censor_rate=lc, rate=rate)
+        for rate in (1.0, 7.0, 2.0**-40, 1e10, 1e-200, 1e300)
+        for lc in (None, rate / 2)
+    ),
+    *(
+        WeibullModel(censor_rate=lc, shape=shape, scale=scale)
+        for shape in (0.7, 1.5, 5.0)
+        for scale in (1.0, 1e-6, 1e8)
+        for lc in (None, 0.5 / scale)
+    ),
+]
+
+
+@pytest.mark.parametrize("model", BRENT_MODELS, ids=str)
+def test_h_quantile_root_is_scipy_brentq_bit_for_bit(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.001, 0.5, 0.95, 0.999999):
+            hi = 2.0 * float(model.lb_quantile(q))
+            want = optimize.brentq(lambda t: model.exit_cdf(t) - q, 0.0, hi, xtol=1e-14 * hi)
+            assert model.h_quantile(q) == want, q
+
+
+# toy functions for each branch of the port; scipy is the reference
+BRENT_TOYS = {
+    "root at the left end": (lambda x: x, 0.0, 1.0),
+    "root at the right end": (lambda x: x - 1.0, 0.0, 1.0),
+    "negative zero at an end": (lambda x: -0.0 if x == 0 else x, 0.0, 1.0),
+    "smooth": (lambda x: math.expm1(x) - 1e-3, -50.0, 3.0),
+    "decreasing": (lambda x: 0.2 - x**3, 0.0, 1.0),
+    "flat on the left": (lambda x: max(x - 0.7, -0.25), 0.0, 1.0),
+    "flat on both sides": (lambda x: min(max(x - 0.6, -0.1), 0.05), 0.0, 1.0),
+    "staircase": (lambda x: math.floor(8 * x) / 8 - 0.4, 0.0, 1.0),
+    # slopes near 1e-200: the extrapolation's product of two slopes
+    # underflows to 0, where Python raises and C gets an inf step it refuses
+    "nearly flat": (lambda x: 1e-200 * (x**3 - 0.2), 0.0, 1.0),
+    "nearly flat, decreasing": (lambda x: -1e-200 * (x**3 - 0.2), 0.0, 1.0),
+    "nearly flat, wide": (lambda x: (x * 1e-200) ** 3 - 0.2, 0.0, 1e200),
+    "steep": (lambda x: 1e300 * (x**3 - 0.2), 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("f, lo, hi", BRENT_TOYS.values(), ids=BRENT_TOYS)
+@pytest.mark.parametrize("xtol", [2e-12, 1e-300, 5e-324])
+def test_brentq_matches_scipy_bit_for_bit(f, lo, hi, xtol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = optimize.brentq(f, lo, hi, xtol=xtol)
+        got = _brentq(f, lo, hi, xtol)
+    assert type(got) is float
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi, xtol, error",
+    [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 2e-12, ValueError),  # ends of one sign
+        (lambda x: -(x * x) - 1.0, -1.0, 1.0, 2e-12, ValueError),
+        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 1.0, 2e-12, ValueError),  # f(a) f(b) underflows
+        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 2e-12, ValueError),  # NaN at an end
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 2e-12, ValueError),
+        (lambda x: x - 0.5, 0.0, 1.0, 0.0, ValueError),  # xtol <= 0
+        # a jump at 1/3 from a bracket of width 2e30 needs some 140 halvings
+        (lambda x: -1.0 if x < 1 / 3 else 1.0, -1e30, 1e30, 2e-12, RuntimeError),
+        (lambda x: math.exp(-x) - 0.5, 0.0, 1e200, 5e-324, RuntimeError),
+    ],
+)
+def test_brentq_raises_where_scipy_does(f, lo, hi, xtol, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            optimize.brentq(f, lo, hi, xtol=xtol)
+        with pytest.raises(error):
+            _brentq(f, lo, hi, xtol)
