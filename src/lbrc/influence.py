@@ -22,9 +22,12 @@ context; ``plugin_variance`` and ``lil_quantities`` take a plugin context.
 
 Both modes of ``subject_influence`` evaluate one formula,
 ``_influence_from_reads``, on four cumulatives read at each time (of ``rho``,
-``rho S_A``, ``rho S_A m`` and ``m``): the plugin mode reads event prefix
-sums, the oracle mode its tables and a ``rho S_A`` table anchored below the
-sample.
+``rho S_A``, ``rho S_A m`` and ``m``) and six terms per subject: the plugin
+mode reads event prefix sums, the oracle mode its tables and a ``rho S_A``
+table anchored below the sample.  The oracle mode sorts each of the a, v and
+y columns once, reads the sorted column on both edge sets and puts the reads
+back in subject order, then evaluates the formula over every time for one
+block of subjects at a time, the layout of ``plugin_variance``'s chunks.
 
 Plugin values are the exact derivatives of the reported step-function
 estimates, not the continuous-hazard formulas evaluated at them.  The pooled
@@ -108,7 +111,7 @@ DIVERGENCE_CAP = 1.0e4
 _TABLE_PANELS = 1600
 
 # values per (times, subjects) array in one chunk of ``plugin_variance``, and
-# in one block of times of oracle ``subject_influence`` (512 KiB)
+# in one block of subjects of oracle ``subject_influence`` (512 KiB)
 _BLOCK_VALUES = 2**16
 
 
@@ -265,7 +268,10 @@ class _SortedQueries:
 
     def map(self, lookup):
         """Elementwise ``lookup`` run on the sorted values, in query order."""
-        found = lookup(self.sorted)
+        return self.scatter(lookup(self.sorted))
+
+    def scatter(self, found):
+        """Values found for the sorted values, in query order."""
         out = np.empty_like(found)
         out[self.order] = found
         return out
@@ -304,13 +310,23 @@ def _check_oracle_sample(a, v, delta):
 # per-subject evaluation
 
 
+def _evaluation_times(times) -> np.ndarray:
+    """``times`` as a flat float array; a NaN or infinite time raises ``ValueError``."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(times).all():
+        raise ValueError("evaluation times must be finite")
+    return times
+
+
 def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     """Influence values for each subject at each time.
 
     Returns three arrays of shape ``(len(times), n)``: the pooled-entry
     influence, the direct hazard influence, and the estimated-risk hazard
     correction.  Both modes evaluate ``_influence_from_reads``; the oracle
-    mode goes a block of ``_BLOCK_VALUES // n`` times (at least one) at a time.
+    mode goes over every time for a block of ``_BLOCK_VALUES // len(times)``
+    subjects (at least one) at a time, as ``plugin_variance`` does.  A NaN or
+    infinite time raises ``ValueError``, as does one past the window end.
 
     With a plugin context the subjects are those of the context's sample, in
     any order: each a, uncensored v and uncensored y must be a data point of
@@ -326,7 +342,7 @@ def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     a = np.asarray(a, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     delta = np.asarray(delta).reshape(-1).astype(float)
-    times = np.asarray(times, dtype=float).reshape(-1)
+    times = _evaluation_times(times)
     # a slack relative to b, so that a power-of-two change of time unit
     # scales it exactly
     if times.size and times.max() > ctx.grid.b + 1e-12 * ctx.grid.b:
@@ -341,7 +357,7 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     """Oracle reads for ``_influence_from_reads``: V from the anchored
     ``rho S_A`` table (0 below the anchor), G = p + V, which differs from the
     divergent cumulative of ``rho`` by a constant that every use cancels,
-    Q = w and M = m.  Blocks of times go into preallocated outputs."""
+    Q = w and M = m.  Blocks of subjects go into preallocated outputs."""
     _check_oracle_sample(a, v, delta)
     y = a + v
     model = ctx.model
@@ -360,6 +376,13 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
         at = tables[0].locate(np.clip(x, tables[0].lo, tables[0].hi))
         return [table.read(at) for table in tables]
 
+    def read_column(x, tables):
+        # a subject column is sorted once, and located in that order on the
+        # edges of ``tables`` and on the anchored edges
+        by_x = _SortedQueries(x)
+        found = read(tables, by_x.sorted) + read((v_tab,), by_x.sorted)
+        return [by_x.scatter(f) for f in found]
+
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
     k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
     r_y = np.asarray(model.risk(y), dtype=float)
@@ -375,27 +398,31 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     own_event = delta / np.where(r_y > 0, r_y, 1.0)
     del k_a, k_v, r_y  # each (n,) array freed here lowers the peak
 
-    (m_a, p_a, w_a), (v_a,) = read((m_t, p_t, w_t), a), read((v_tab,), a)
+    m_a, p_a, w_a, v_a = read_column(a, (m_t, p_t, w_t))
     g_a = p_a + v_a
-    const_a = g_a - w_a + (m_a - inv_k_a) * v_a
-    del p_a, w_a, v_a
-    psi1_y = read((p_t,), y)[0] + read((v_tab,), y)[0] - g_a - own_event
-    (m_v, w_v), (v_v,) = read((m_t, w_t), v), read((v_tab,), v)
-    const_v = (m_v - inv_k_v) * v_v - w_v
-    del own_event, w_v, v_v
-    subject = (g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
+    d_a = m_a - inv_k_a
+    const_a = g_a - w_a + d_a * v_a
+    del m_a, p_a, w_a, v_a, inv_k_a
+    p_y, v_y = read_column(y, (p_t,))
+    psi1_y = p_y + v_y - g_a - own_event
+    del p_y, v_y, own_event
+    m_v, w_v, v_v = read_column(v, (m_t, w_t))
+    d_v = m_v - inv_k_v
+    const_v = d_v * v_v - w_v
+    del m_v, w_v, v_v, inv_k_v
+    subject = (g_a, psi1_y, const_a, const_v, d_a, d_v)
 
     (p_at, w_at, m_at), (v_at,) = read((p_t, w_t, m_t), times), read((v_tab,), times)
     at_times = (p_at + v_at, v_at, w_at, m_at)
     out = tuple(np.empty((times.size, a.size)) for _ in range(3))
-    width = max(1, _BLOCK_VALUES // max(a.size, 1))
-    for lo in range(0, times.size, width):
-        rows = slice(lo, lo + width)
+    width = max(1, _BLOCK_VALUES // max(times.size, 1))
+    for lo in range(0, a.size, width):
+        cols = slice(lo, lo + width)
         block = _influence_from_reads(
-            times[rows], tuple(x[rows] for x in at_times), a, v, y, subject
+            times, at_times, a[cols], v[cols], y[cols], tuple(x[cols] for x in subject)
         )
         for dst, src in zip(out, block):
-            dst[rows] = src
+            dst[:, cols] = src
     return out
 
 
@@ -447,7 +474,7 @@ def _plugin_subject_influence(ctx: PluginContext, a, v, delta, times, reads):
     psi1_y = pref_w[iy] - w_a - own_event
     const_a = w_a - pref_wsm[ia] + m_a * pref_ws[ia] - inv_k_a * pref_ws[ja]
     const_v = m_v * pref_ws[iv] - pref_wsm[iv] - inv_k_v * pref_ws[jv]
-    subject = (w_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
+    subject = (w_a, psi1_y, const_a, const_v, m_a - inv_k_a, m_v - inv_k_v)
     return _influence_from_reads(times, at_times, a, v, y, subject)
 
 
@@ -457,20 +484,21 @@ def _influence_from_reads(times, at_times, a, v, y, subject):
     ``at_times`` holds the reads at each time of G, V, Q and M, the
     cumulatives of ``rho``, ``rho S_A``, ``rho S_A m`` and ``m``.  ``subject``
     holds G at a, psi1 once t passes y, the constant parts of psi2's a and v
-    terms, ``m_a``, ``m_v``, ``1/k_a`` and ``delta/k_v``.  The values change
-    form only where t passes a, v or y, and are affine in the reads between.
-    The arrays run along their longer axis, (subjects, times) when longer.
+    terms, ``d_a = m_a - 1/k_a`` and ``d_v = m_v - delta/k_v``.  The values
+    change form only where t passes a, v or y, and are affine in the reads
+    between.  The arrays run along their longer axis, (subjects, times) when
+    longer.
     """
     long_grid = times.size > a.size
     t, g_t, v_t, q_t, m_t = (x if long_grid else x[:, None] for x in (times, *at_times))
-    a, v, y, g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v = (
+    a, v, y, g_a, psi1_y, const_a, const_v, d_a, d_v = (
         x[:, None] if long_grid else x for x in (a, v, y, *subject)
     )
     a_le, v_le = a <= t, v <= t
-    phi = np.where(a_le, m_a - inv_k_a, m_t) + np.where(v_le, m_v - inv_k_v, m_t)
+    phi = np.where(a_le, d_a, m_t) + np.where(v_le, d_v, m_t)
     psi1 = np.where(y <= t, psi1_y, np.where(a_le, g_t - g_a, 0.0))
-    psi2 = np.where(a_le, const_a + (inv_k_a - m_a) * v_t, g_t - q_t)
-    psi2 += np.where(v_le, const_v + (inv_k_v - m_v) * v_t, -q_t)
+    psi2 = np.where(a_le, const_a - d_a * v_t, g_t - q_t)
+    psi2 += np.where(v_le, const_v - d_v * v_t, -q_t)
     psi2 -= v_t
     return (phi.T, psi1.T, psi2.T) if long_grid else (phi, psi1, psi2)
 
@@ -520,7 +548,7 @@ def influence_means(
     if want not in ("phi", "both"):
         raise ValueError(f"want must be 'phi' or 'both', got {want!r}")
     _check_oracle_sample(d.a, d.v, d.delta)
-    times = np.asarray(times, dtype=float).reshape(-1)
+    times = _evaluation_times(times)
     tmax = float(times.max())
     n = d.n
     model = ctx.model

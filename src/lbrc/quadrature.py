@@ -13,8 +13,14 @@ polynomial that interpolates the density at those nodes; an interior query
 is then a lookup plus one polynomial evaluation, with no further density
 call.  Each series is chopped
 when its table is built (Aurentz and Trefethen, ACM TOMS 43, 2017), and
-tables on the same edges share one ``locate`` of a point set.  A table whose
-sums, coefficients or inverse panel widths overflow a float raises
+tables on the same edges share one ``locate`` of a point set.  ``locate``
+finds the panels of sorted points that outnumber the edges by counting the
+edges, one search of the edges into the points, and of fewer or unsorted
+points by one search per point; either way the panel depends on the point's
+value alone.  ``read`` sums the series by Clenshaw's recurrence (Clenshaw,
+Math. Tables Aids Comput. 9, 1955) in place, in three buffers of the point
+count, with the rounding of the written recurrence.  A table whose sums,
+coefficients or inverse panel widths overflow a float raises
 ``ComputeError`` when it is built.
 """
 
@@ -185,45 +191,69 @@ class SmoothCumulative:
     def locate(self, s) -> Position:
         """The ``Position`` of each point, for any table on the same edges.
 
-        Unsorted points are searched in sorted order, after one argsort: the
-        search walks the edges in order, and its result depends on the value
-        alone."""
+        A NaN point, or one outside the domain by more than its slack,
+        raises ``ValueError``.  Sorted points that outnumber the edges are
+        placed by counting the edges at or below each, from one search of
+        the edges into the points; fewer sorted points are searched into the
+        edges one by one, and unsorted ones the same way in sorted order,
+        after one argsort.  Either way a position depends on the point's
+        value alone."""
         s = np.asarray(s, dtype=float)
         sq = np.atleast_1d(s)
         # the slack scales with the domain, so a power-of-two change of time
-        # unit scales it exactly
+        # unit scales it exactly; NaN fails both comparisons
         slack = 1e-12 * max(abs(self.lo), abs(self.hi))
-        if sq.size and (sq.min() < self.lo - slack or sq.max() > self.hi + slack):
+        if sq.size and not (sq.min() >= self.lo - slack and sq.max() <= self.hi + slack):
             raise ValueError(
                 f"query outside domain [{self.lo}, {self.hi}]: "
                 f"[{sq.min()}, {sq.max()}]"
             )
         sq = np.clip(sq, self.lo, self.hi)
-        if np.all(sq[1:] >= sq[:-1]):
-            idx = np.searchsorted(self.edges, sq, side="right") - 1
-        else:
+        if not np.all(sq[1:] >= sq[:-1]):
             order = np.argsort(sq)
             idx = np.empty(sq.size, dtype=np.intp)
             idx[order] = np.searchsorted(self.edges, sq[order], side="right") - 1
+        elif sq.size > self.edges.size:
+            # point i has as many edges at or below it as there are edges
+            # whose first point at or above them is at most i
+            first = np.searchsorted(sq, self.edges, side="left")
+            idx = np.cumsum(np.bincount(first, minlength=sq.size + 1)[:-1]) - 1
+        else:
+            idx = np.searchsorted(self.edges, sq, side="right") - 1
         panel = np.minimum(idx, self.edges.size - 2)
         xi = (sq - self.edges[panel]) * self._inv_half[panel] - 1.0
         return Position(self.edges, idx, panel, xi, sq == self.edges[idx], s.ndim == 0)
 
     def read(self, position: Position):
-        """The cumulative at points located on this table's edges."""
+        """The cumulative at points located on this table's edges.
+
+        Clenshaw's recurrence runs in place in three buffers of the point
+        count, each step in the order of the written recurrence, so it
+        rounds as the expression does."""
         if position.edges is not self.edges and not np.array_equal(position.edges, self.edges):
             raise ValueError("position was located on other edges")
         panel, xi = position.panel, position.xi
         # Clenshaw recurrence for the Legendre series of the partial integral,
-        # from P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1)
+        # from P_{k+1} = ((2k + 1) x P_k - k P_{k-1}) / (k + 1):
+        # b_k = c_k + (2k + 1) / (k + 1) x b_{k+1} - (k + 1) / (k + 2) b_{k+2}
         coef = self._coef
         order = coef.shape[0] - 1
         b1 = coef[order][panel]
-        b0 = coef[order - 1][panel] + (2 * order - 1) / order * xi * b1
+        b0 = np.multiply((2 * order - 1) / order, xi)
+        b0 *= b1
+        b0 += coef[order - 1][panel]
+        b2 = np.empty_like(b0)
         for k in range(order - 2, -1, -1):
-            b2, b1 = b1, b0
-            b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
-        out = self.cum[position.index] + np.where(position.on_edge, 0.0, b0)
+            # the spent b_{k+3} buffer takes b_k
+            b2, b1, b0 = b1, b0, b2
+            np.multiply((2 * k + 1) / (k + 1), xi, out=b0)
+            b0 *= b1
+            b0 += coef[k][panel]
+            np.multiply((k + 1) / (k + 2), b2, out=b2)
+            b0 -= b2
+        b0[position.on_edge] = 0.0
+        out = self.cum[position.index]
+        out += b0
         return float(out[0]) if position.scalar else out
 
     def query(self, s):

@@ -6,7 +6,7 @@ stated conventions (0/0 skips, the 1/n hazard-denominator floor, per-factor
 clamping into [0, 1]) are applied exactly as documented so the comparisons
 are exact.
 
-Eight helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
+Several helpers are exceptions.  ``FunctionPopulation`` gives an oracle influence
 context raw population callables, so tests can run the package's oracle code
 against small hand-made populations.  ``ClosedFormExponential`` and
 ``ClosedFormWeibull`` write each lifetime function of a family out in closed
@@ -19,7 +19,13 @@ evaluates the oracle influence values one time at a time from the context's
 tables, the reference for the package's shared evaluator.
 ``influence_means_fine_panels`` sums the oracle sample means over the panels
 between every data point, the reference for the package's sums over the
-entry and residual breaks.
+entry and residual breaks.  ``locate_one_search`` and
+``read_clenshaw_expression`` place points with one search per point and sum
+each Clenshaw step as one expression, the references for the edge count and
+the in-place recurrence of ``SmoothCumulative``, and
+``oracle_subject_influence_time_blocks`` evaluates oracle influence values
+over blocks of times from them, the reference for the package's blocks of
+subjects.
 ``plugin_subject_influence_rowwise``
 evaluates the plugin influence values one time at a time from the context's
 prefix sums, the reference for the package's coefficient form, and
@@ -741,4 +747,134 @@ def influence_means_fine_panels(ctx, d, times, want="both"):
     )
     psi2_prefix = np.concatenate(([0.0], np.cumsum(psi2_panel)))
     out["mean_psi2"] = psi2_prefix[np.searchsorted(coarse, t_idx)]
+    return out
+
+
+def locate_one_search(table, s):
+    """The ``Position`` of each point on ``table``'s edges from one search of
+    the edges per point, in sorted order after one argsort when the points
+    are unsorted: the reference for ``SmoothCumulative.locate``."""
+    from lbrc.quadrature import Position
+
+    s = np.asarray(s, dtype=float)
+    sq = np.atleast_1d(s)
+    slack = 1e-12 * max(abs(table.lo), abs(table.hi))
+    if sq.size and (sq.min() < table.lo - slack or sq.max() > table.hi + slack):
+        raise ValueError(
+            f"query outside domain [{table.lo}, {table.hi}]: "
+            f"[{sq.min()}, {sq.max()}]"
+        )
+    sq = np.clip(sq, table.lo, table.hi)
+    if np.all(sq[1:] >= sq[:-1]):
+        idx = np.searchsorted(table.edges, sq, side="right") - 1
+    else:
+        order = np.argsort(sq)
+        idx = np.empty(sq.size, dtype=np.intp)
+        idx[order] = np.searchsorted(table.edges, sq[order], side="right") - 1
+    panel = np.minimum(idx, table.edges.size - 2)
+    xi = (sq - table.edges[panel]) * table._inv_half[panel] - 1.0
+    return Position(table.edges, idx, panel, xi, sq == table.edges[idx], s.ndim == 0)
+
+
+def read_clenshaw_expression(table, position):
+    """``table``'s cumulative at located points, each Clenshaw step written
+    as one expression with fresh arrays: the reference for the in-place
+    ``SmoothCumulative.read``."""
+    if position.edges is not table.edges and not np.array_equal(position.edges, table.edges):
+        raise ValueError("position was located on other edges")
+    panel, xi = position.panel, position.xi
+    coef = table._coef
+    order = coef.shape[0] - 1
+    b1 = coef[order][panel]
+    b0 = coef[order - 1][panel] + (2 * order - 1) / order * xi * b1
+    for k in range(order - 2, -1, -1):
+        b2, b1 = b1, b0
+        b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
+    out = table.cum[position.index] + np.where(position.on_edge, 0.0, b0)
+    return float(out[0]) if position.scalar else out
+
+
+def _influence_from_eight_terms(times, at_times, a, v, y, subject):
+    """``_influence_from_reads`` on eight subject terms: ``m_a``, ``m_v``,
+    ``1/k_a`` and ``delta/k_v`` apart, and psi2's terms as
+    ``const + (1/k - m) V``."""
+    long_grid = times.size > a.size
+    t, g_t, v_t, q_t, m_t = (x if long_grid else x[:, None] for x in (times, *at_times))
+    a, v, y, g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v = (
+        x[:, None] if long_grid else x for x in (a, v, y, *subject)
+    )
+    a_le, v_le = a <= t, v <= t
+    phi = np.where(a_le, m_a - inv_k_a, m_t) + np.where(v_le, m_v - inv_k_v, m_t)
+    psi1 = np.where(y <= t, psi1_y, np.where(a_le, g_t - g_a, 0.0))
+    psi2 = np.where(a_le, const_a + (inv_k_a - m_a) * v_t, g_t - q_t)
+    psi2 += np.where(v_le, const_v + (inv_k_v - m_v) * v_t, -q_t)
+    psi2 -= v_t
+    return (phi.T, psi1.T, psi2.T) if long_grid else (phi, psi1, psi2)
+
+
+def oracle_subject_influence_time_blocks(ctx, a, v, delta, times):
+    """Oracle ``subject_influence`` over blocks of times for all subjects.
+
+    Each read locates its column afresh with ``locate_one_search`` and sums
+    the series with ``read_clenshaw_expression``; blocks of
+    ``_BLOCK_VALUES // n`` times (at least one) go through the formula on
+    eight subject terms.  The reference, bit for bit, for the package's
+    blocks of subjects on six terms, its one sort per subject column and its
+    in-place reads.
+    """
+    from lbrc.errors import ComputeError
+    from lbrc.influence import _BLOCK_VALUES, _anchor, _anchored_table, _check_oracle_sample
+
+    a = np.asarray(a, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    delta = np.asarray(delta).reshape(-1).astype(float)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    _check_oracle_sample(a, v, delta)
+    y = a + v
+    model = ctx.model
+    m_t, p_t, w_t = ctx.tables
+    v_tab = _anchored_table(
+        ctx,
+        _anchor(ctx, a, v),
+        lambda u: np.asarray(model.influence_weight(u), dtype=float)
+        * np.asarray(model.entry_survival(u), dtype=float),
+    )
+
+    def read(tables, x):
+        at = locate_one_search(tables[0], np.clip(x, tables[0].lo, tables[0].hi))
+        return [read_clenshaw_expression(table, at) for table in tables]
+
+    k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
+    k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
+    r_y = np.asarray(model.risk(y), dtype=float)
+    tmax = float(times.max()) if times.size else 0.0
+    if np.any((a <= tmax) & (k_a <= 0)) or np.any(
+        (v <= tmax) & (delta == 1) & (k_v <= 0)
+    ):
+        raise ComputeError("pooled at-risk function vanishes at an observed point")
+    if np.any((y <= tmax) & (delta == 1) & (r_y <= 0)):
+        raise ComputeError("risk function vanishes at an observed event time")
+    inv_k_a = 1.0 / np.where(k_a > 0, k_a, 1.0)
+    inv_k_v = np.where(delta == 1, 1.0 / np.where(k_v > 0, k_v, 1.0), 0.0)
+    own_event = delta / np.where(r_y > 0, r_y, 1.0)
+
+    (m_a, p_a, w_a), (v_a,) = read((m_t, p_t, w_t), a), read((v_tab,), a)
+    g_a = p_a + v_a
+    const_a = g_a - w_a + (m_a - inv_k_a) * v_a
+    psi1_y = read((p_t,), y)[0] + read((v_tab,), y)[0] - g_a - own_event
+    (m_v, w_v), (v_v,) = read((m_t, w_t), v), read((v_tab,), v)
+    const_v = (m_v - inv_k_v) * v_v - w_v
+    subject = (g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
+
+    (p_at, w_at, m_at), (v_at,) = read((p_t, w_t, m_t), times), read((v_tab,), times)
+    at_times = (p_at + v_at, v_at, w_at, m_at)
+    out = tuple(np.empty((times.size, a.size)) for _ in range(3))
+    width = max(1, _BLOCK_VALUES // max(a.size, 1))
+    for lo in range(0, times.size, width):
+        rows = slice(lo, lo + width)
+        block = _influence_from_eight_terms(
+            times[rows], tuple(x[rows] for x in at_times), a, v, y, subject
+        )
+        for dst, src in zip(out, block):
+            dst[rows] = src
     return out

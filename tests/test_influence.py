@@ -486,12 +486,12 @@ class TestOracleEvaluator:
     def test_matches_reference_loop(self, case, monkeypatch):
         ctx, ts = CTX, GRID.points
         if case == "weibull-400":
-            # blocks of 327 and 73 times: the first has more times than
-            # subjects and runs in the (subjects, times) layout
+            # blocks of 163 and 37 subjects: both have more times than
+            # subjects and run in the (subjects, times) layout
             ctx = make_oracle_context(self.WEIBULL, self.WEIBULL.default_grid(count=400))
             ts = ctx.grid.points
             d = sample_lbrc(self.WEIBULL, 200, seed=23)
-            assert influence._BLOCK_VALUES // d.n == 327
+            assert influence._BLOCK_VALUES // ts.size == 163
         elif case == "zero-residuals":
             d = TestAlgebraicIdentities._zero_residual_sample()
         elif case == "times-on-data":
@@ -501,15 +501,49 @@ class TestOracleEvaluator:
         else:
             d = sample_lbrc(MODEL, 300, seed=29)
         if case == "width-1":
-            monkeypatch.setattr(influence, "_BLOCK_VALUES", d.n)
+            monkeypatch.setattr(influence, "_BLOCK_VALUES", ts.size)
         elif case == "ragged":
-            # blocks of 7, 7, 7 and 4 of the 25 times
-            monkeypatch.setattr(influence, "_BLOCK_VALUES", 7 * d.n)
+            # 42 blocks of 7 of the 300 subjects, and one of 6
+            monkeypatch.setattr(influence, "_BLOCK_VALUES", 7 * ts.size)
         got = subject_influence(ctx, d.a, d.v, d.delta, ts)
         want = oracles.oracle_subject_influence_loop(ctx, d.a, d.v, d.delta, ts)
         for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
             assert x.shape == (len(ts), d.n), name
             assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize(
+        "case", ["exponential", "weibull-1.5", "weibull-0.7-long-grid", "n=1", "times-on-data"]
+    )
+    def test_bit_identical_to_time_blocks(self, case):
+        # blocks of subjects on six terms, one sort per subject column, the
+        # edge count and the in-place recurrence change no bit of any value
+        samples = {
+            "exponential": (MODEL, 20_000, 10),
+            "weibull-1.5": (self.WEIBULL, 3000, 10),
+            "weibull-0.7-long-grid": (WeibullModel(censor_rate=0.5, shape=0.7), 500, 400),
+        }
+        if case in samples:
+            model, n, count = samples[case]
+            ctx = make_oracle_context(model, model.default_grid(count=count))
+            d, ts = sample_lbrc(model, n, seed=31), ctx.grid.points
+        elif case == "n=1":
+            ctx, d, ts = CTX, Dataset([0.7], [0.4], [1]), GRID.points
+        else:
+            ctx, (d, ts) = CTX, TestAlgebraicIdentities._times_on_data()
+        got = subject_influence(ctx, d.a, d.v, d.delta, ts)
+        want = oracles.oracle_subject_influence_time_blocks(ctx, d.a, d.v, d.delta, ts)
+        for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
+            assert x.shape == ref.shape == (len(ts), d.n), name
+            assert np.array_equal(x.view(np.int64), ref.view(np.int64)), name
+
+    def test_shuffled_subjects_permute_columns_exactly(self):
+        d = sample_lbrc(self.WEIBULL, 3000, seed=37)
+        ctx = make_oracle_context(self.WEIBULL, self.WEIBULL.default_grid(count=10))
+        perm = np.random.default_rng(3).permutation(d.n)
+        got = subject_influence(ctx, d.a[perm], d.v[perm], d.delta[perm], ctx.grid.points)
+        want = subject_influence(ctx, d.a, d.v, d.delta, ctx.grid.points)
+        for x, ref in zip(got, want):
+            assert np.array_equal(x.view(np.int64), ref[:, perm].view(np.int64))
 
     def test_builds_one_anchored_table(self, table_builds):
         ctx = make_oracle_context(MODEL, GRID)
@@ -1054,6 +1088,19 @@ class TestErrorPaths:
     def test_time_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             subject_influence(CTX, [0.5], [1.0], [1], [GRID.b + 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        # every comparison with NaN is false, so NaN slips past a check
+        # against the window end; -inf lies below the window
+        times = [0.5, bad, 1.0]
+        d = sample_lbrc(MODEL, 50, seed=4)
+        plugin = make_plugin_context(d, GRID)
+        for ctx in (CTX, plugin):
+            with pytest.raises(ValueError, match="finite"):
+                subject_influence(ctx, d.a, d.v, d.delta, times)
+        with pytest.raises(ValueError, match="finite"):
+            influence_means(CTX, d, times)
 
     def test_window_slack_scales_with_the_time_unit(self):
         # at a 2^-60 unit an absolute slack of 1e-12 spans some 1e6 windows,

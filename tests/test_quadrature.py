@@ -1,12 +1,15 @@
 """Cumulative tables against adaptive quadrature, plus the query contract."""
 
+import copy
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
+
+import oracles
 
 from lbrc import influence, quadrature
 from lbrc.errors import ComputeError
@@ -121,6 +124,15 @@ class TestQueryContract:
         with pytest.raises(ValueError):
             self.table.query(s)
 
+    @pytest.mark.parametrize("s", [np.nan, [0.5, np.nan], [np.nan, 1.0, 2.0], [np.nan] * 3])
+    def test_nan_query_raises(self, s):
+        # NaN fails both domain comparisons, and is refused as a point
+        # outside the domain is
+        with pytest.raises(ValueError, match="outside domain"):
+            self.table.query(s)
+        with pytest.raises(ValueError, match="outside domain"):
+            self.table.locate(s)
+
     def test_overflowing_table_refused(self):
         # a panel narrower than the smallest normal float has an infinite inverse width
         with pytest.raises(ComputeError, match="overflow"):
@@ -158,22 +170,27 @@ def _full_coef_of_values(values, edges):
     return ((half[:, None] * vals) @ quadrature._ANTIDERIVATIVE).T
 
 
-def _reference_query(table, coef, s):
-    """A table read over the Legendre rows ``coef``, as one call found its
-    points: one unsorted search, then the Clenshaw recurrence over every row."""
-    s = np.asarray(s, dtype=float)
-    sq = np.clip(np.atleast_1d(s), table.lo, table.hi)
+def _plain_search(table, s):
+    """Index, panel, coordinate and on-edge mask from one plain search."""
+    sq = np.clip(np.atleast_1d(np.asarray(s, dtype=float)), table.lo, table.hi)
     idx = np.searchsorted(table.edges, sq, side="right") - 1
     panel = np.minimum(idx, table.edges.size - 2)
     xi = (sq - table.edges[panel]) * table._inv_half[panel] - 1.0
+    return idx, panel, xi, sq == table.edges[idx]
+
+
+def _reference_query(table, coef, s):
+    """A table read over the Legendre rows ``coef``, as one call found its
+    points: one unsorted search, then the Clenshaw recurrence over every row."""
+    idx, panel, xi, on_edge = _plain_search(table, s)
     order = coef.shape[0] - 1
     b1 = coef[order][panel]
     b0 = coef[order - 1][panel] + (2 * order - 1) / order * xi * b1
     for k in range(order - 2, -1, -1):
         b2, b1 = b1, b0
         b0 = coef[k][panel] + (2 * k + 1) / (k + 1) * xi * b1 - (k + 1) / (k + 2) * b2
-    out = table.cum[idx] + np.where(sq == table.edges[idx], 0.0, b0)
-    return float(out[0]) if s.ndim == 0 else out
+    out = table.cum[idx] + np.where(on_edge, 0.0, b0)
+    return float(out[0]) if np.ndim(s) == 0 else out
 
 
 CHOP_MODELS = {
@@ -259,3 +276,116 @@ class TestLocateRead:
             assert np.array_equal(got, _reference_query(table, full[: len(table._coef)], s))
             err = np.abs(got - _reference_query(table, full, s)).max()
             assert err <= 2e-15 * np.abs(table.cum).max()
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _random_edges(start, steps):
+    return start + np.cumsum([0.0, *steps])
+
+
+EDGE_SETS = st.one_of(
+    st.builds(origin_graded_edges, st.floats(1e-3, 1e3), st.integers(1, 120)),
+    st.builds(
+        lambda lo, span, ratio: geometric_edges(lo, lo * span, ratio),
+        st.floats(1e-6, 1e3), st.floats(1.5, 1e4), st.floats(1.01, 2.0),
+    ),
+    st.builds(
+        _random_edges, st.floats(-1e3, 1e3), st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=200)
+    ),
+)
+
+
+@st.composite
+def located_points(draw):
+    """Edges, and points on them: mixed, duplicated, on edges, at the ends
+    (some past them by less than the slack), empty or scalar; one point or
+    three per edge, sorted or not."""
+    edges = draw(EDGE_SETS)
+    kind = draw(st.sampled_from(["mixed", "duplicates", "edges", "ends", "empty", "scalar"]))
+    size = draw(st.sampled_from([1, 3 * edges.size]))
+    ordered = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = edges[0], edges[-1]
+    half_slack = 0.5e-12 * max(abs(lo), abs(hi))
+    ends = np.array([lo, hi, lo - half_slack, hi + half_slack])
+    if kind == "empty":
+        return edges, np.array([])
+    pool = {
+        "mixed": np.concatenate([rng.uniform(lo, hi, size), edges, ends]),
+        "duplicates": np.repeat(rng.uniform(lo, hi, size), 3),
+        "edges": edges,
+        "ends": ends,
+        "scalar": np.concatenate([rng.uniform(lo, hi, 1), edges, ends]),
+    }[kind]
+    if kind == "scalar":
+        return edges, np.float64(rng.choice(pool))
+    s = rng.choice(pool, size)
+    return edges, np.sort(s) if ordered else s
+
+
+class TestLocateProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(located_points())
+    def test_locate_matches_plain_search(self, case):
+        # sorted points that outnumber the edges are counted against the
+        # edges; every other set is searched point by point
+        edges, s = case
+        table = SmoothCumulative.from_node_values(
+            edges, np.ones((edges.size - 1) * quadrature.NODES)
+        )
+        at = table.locate(s)
+        idx, panel, xi, on_edge = _plain_search(table, s)
+        assert at.edges is table.edges and at.scalar == (np.ndim(s) == 0)
+        assert at.index.dtype == np.intp
+        assert np.array_equal(at.index, idx) and np.array_equal(at.panel, panel)
+        assert _same_bits(at.xi, xi)
+        assert np.array_equal(at.on_edge, on_edge)
+
+
+class TestReadBits:
+    """Located reads bit for bit against one search per point and the
+    Clenshaw steps written as one expression, at every series length."""
+
+    @staticmethod
+    def _point_sets(table):
+        rng = np.random.default_rng(17)
+        u = rng.uniform(table.lo, table.hi, 3 * table.edges.size)
+        u[: table.edges.size] = table.edges
+        return {
+            "unsorted": u,
+            "sorted": np.sort(u),
+            "edges": table.edges,
+            "edges-twice": np.repeat(table.edges, 2),
+            "ends": np.array([table.hi, table.lo, table.hi, table.lo]),
+            "one": u[-1:],
+            "scalar-edge": np.float64(table.edges[7]),
+            "scalar": np.float64(u[-1]),
+        }
+
+    def test_reads_at_every_series_length(self, recorded_tables):
+        name, built = recorded_tables
+        model = CHOP_MODELS[name]
+        ctx = make_oracle_context(model, model.default_grid())
+
+        def rho_s_a(u):
+            return model.influence_weight(u) * model.entry_survival(u)
+
+        anchored = _anchored_table(ctx, ANCHOR, rho_s_a)
+        with np.errstate(all="ignore"):
+            tables = built + [(anchored, _full_coef(rho_s_a, anchored.edges))]
+        for table, full in tables:
+            points = self._point_sets(table)
+            for kept in range(2, quadrature.NODES + 2):
+                trial = copy.copy(table)
+                trial._coef = np.ascontiguousarray(full[:kept])
+                for kind, s in points.items():
+                    got = trial.read(trial.locate(s))
+                    want = oracles.read_clenshaw_expression(
+                        trial, oracles.locate_one_search(trial, s)
+                    )
+                    assert type(got) is type(want), (kind, kept)
+                    assert _same_bits(got, want), (name, kind, kept)
