@@ -108,7 +108,9 @@ __all__ = [
 
 DIVERGENCE_CAP = 1.0e4
 
-_TABLE_PANELS = 1600
+# uniform panels of the m, p and w tables; ``origin_graded_edges`` grades
+# the first toward 0, for 293 in all
+_TABLE_PANELS = 200
 
 # values per (times, subjects) array in one chunk of ``plugin_variance``, and
 # in one block of subjects of oracle ``subject_influence`` (512 KiB)
@@ -121,7 +123,7 @@ class OracleContext:
 
     ``model`` supplies the population functions ``risk``, ``entry_survival``,
     ``pooled_at_risk``, ``entry_cdf``, ``entry_terms`` (the previous three
-    from one entry-survival evaluation, for the tables), ``influence_weight``,
+    with one entry-survival evaluation, for the tables), ``influence_weight``,
     ``pooled_density`` and ``event_subdist_density``; every ``TruthModel`` has
     them, and the representation residuals take only a ``TruthModel``.  The
     evaluation window is the grid's [lower, b] span.
@@ -310,11 +312,18 @@ def _check_oracle_sample(a, v, delta):
 # per-subject evaluation
 
 
-def _evaluation_times(times) -> np.ndarray:
-    """``times`` as a flat float array; a NaN or infinite time raises ``ValueError``."""
+def _evaluation_times(ctx: OracleContext | PluginContext, times) -> np.ndarray:
+    """``times`` as a flat float array; ``ValueError`` for a time that is
+    not finite, below 0 or past the window end."""
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(times).all():
         raise ValueError("evaluation times must be finite")
+    if np.any(times < 0):
+        raise ValueError("evaluation time below 0")
+    # a slack relative to b, so that a power-of-two change of time unit
+    # scales it exactly
+    if np.any(times > ctx.grid.b + 1e-12 * ctx.grid.b):
+        raise ValueError("evaluation time beyond the context window")
     return times
 
 
@@ -326,7 +335,8 @@ def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     correction.  Both modes evaluate ``_influence_from_reads``; the oracle
     mode goes over every time for a block of ``_BLOCK_VALUES // len(times)``
     subjects (at least one) at a time, as ``plugin_variance`` does.  A NaN or
-    infinite time raises ``ValueError``, as does one past the window end.
+    infinite time raises ``ValueError``, as does one below 0 or past the
+    window end.
 
     With a plugin context the subjects are those of the context's sample, in
     any order: each a, uncensored v and uncensored y must be a data point of
@@ -342,11 +352,7 @@ def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     a = np.asarray(a, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
     delta = np.asarray(delta).reshape(-1).astype(float)
-    times = _evaluation_times(times)
-    # a slack relative to b, so that a power-of-two change of time unit
-    # scales it exactly
-    if times.size and times.max() > ctx.grid.b + 1e-12 * ctx.grid.b:
-        raise ValueError("evaluation time beyond the context window")
+    times = _evaluation_times(ctx, times)
     if isinstance(ctx, OracleContext):
         return _oracle_subject_influence(ctx, a, v, delta, times)
     reads = ctx.grid_reads if own_grid else _event_reads(ctx, times)
@@ -541,14 +547,18 @@ def influence_means(
     per-subject values within 2e-14 up to n = 4000; the tests require 1e-10.
 
     ``want`` is "phi" for ``mean_phi`` alone, or "both" for ``mean_phi``,
-    ``mean_psi1`` and ``mean_psi2``.
+    ``mean_psi1`` and ``mean_psi2``.  Times are refused as
+    ``subject_influence`` refuses them, and no times give empty means.
     """
     if not isinstance(ctx, OracleContext):
         raise ValueError("influence_means requires an oracle context")
     if want not in ("phi", "both"):
         raise ValueError(f"want must be 'phi' or 'both', got {want!r}")
     _check_oracle_sample(d.a, d.v, d.delta)
-    times = _evaluation_times(times)
+    times = _evaluation_times(ctx, times)
+    if not times.size:
+        keys = ("mean_phi",) if want == "phi" else ("mean_phi", "mean_psi1", "mean_psi2")
+        return {key: np.zeros(0) for key in keys}
     tmax = float(times.max())
     n = d.n
     model = ctx.model

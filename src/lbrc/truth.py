@@ -148,7 +148,8 @@ class TruthModel:
     * ``_hazard(t)``, the hazard h, which is 0 off the support;
     * ``_inverse_cumhaz(x)``, Λ⁻¹;
     * ``lb_quantile(p)``, the quantile of the length-biased lifetime;
-    * ``entry_survival(t)``, the survival S_A of the entry delay.
+    * ``entry_survival(t)``, the survival S_A of the entry delay, and
+      ``entry_cdf(t)``, its CDF, each in a form that does not cancel.
     """
 
     censor_rate: float | None = None
@@ -185,18 +186,11 @@ class TruthModel:
         return self._inverse_cumhaz(-np.log1p(-p))
 
     # -- generic population functions ------------------------------------
-    def entry_cdf(self, t):
-        return self._entry_cdf_given(t, self.entry_survival(t))
-
-    def _entry_cdf_given(self, t, s_a):
-        """``entry_cdf(t)``, given ``s_a = entry_survival(t)``."""
-        return 1.0 - s_a
-
     def entry_terms(self, t):
         """``entry_survival``, ``entry_cdf`` and ``pooled_at_risk`` at t, from
         one evaluation of the entry survival."""
         s_a = self.entry_survival(t)
-        return s_a, self._entry_cdf_given(t, s_a), self._pooled_at_risk_given(t, s_a)
+        return s_a, self.entry_cdf(t), self._pooled_at_risk_given(t, s_a)
 
     @_elementwise
     def entry_cumhaz(self, t):
@@ -314,7 +308,7 @@ class ExponentialModel(TruthModel):
     def entry_survival(self, t):
         return self.survival(t)
 
-    def _entry_cdf_given(self, t, s_a):
+    def entry_cdf(self, t):
         return self.cdf(t)
 
     def entry_cumhaz(self, t):
@@ -361,6 +355,13 @@ class WeibullModel(TruthModel):
         from scipy import special
 
         return special.gammaincc(1.0 / self.shape, self.cumhaz(t))
+
+    @_elementwise
+    def entry_cdf(self, t):
+        from scipy import special
+
+        # not 1 - S_A, which cancels to 3.6e-8 relative at t = 1e-9
+        return special.gammainc(1.0 / self.shape, self.cumhaz(t))
 
 
 FAMILIES = {"exponential": ExponentialModel, "weibull": WeibullModel}

@@ -13,7 +13,11 @@ against small hand-made populations.  ``ClosedFormExponential`` and
 form, each with its own scalar rule, the reference for the truth models that
 derive them from the cumulative hazard.  ``oracle_tables_three_builds`` builds
 an oracle context's tables one density at a time, the reference for the
-tables built from one evaluation of the population.
+tables built from one evaluation of the population.  ``mpmath_tables_at``
+integrates the m, p and w densities of a truth model, written out from its
+definition, by 30-digit mpmath quadrature, and ``TABLE_REFERENCE`` stores
+its values from ``table_reference_literals``: the reference for the tables'
+accuracy.
 ``oracle_subject_influence_loop``
 evaluates the oracle influence values one time at a time from the context's
 tables, the reference for the package's shared evaluator.
@@ -334,9 +338,6 @@ class ClosedFormExponential(_ClosedFormTruth, ExponentialModel):
     def entry_cdf(self, t):
         return self.cdf(t)
 
-    def _entry_cdf_given(self, t, s_a):
-        return self.entry_cdf(t)
-
     def entry_cumhaz(self, t):
         return self.cumhaz(t)
 
@@ -384,6 +385,12 @@ class ClosedFormWeibull(_ClosedFormTruth, WeibullModel):
         from scipy import special
 
         out = special.gammaincc(1.0 / self.shape, self._z(t))
+        return out if out.ndim else float(out)
+
+    def entry_cdf(self, t):
+        from scipy import special
+
+        out = special.gammainc(1.0 / self.shape, self._z(t))
         return out if out.ndim else float(out)
 
 
@@ -878,3 +885,128 @@ def oracle_subject_influence_time_blocks(ctx, a, v, delta, times):
         for dst, src in zip(out, block):
             dst[rows] = src
     return out
+
+
+# the models and points of ``TABLE_REFERENCE``: the points are these fractions
+# of the window end b of each model's default grid
+TABLE_MODELS = {
+    "exponential": ExponentialModel(censor_rate=0.5, rate=1.0),
+    "weibull-0.7": WeibullModel(censor_rate=0.5, shape=0.7),
+    "weibull-1.5": WeibullModel(censor_rate=0.5, shape=1.5),
+}
+TABLE_FRACTIONS = (0.01, 0.3, 1.0)
+
+
+def mpmath_population(model):
+    """The entry CDF of ``model``, the densities of its m and p tables and
+    the ``rho S_A`` factor of its w table, as mpmath functions from the
+    model's definition, at the working precision."""
+    import mpmath as mp
+
+    c = mp.mpf(model.censor_rate)
+    if isinstance(model, WeibullModel):
+        k, th = mp.mpf(model.shape), mp.mpf(model.scale)
+        mu = th * mp.gamma(1 + 1 / k)
+
+        def cumhaz(u):
+            return (u / th) ** k
+
+        def density(u):
+            return (k / th) * (u / th) ** (k - 1) * mp.exp(-cumhaz(u))
+
+        def s_a(u):
+            return mp.gammainc(1 / k, cumhaz(u), mp.inf, regularized=True)
+
+        def f_a(u):
+            return mp.gammainc(1 / k, 0, cumhaz(u), regularized=True)
+
+    else:
+        rate = mp.mpf(model.rate)
+        mu = 1 / rate
+
+        def cumhaz(u):
+            return rate * u
+
+        def density(u):
+            return rate * mp.exp(-rate * u)
+
+        def s_a(u):
+            return mp.exp(-rate * u)
+
+        def f_a(u):
+            return -mp.expm1(-rate * u)
+
+    def rho(u):
+        # the influence weight: event-subdistribution density over squared risk
+        return mu * density(u) / (mp.exp(-2 * cumhaz(u)) * (-mp.expm1(-c * u) / c))
+
+    def m_density(u):
+        pooled = 1 + mp.exp(-c * u)
+        return mp.exp(-cumhaz(u)) * pooled / mu / (s_a(u) * pooled) ** 2
+
+    return f_a, m_density, lambda u: rho(u) * f_a(u), lambda u: rho(u) * s_a(u)
+
+
+def mpmath_tables_at(model, t, which="mpw"):
+    """The cumulatives from 0 to ``t`` of the m, p and w tables of
+    ``model`` named in ``which``, by tanh-sinh quadrature in mpmath at its
+    working precision; w integrates ``rho S_A m`` with m, at each of its
+    nodes, by a nested quadrature.  The reference for
+    ``OracleContext.tables``."""
+    import mpmath as mp
+
+    _, m_density, p_density, rho_s_a = mpmath_population(model)
+    t = mp.mpf(t)
+
+    def m(u):
+        return mp.quad(m_density, [0, u])
+
+    found = {
+        "m": lambda: m(t),
+        "p": lambda: mp.quad(p_density, [0, t]),
+        "w": lambda: mp.quad(lambda u: rho_s_a(u) * m(u), [0, t]),
+    }
+    return tuple(found[name]() for name in which)
+
+
+def table_reference_literals(dps: int = 30) -> str:
+    """The source of ``TABLE_REFERENCE``: m, p and w of each model in
+    ``TABLE_MODELS`` at ``TABLE_FRACTIONS`` of its window end, from
+    ``mpmath_tables_at`` at ``dps`` digits, each as a 17-digit literal.
+    The w values take some minutes; run
+    ``python -c "import oracles; print(oracles.table_reference_literals())"``
+    from ``tests``."""
+    import mpmath as mp
+
+    lines = ["TABLE_REFERENCE = {"]
+    with mp.workdps(dps):
+        for name, model in TABLE_MODELS.items():
+            b = model.default_grid().b
+            lines.append(f"    {name!r}: {{")
+            values = [mpmath_tables_at(model, frac * b) for frac in TABLE_FRACTIONS]
+            for label, column in zip("mpw", zip(*values)):
+                literals = ", ".join(f"{float(x):.17g}" for x in column)
+                lines.append(f"        {label!r}: ({literals}),")
+            lines.append("    },")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# ``table_reference_literals()`` at 30 digits
+TABLE_REFERENCE = {
+    'exponential': {
+        'm': (0.011680145906110802, 0.54525109789915671, 6.1412751963540888),
+        'p': (0.023225950400275593, 0.91016870210719414, 6.6622776601683809),
+        'w': (0.011629778658562925, 0.47810786788009896, 4.0938908324214038),
+    },
+    'weibull-0.7': {
+        'm': (0.012687354196403194, 0.46359114578646721, 3.1335529746569089),
+        'p': (0.093748574750451993, 1.3854715655943266, 6.2375522524279798),
+        'w': (0.046954109659475024, 0.73389834711239077, 3.902391767285335),
+    },
+    'weibull-1.5': {
+        'm': (0.0098604395266354682, 0.54067479238596938, 12.410109095908814),
+        'p': (0.0023102106398871602, 0.46115788514142908, 7.3925409343897419),
+        'w': (0.0011566235960571156, 0.2411428477048537, 4.5152607119283852),
+    },
+}

@@ -10,7 +10,7 @@ from scipy import integrate
 
 import oracles
 
-from lbrc import influence
+from lbrc import influence, quadrature
 from lbrc.data import Dataset
 from lbrc.errors import ComputeError, WindowError
 from lbrc.empirical import build_empirical
@@ -399,8 +399,9 @@ class TestAlgebraicIdentities:
         ctx = make_oracle_context(model, model.default_grid())
         copy = pickle.loads(pickle.dumps(ctx))
         for table, back in zip(ctx.tables, copy.tables):
-            # degrees 0 to 11 at most: the chop survives the pickle
-            assert len(table._coef) <= 12
+            # the chop survives the pickle: the same rows and bits, fewer
+            # than the NODES + 1 of an unchopped series
+            assert len(back._coef) == len(table._coef) < quadrature.NODES + 1
             assert np.array_equal(back._coef, table._coef)
         # the m, p and w tables still share one edges array, so one position
         # serves all three
@@ -618,8 +619,7 @@ class TestSharedNodeTables:
             assert np.array_equal(got._coef, ref._coef), label
 
     def test_entry_survival_evaluated_once_per_node(self, monkeypatch):
-        # counted on the class, so the reads inside pooled_at_risk and
-        # entry_cdf count too; 1620 panels of 15 nodes
+        # counted on the class, so the reads inside pooled_at_risk count too
         points = []
         entry_survival = WeibullModel.entry_survival
 
@@ -630,11 +630,13 @@ class TestSharedNodeTables:
         monkeypatch.setattr(WeibullModel, "entry_survival", counted)
         model = WeibullModel(censor_rate=0.5, shape=1.5)
         ctx = make_oracle_context(model, model.default_grid())
-        ctx.tables
-        assert sum(points) == 24_300
+        nodes = (ctx.tables[0].edges.size - 1) * quadrature.NODES
+        assert sum(points) == nodes
         points.clear()
+        # one build per table reads it for the m and the w table; the p
+        # table's entry CDF is its own incomplete gamma
         oracles.oracle_tables_three_builds(ctx)
-        assert sum(points) == 3 * 24_300
+        assert sum(points) == 2 * nodes
 
 
 class TestMeanZero:
@@ -1088,6 +1090,30 @@ class TestErrorPaths:
     def test_time_beyond_window_rejected(self):
         with pytest.raises(ValueError):
             subject_influence(CTX, [0.5], [1.0], [1], [GRID.b + 1.0])
+
+    @pytest.mark.parametrize(
+        "bad, message", [(GRID.b + 1.0, "beyond the context window"), (-1e-3, "below 0")]
+    )
+    def test_times_outside_the_window_refused_alike(self, bad, message):
+        # both entry points, in both modes, refuse a time the same way, and
+        # not with the message of a table query
+        d = sample_lbrc(MODEL, 50, seed=4)
+        plugin = make_plugin_context(d, GRID)
+        times = [0.5, bad, 1.0]
+        for ctx in (CTX, plugin):
+            with pytest.raises(ValueError, match=message):
+                subject_influence(ctx, d.a, d.v, d.delta, times)
+        for want in ("phi", "both"):
+            with pytest.raises(ValueError, match=message):
+                influence_means(CTX, d, times, want=want)
+
+    def test_no_times_give_empty_means(self):
+        d = sample_lbrc(MODEL, 50, seed=4)
+        for want, keys in (("phi", ["mean_phi"]), ("both", ["mean_phi", "mean_psi1", "mean_psi2"])):
+            got = influence_means(CTX, d, [], want=want)
+            assert sorted(got) == keys
+            assert all(x.shape == (0,) and x.dtype == float for x in got.values())
+        assert all(x.shape == (0, d.n) for x in subject_influence(CTX, d.a, d.v, d.delta, []))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, bad):

@@ -59,7 +59,7 @@ def _kappa(model):
 class TestOracleTables:
     def test_m_and_p(self, oracle):
         model, ctx, tables, _ = oracle
-        pts = _points(ctx.grid.b, 1600)
+        pts = _points(ctx.grid.b, influence._TABLE_PANELS)
         densities = {
             "m": _kappa(model),
             "p": lambda u: model.influence_weight(u) * model.entry_cdf(u),
@@ -70,7 +70,7 @@ class TestOracleTables:
 
     def test_w(self, oracle):
         model, ctx, tables, _ = oracle
-        pts = _points(ctx.grid.b, 1600)[[1, 3, 5, 6, 8]]
+        pts = _points(ctx.grid.b, influence._TABLE_PANELS)[[1, 3, 5, 6, 8]]
 
         def density(u):
             return (
@@ -91,6 +91,30 @@ class TestOracleTables:
         for name, density in densities.items():
             want = [_quad(density, ANCHOR, s) for s in pts]
             assert np.abs(anchored[name].query(pts) - want).max() < TOL, name
+
+
+class TestTablesAgainstMpmath:
+    """The m, p and w tables against 30-digit mpmath values, stored by
+    ``oracles.table_reference_literals``."""
+
+    @pytest.mark.parametrize("name", list(oracles.TABLE_MODELS))
+    def test_tables_match_mpmath(self, name):
+        model = oracles.TABLE_MODELS[name]
+        ctx = make_oracle_context(model, model.default_grid())
+        t = np.array(oracles.TABLE_FRACTIONS) * ctx.grid.b
+        for label, table in zip("mpw", ctx.tables):
+            want = np.array(oracles.TABLE_REFERENCE[name][label])
+            got = table.query(t)
+            assert np.all(np.abs(got - want) <= 1e-14 * want), (label, got / want - 1)
+
+    def test_a_stored_value_recomputed(self):
+        # the p literal nearest the origin of the singular shape-0.7 tables
+        mp = pytest.importorskip("mpmath")
+        model = oracles.TABLE_MODELS["weibull-0.7"]
+        t = oracles.TABLE_FRACTIONS[0] * model.default_grid().b
+        with mp.workdps(30):
+            (p,) = oracles.mpmath_tables_at(model, t, which="p")
+        assert float(p) == oracles.TABLE_REFERENCE["weibull-0.7"]["p"][0]
 
 
 class TestQueryContract:
@@ -114,10 +138,16 @@ class TestQueryContract:
         assert np.all(np.diff(edges) > 0)
 
     def test_graded_edges(self):
-        edges = origin_graded_edges(3.0, 40)
-        assert edges.size == 40 + 20 + 1
-        assert edges[0] == 0.0 and edges[1] == 3.0 / 40 / 2**20
-        assert np.array_equal(edges[21:], np.linspace(0.0, 3.0, 41)[1:])
+        # the first uniform panel is halved until the panel at 0 is at most
+        # 2**-100 of hi wide: 95 times for 40 panels on [0, 3], 93 for 200
+        hi, depth = 3.0, 2.0**-quadrature._ORIGIN_DEPTH
+        for panels, halvings in ((40, 95), (200, 93)):
+            edges = origin_graded_edges(hi, panels)
+            assert edges.size == panels + halvings + 1
+            assert edges[1] <= hi * depth < 2 * edges[1]
+            first = hi / panels * 0.5 ** np.arange(halvings, 0, -1)
+            assert edges[0] == 0.0 and np.array_equal(edges[1 : halvings + 1], first)
+            assert np.array_equal(edges[halvings + 1 :], np.linspace(0.0, hi, panels + 1)[1:])
 
     @pytest.mark.parametrize("s", [-1e-9, 3.0 + 1e-9, [0.5, 3.1]])
     def test_out_of_domain_raises(self, s):
@@ -139,18 +169,23 @@ class TestQueryContract:
             SmoothCumulative(lambda u: np.ones_like(u), np.array([0.0, 1e-310, 1e-300, 1.0]))
 
     def test_origin_grading_stays_normal(self):
-        # the halving stops above the smallest normal float, and leaves wider
-        # windows' edges as they were
-        tiny = np.finfo(float).tiny
-        for hi in (1e-305, 1e-300, 1e-296, 1e-290, 1.0, 1e300):
-            edges = origin_graded_edges(hi, 1600)
+        # the halving stops above the smallest normal float, and reaches the
+        # depth 2**-100 of hi on windows wide enough for it
+        floor, depth = 2.0**12 * np.finfo(float).tiny, 2.0**-quadrature._ORIGIN_DEPTH
+        panels = influence._TABLE_PANELS
+        for hi in (1e-305, 1e-300, 1e-296, 1e-290, 1e-280, 1e-270, 1.0, 1e300):
+            edges = origin_graded_edges(hi, panels)
             assert np.all(np.diff(edges) > 0) and edges[-1] == hi
-            assert edges[1] >= 2.0**12 * tiny or edges.size == 1601
-            if hi >= 1e-290:
-                first = hi / 1600 * 0.5 ** np.arange(20, 0, -1)
-                assert np.array_equal(edges[1:21], first)
+            halvings = edges.size - panels - 1
+            first = hi / panels * 0.5 ** np.arange(halvings, 0, -1)
+            assert np.array_equal(edges[1 : halvings + 1], first)
+            assert edges[1] >= floor or halvings == 0
+            # one more halving would cross the floor or the depth
+            assert 0.5 * edges[1] < floor or edges[1] <= hi * depth < 2 * edges[1]
+            if hi >= 1e-270:
+                assert edges[1] <= hi * depth
         # so a table at a window end of 1e-300 builds
-        SmoothCumulative(lambda u: np.ones_like(u), origin_graded_edges(1e-300, 1600))
+        SmoothCumulative(lambda u: np.ones_like(u), origin_graded_edges(1e-300, panels))
 
     def test_scalar_query_returns_float(self):
         assert type(self.table.query(1.3)) is float
@@ -331,8 +366,8 @@ class TestLocateProperty:
     @settings(max_examples=300, deadline=None)
     @given(located_points())
     def test_locate_matches_plain_search(self, case):
-        # sorted points that outnumber the edges are counted against the
-        # edges; every other set is searched point by point
+        # sorted points more than twice as many as the edges are counted
+        # against the edges; every other set is searched point by point
         edges, s = case
         table = SmoothCumulative.from_node_values(
             edges, np.ones((edges.size - 1) * quadrature.NODES)

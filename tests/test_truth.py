@@ -39,6 +39,23 @@ def test_entry_survival_matches_defining_integral(model):
         assert model.entry_survival(t) == pytest.approx(direct, abs=1e-8)
 
 
+@pytest.mark.parametrize("shape", [0.7, 1.5])
+def test_weibull_entry_cdf_matches_mpmath_at_small_times(shape):
+    # the lower incomplete gamma itself: 1 - S_A loses up to 3.6e-8 of the
+    # entry CDF at t = 1e-9 to cancellation
+    mp = pytest.importorskip("mpmath")
+    model = WeibullModel(censor_rate=0.5, shape=shape)
+    f_a = oracles.mpmath_population(model)[0]
+    times = [1e-9, 1e-6, 1e-3, model.default_grid().b]
+    with mp.workdps(30):
+        want = np.array([float(f_a(mp.mpf(t))) for t in times])
+    got = model.entry_cdf(np.array(times))
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    # every reader of the entry CDF sees it: the table terms and exit_cdf
+    assert np.array_equal(model.entry_terms(np.array(times))[1], got)
+    assert model.exit_cdf(1e-9) == got[0] - model.risk(1e-9)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_cumhaz_is_neg_log_survival(model):
     t = model.quantile(GRID_Q)
