@@ -25,10 +25,11 @@ either not entered yet or is still at risk, so the observed exit time has
 family.
 
 Every elementwise function takes a scalar or an array and returns a float for
-a scalar.  ``scipy.special`` is imported inside the methods that call its
-incomplete gamma functions, so importing this module, and the package, loads
-no scipy; the one root finder, Brent's method for ``h_quantile``, is
-``_brentq`` here, and no code loads ``scipy.optimize``.
+a scalar.  Every exponential function is closed form, the length-biased
+quantile (``_gamma2_quantile``) included, so an exponential model loads no
+scipy.  The Weibull methods import ``scipy.special`` inside, so importing this
+module, and the package, loads none; the one root finder, Brent's method for
+``h_quantile``, is ``_brentq`` here, and no code loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -123,6 +124,47 @@ def _brentq(f, xa: float, xb: float, xtol: float) -> float:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
+
+
+# 1/(2k + 3), k = 14 ... 0: (atanh(s) - s)/s³ to below 2^-54 for s < 1/3
+_ATANH_TAIL = tuple(1.0 / (2 * k + 3) for k in range(14, -1, -1))
+# levels per block: the quantile's temporaries stay small and in cache
+_GAMMA2_BLOCK = 8192
+
+
+def _gamma2_quantile(p):
+    """The Gamma(2) quantile: the root x of h(x) = x - log1p(x) = L, L = -log1p(-p).
+
+    Gamma(2) survives x with probability (1 + x)e^-x.  From the start z + z²/3
+    + z³/36, z = √(2L), for L < 1, else L + log1p(L + log1p(L)), two Halley
+    steps and one Newton step; where x < 1 its residual is h = s(x - 2s²Σ
+    s^2k/(2k+3)), s = x/(2+x), which does not cancel.  Below L = 2^-40 the
+    start is already the rounded root, which the steps would spoil.  Within
+    2.3·2^-53 relative of mpmath roots; p = 0 gives 0, p = 1 inf, and NaN or p
+    outside [0, 1] NaN, as ``gammaincinv(2, p)`` does.
+    """
+    if p.size > _GAMMA2_BLOCK:
+        out = np.empty(p.shape)
+        for lo in range(0, p.size, _GAMMA2_BLOCK):
+            out.flat[lo:lo + _GAMMA2_BLOCK] = _gamma2_quantile(p.flat[lo:lo + _GAMMA2_BLOCK])
+        return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        level = -np.log1p(-p)
+        z = np.sqrt(2.0 * level)
+        start = np.where(level < 1, z + z * z * (1.0 / 3.0 + z / 36.0),
+                         level + np.log1p(level + np.log1p(level)))
+        x = start.copy()
+        for _ in range(2):
+            step = (x - np.log1p(x) - level) * (1.0 + x) / x
+            x -= step / (1.0 - step / (2.0 * x * (1.0 + x)))
+        big, small = x >= 1, x < 1
+        xs = x[big]
+        x[big] = xs - (xs - np.log1p(xs) - level[big]) * (1.0 + xs) / xs
+        xs = x[small]
+        s = xs / (2.0 + xs)
+        h = s * (xs - 2.0 * s * s * np.polyval(_ATANH_TAIL, s * s))
+        x[small] = xs - (h - level[small]) * (1.0 + xs) / xs
+        return np.where((2.0**-40 <= level) & (level < np.inf), x, start)
 
 
 def _elementwise(method):
@@ -275,7 +317,7 @@ class TruthModel:
 
 @dataclass(frozen=True)
 class ExponentialModel(TruthModel):
-    """Exponential lifetimes; every population function is closed-form."""
+    """Exponential lifetimes; every function is closed-form, ``lb_quantile`` too."""
 
     rate: float = 1.0
 
@@ -300,9 +342,7 @@ class ExponentialModel(TruthModel):
 
     @_elementwise
     def lb_quantile(self, p):
-        from scipy import special
-
-        return special.gammaincinv(2.0, p) / self.rate
+        return _gamma2_quantile(p) / self.rate
 
     # the entry delay of an exponential lifetime is again exponential
     def entry_survival(self, t):

@@ -17,7 +17,9 @@ tables built from one evaluation of the population.  ``mpmath_tables_at``
 integrates the m, p and w densities of a truth model, written out from its
 definition, by 30-digit mpmath quadrature, and ``TABLE_REFERENCE`` stores
 its values from ``table_reference_literals``: the reference for the tables'
-accuracy.
+accuracy.  ``mpmath_gamma2_quantile`` solves for the length-biased exponential
+quantile in mpmath, and ``GAMMA2_REFERENCE`` stores its 40-digit roots from
+``gamma2_reference_literals``: the reference for ``lb_quantile``'s accuracy.
 ``oracle_subject_influence_loop``
 evaluates the oracle influence values one time at a time from the context's
 tables, the reference for the package's shared evaluator.
@@ -1009,4 +1011,117 @@ TABLE_REFERENCE = {
         'p': (0.0023102106398871602, 0.46115788514142908, 7.3925409343897419),
         'w': (0.0011566235960571156, 0.2411428477048537, 4.5152607119283852),
     },
+}
+
+
+# the levels of ``GAMMA2_REFERENCE``: small levels from the least subnormal
+# up to sampling's lattice k 2^-53; the lattice k/32 and its ends 2^-53 and
+# 1 - 2^-53; each side of the quantile's branch points, L = 2^-40, x = 1 and
+# L = 1; decades near both ends; and h_quantile's 0.95
+GAMMA2_LEVELS = (
+    5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 2.0**-53, 2 * 2.0**-53, 3 * 2.0**-53, 1e-16,
+    9.094947017725145e-13, 9.094947017725146e-13, 1e-12, 1e-9, 1e-6, 1e-3, 0.01,
+    *(k / 32 for k in range(1, 32)),
+    0.26424111765711533, 0.2642411176571154, 0.6321205588285576, 0.6321205588285577,
+    0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12,
+    1 - 2**20 * 2.0**-53, 1 - 3 * 2.0**-53, 1 - 2 * 2.0**-53, 1 - 2.0**-53,
+)
+
+
+def mpmath_gamma2_quantile(p):
+    """The Gamma(2) quantile at the float ``p``: the root x of
+    x - log1p(x) = -log1p(-p), in mpmath at its working precision.  The
+    residual cancels about as many digits as x ~ sqrt(2p) is below 1, so the
+    root is found with that many more."""
+    import math
+
+    import mpmath as mp
+
+    with mp.extradps(10 + max(0, round(-math.log10(p) / 2))):
+        level = -mp.log1p(-mp.mpf(p))
+        z = mp.sqrt(2 * level)
+        start = z * (1 + z / 3) if level < 1 else level + mp.log1p(level + mp.log1p(level))
+        root = mp.findroot(lambda x: x - mp.log1p(x) - level, start)
+    return +root
+
+
+def gamma2_reference_literals(dps: int = 40) -> str:
+    """The source of ``GAMMA2_REFERENCE``: ``mpmath_gamma2_quantile`` at
+    each of ``GAMMA2_LEVELS``, as a ``dps``-digit string; run
+    ``python -c "import oracles; print(oracles.gamma2_reference_literals())"``
+    from ``tests`` (about a second)."""
+    import mpmath as mp
+
+    lines = ["GAMMA2_REFERENCE = {"]
+    with mp.workdps(dps):
+        for p in GAMMA2_LEVELS:
+            digits = mp.nstr(mpmath_gamma2_quantile(p), dps, min_fixed=0, max_fixed=0)
+            lines.append(f"    {p!r}: {digits!r},")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+# ``gamma2_reference_literals()`` at 40 digits
+GAMMA2_REFERENCE = {
+    5e-324: '3.14345556940525737781903134561016445657e-162',
+    1e-300: '1.414213562373095066521142491262258037508e-150',
+    1e-200: '1.414213562373095036144662885141293775617e-100',
+    1e-100: '1.414213562373095062938096643432197881768e-50',
+    1e-30: '1.414213562373095774396103522315244434937e-15',
+    1.1102230246251565e-16: '1.4901161267862525063843036514469579992e-8',
+    2.220446049250313e-16: '2.107342440347675393993986609738408584603e-8',
+    3.3306690738754696e-16: '2.580956850156245624492592435951564616004e-8',
+    1e-16: '1.414213569039761743900339893315421161042e-8',
+    9.094947017725145e-13: '1.348699758678478270629075856701638031775e-6',
+    9.094947017725146e-13: '1.348699758678478345496985784404534655428e-6',
+    1e-12: '1.41421422904019382237529801085172839087e-6',
+    1e-09: '4.472202623032764037652864214335013127988e-5',
+    1e-06: '1.41488066147934287823457807387098553499e-3',
+    0.001: '4.540201776948955730051284021861580557174e-2',
+    0.01: '1.485547402532659493077195596070503517264e-1',
+    0.03125: '2.73582470906226129964793412139541458597e-1',
+    0.0625: '4.03526566596621196095419657652521261857e-1',
+    0.09375: '5.11625897997221094968289564121640172702e-1',
+    0.125: '6.093810677230784440044163751808079992689e-1',
+    0.15625: '7.012798683090540122213976238505883403271e-1',
+    0.1875: '7.896713826848267461324233722346562753802e-1',
+    0.21875: '8.76004130012148486607589402847610257427e-1',
+    0.25: '9.612787631147770958482677494944362329955e-1',
+    0.28125: '1.04625104942780153539069196322121098914',
+    0.3125: '1.131536557659712708128970349235804651209',
+    0.34375: '1.217671020346431154932999828135165097456',
+    0.375: '1.305148904073595108391071663199394058831',
+    0.40625: '1.394450829424097947527722557085786970835',
+    0.4375: '1.486065475226177341952848329048455450766',
+    0.46875: '1.580509367424912001376434993396331498142',
+    0.5: '1.678346990016660653412884512094523084824',
+    0.53125: '1.780213382889515131740047614256372516353',
+    0.5625: '1.886841608746107910493975024278034968414',
+    0.59375: '1.999098183223072675065375166253739851168',
+    0.625: '2.118030949753876636921161884047711756873',
+    0.65625: '2.244936371931837171012454152409542676588',
+    0.6875: '2.381457697896879614459885231597544096589',
+    0.71875: '2.529733776001291672075416980675592787385',
+    0.75: '2.69263452888969577075376537782014664319',
+    0.78125: '2.874152746606044091688805653983434056162',
+    0.8125: '3.080097259919075919539677113033771480725',
+    0.84375: '3.319418860552314509457308447277421611981',
+    0.875: '3.607023536470181955236982546098843876275',
+    0.90625: '3.97068033274890745377248396539762683647',
+    0.9375: '4.472284981079574096128417647199794637492',
+    0.96875: '5.307470651344488180204728797255010990194',
+    0.26424111765711533: '9.999999999999999324302894817315483127138e-1',
+    0.2642411176571154: '1.000000000000000083325243150501654569232',
+    0.6321205588285576: '2.146193220620582093304166567260587584914',
+    0.6321205588285577: '2.146193220620582535710447322603323343402',
+    0.95: '4.743864518390577300445086487916345084403',
+    0.99: '6.638352067993811247397803923438768656946',
+    0.999: '9.233413476451584746061143145483546973722',
+    0.999999: '1.668842079082944091544010906499045342027e+1',
+    0.999999999: '2.39397278950372859544415260080778318565e+1',
+    0.999999999999: '3.109989602905379656518672747754424176093e+1',
+    0.9999999998835847: '2.61761984933023851229778383777949921002e+1',
+    0.9999999999999997: '3.933541822821017467499624837878374253483e+1',
+    0.9999999999999998: '3.975113713353203788370916813772860409259e+1',
+    0.9999999999999999: '4.04615674830874653583793028132607207367e+1',
 }

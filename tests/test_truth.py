@@ -1,5 +1,7 @@
+import decimal
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy import integrate, optimize
 
 import oracles
 from lbrc.errors import ConfigError
-from lbrc.truth import ExponentialModel, WeibullModel, _brentq, make_model
+from lbrc.truth import _GAMMA2_BLOCK, ExponentialModel, WeibullModel, _brentq, make_model
 
 MODELS = [
     ExponentialModel(censor_rate=0.5, rate=1.0),
@@ -322,6 +324,7 @@ OF_TIME = [
     "event_subdist_density", "influence_weight", "exit_cdf",
 ]
 OF_LEVEL = ["quantile", "lb_quantile"]
+LEVELS = np.array([0.0, 1e-300, 1e-16, 1e-9, 0.01, 0.1, 0.5, 0.9, 0.999, 1 - 2**-53, 1.0])
 
 
 @pytest.mark.parametrize("model, ref", CLOSED_FORM, ids=[str(m) for m, _ in CLOSED_FORM])
@@ -329,9 +332,12 @@ def test_lifetime_functions_match_closed_forms_bit_for_bit(model, ref):
     unit = float(ref.quantile(0.5))
     t = unit * np.array([-3.0, -1.0, -1e-9, 0.0, 1e-300, 1e-12, 1e-6, 0.01, 0.3, 1.0, 2.5,
                          7.0, 40.0, 1e3, 1e6, np.inf])
-    p = np.array([0.0, 1e-300, 1e-16, 1e-9, 0.01, 0.1, 0.5, 0.9, 0.999, 1 - 2**-53, 1.0])
+    # the exponential lb_quantile solves its Gamma(2) equation in numpy, closer
+    # to the root than the reference's gammaincinv and so not bit for bit
+    # with it: test_exponential_lb_quantile_near_gammaincinv holds the two
+    of_level = ["quantile"] if isinstance(model, ExponentialModel) else OF_LEVEL
     with np.errstate(all="ignore"):
-        for name, x in [*((n, t) for n in OF_TIME), *((n, p) for n in OF_LEVEL)]:
+        for name, x in [*((n, t) for n in OF_TIME), *((n, LEVELS) for n in of_level)]:
             # the array, each entry as a Python float, and one as a numpy scalar
             for arg in (x, *x.tolist(), x[5]):
                 got, want = (getattr(m, name)(arg) for m in (model, ref))
@@ -343,6 +349,91 @@ def test_lifetime_functions_match_closed_forms_bit_for_bit(model, ref):
     assert model.mu == ref.mu
     assert model.h_quantile(0.9) == ref.h_quantile(0.9)
     assert np.array_equal(model.default_grid(8).points, ref.default_grid(8).points)
+
+
+@pytest.mark.parametrize(
+    "model, ref",
+    [pair for pair in CLOSED_FORM if isinstance(pair[0], ExponentialModel)],
+    ids=[str(m) for m, _ in CLOSED_FORM if isinstance(m, ExponentialModel)],
+)
+def test_exponential_lb_quantile_near_gammaincinv(model, ref):
+    # within 32 units of 2^-53 of gammaincinv, itself up to 30 off the root on
+    # (2^-53, 1); at p = 1e-300 gammaincinv is 141 off, and there the bound
+    # holds against the stored mpmath root
+    root = float(oracles.GAMMA2_REFERENCE[1e-300]) / model.rate
+    with np.errstate(all="ignore"):
+        for arg in (LEVELS, *LEVELS.tolist(), LEVELS[5]):
+            got, want = model.lb_quantile(arg), ref.lb_quantile(arg)
+            assert type(got) is type(want), arg
+            want = np.where(np.equal(arg, 1e-300), root, want)
+            exact = ~np.isfinite(want) | (want == 0)
+            assert np.array_equal(np.where(exact, got, 0), np.where(exact, want, 0)), arg
+            diff = np.abs(np.where(exact, 0.0, got - want))
+            assert np.all(diff <= 32 * 2.0**-53 * np.where(exact, 0.0, want)), arg
+
+
+class TestGamma2Quantile:
+    """The exponential ``lb_quantile``, ``_gamma2_quantile / rate``, against
+    40-digit mpmath roots stored by ``oracles.gamma2_reference_literals``."""
+
+    MODEL = ExponentialModel(rate=1.0)
+
+    def test_within_four_units_of_the_mpmath_root(self):
+        levels = np.array(list(oracles.GAMMA2_REFERENCE))
+        got = self.MODEL.lb_quantile(levels)
+        with decimal.localcontext(prec=50):
+            err = [
+                abs(Decimal(x) / Decimal(oracles.GAMMA2_REFERENCE[p]) - 1) / Decimal(2.0**-53)
+                for p, x in zip(levels.tolist(), got.tolist())
+            ]
+        # gammaincinv misses this bound: it is 141 units off at p = 1e-300
+        assert max(err) <= 4, levels[np.argmax(err)]
+
+    def test_a_stored_value_recomputed(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            root = oracles.mpmath_gamma2_quantile(0.95)
+            assert mp.nstr(root, 40) == oracles.GAMMA2_REFERENCE[0.95]
+
+    @pytest.mark.parametrize(
+        "p, want", [(0.0, 0.0), (-0.0, 0.0), (1.0, math.inf), (math.nan, math.nan),
+                    (-1e-300, math.nan), (-0.5, math.nan), (1 + 2**-52, math.nan),
+                    (2.0, math.nan), (-math.inf, math.nan), (math.inf, math.nan)],
+    )
+    def test_edge_levels_as_gammaincinv(self, p, want):
+        from scipy import special
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self.MODEL.lb_quantile(p)
+            array = self.MODEL.lb_quantile(np.array([p, 0.5]))
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert want != 0 or math.copysign(1, got) == 1
+        assert np.array_equal(array[:1], [want], equal_nan=True)
+        assert np.array_equal([got], [special.gammaincinv(2.0, p)], equal_nan=True)
+
+    def test_blocks_give_the_values_of_small_calls(self):
+        # past _GAMMA2_BLOCK levels the quantile runs block by block, in any shape
+        p = np.random.default_rng(4).random((3, _GAMMA2_BLOCK - 5))
+        p[1, 7], p[2, 9] = 1.0, np.nan
+        pieces = [self.MODEL.lb_quantile(row[i:i + 1000]) for row in p
+                  for i in range(0, row.size, 1000)]
+        got = self.MODEL.lb_quantile(p)
+        assert got.shape == p.shape
+        assert np.array_equal(got.ravel(), np.concatenate(pieces), equal_nan=True)
+
+    def test_float_in_float_out_and_scaled_by_the_rate(self):
+        p = np.array(list(oracles.GAMMA2_REFERENCE))
+        unit = self.MODEL.lb_quantile(p)
+        assert unit.dtype == np.float64 and unit.shape == p.shape
+        for arg in (0.5, np.float64(0.5), np.array(0.5), 1, np.float32(0.5)):
+            assert type(self.MODEL.lb_quantile(arg)) is float
+        assert type(self.MODEL.lb_quantile([0.5])) is np.ndarray
+        # 2^-40 scales by an exact power of two; 7 is one rounded division
+        assert np.array_equal(ExponentialModel(rate=2.0**-40).lb_quantile(p), unit * 2.0**40)
+        assert np.array_equal(ExponentialModel(rate=7.0).lb_quantile(p), unit / 7.0)
+        assert [ExponentialModel(rate=7.0).lb_quantile(x) for x in p.tolist()] == (
+            unit / 7.0).tolist()
 
 
 # h_quantile's root, pinned bit for bit to scipy's brentq on the bracket and
