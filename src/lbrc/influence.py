@@ -23,9 +23,9 @@ context; ``plugin_variance`` and ``lil_quantities`` take a plugin context.
 Both modes of ``subject_influence`` evaluate one formula,
 ``_influence_from_reads``, on four cumulatives read at each time (of ``rho``,
 ``rho S_A``, ``rho S_A m`` and ``m``) and six terms per subject: the plugin
-mode reads event prefix sums, the oracle mode its tables and a ``rho S_A``
-table anchored below the sample.  The oracle mode sorts each of the a, v and
-y columns once, reads the sorted column on both edge sets and puts the reads
+mode reads event prefix sums, the oracle mode the context's tables.  The
+oracle mode sorts each of the a, v and y columns once, reads the sorted
+column with one location on the tables' shared edges and puts the reads
 back in subject order, then evaluates the formula over every time for one
 block of subjects at a time, the layout of ``plugin_variance``'s chunks.
 
@@ -55,14 +55,15 @@ Numerical layout of the oracle integrals: the risk function vanishes at 0
 under entry-delay sampling, so integrands like (event density)/(risk)^2 are
 not integrable from 0.  Each influence value combines such pieces into a
 finite total; the code therefore never anchors a divergent cumulative at 0,
-but instead tabulates
+but instead tabulates, once per population on one set of edges,
 
 * cumulatives that are finite from 0 (those whose integrand stays bounded),
-* cumulatives of the divergent integrands anchored just below the smallest
-  positive data point (``rho S_A`` for ``subject_influence``, ``rho`` for
-  ``influence_means``), used only through differences whose lower endpoint
-  is a data point, or on panels whose coefficient vanishes below the
-  anchor.
+* cumulatives of the divergent integrands ``rho`` and ``rho S_A`` anchored
+  at the window end, used only through differences whose lower endpoint is
+  a data point, or on panels whose coefficient is an exact zero.  A data
+  point on their first panel, below the first positive edge, is read from a
+  table of its own (``_first_panel_reads``); no other table depends on the
+  sample.
 
 All per-subject evaluation is vectorized over subjects.
 """
@@ -133,31 +134,36 @@ class OracleContext:
     grid: EvalGrid
 
     @cached_property
-    def tables(self) -> tuple[SmoothCumulative, SmoothCumulative, SmoothCumulative]:
-        """Cumulatives from 0 of ``m``, ``p`` and ``w``, built on first read.
+    def tables(self) -> tuple[SmoothCumulative, ...]:
+        """The cumulatives ``m``, ``p``, ``w``, ``g`` and ``v``, built on first read.
 
-        ``m`` integrates the pooled density over the squared pooled at-risk
-        function, ``p`` the influence weight ``rho`` times ``1 - S_A``, and
-        ``w`` the product ``rho S_A m``.  The three share their edges, and the
-        population is evaluated once at their nodes.
+        From 0, ``m`` integrates the pooled density over the squared pooled
+        at-risk function, ``p`` the influence weight ``rho`` times
+        ``1 - S_A``, and ``w`` the product ``rho S_A m``.  ``g`` and ``v``
+        hold minus the integrals of ``rho`` and of ``rho S_A`` from a point
+        to the window end: both diverge at 0, and their reads are valid from
+        the first positive edge (about ``b 2**-100``) on.  The five share
+        their edges, and the population is evaluated once at their nodes.
         """
         model = self.model
         edges = origin_graded_edges(self.grid.b, _TABLE_PANELS)
         u = node_points(edges).ravel()
         with np.errstate(all="ignore"):
             s_a, f_a, k = (np.asarray(x, dtype=float) for x in model.entry_terms(u))
-            m_table = SmoothCumulative.from_node_values(
+            m_table = SmoothCumulative(
                 edges, np.asarray(model.pooled_density(u), dtype=float) / k**2
             )
             del k
             rho = np.asarray(model.influence_weight(u), dtype=float)
-            p_table = SmoothCumulative.from_node_values(edges, rho * f_a)
+            p_table = SmoothCumulative(edges, rho * f_a)
+            g_table = SmoothCumulative(edges, rho, right=True)
             # each node array is freed once read, so the m read at the nodes,
             # the peak of the build, holds only u and rho S_A beside it
             rho_s_a = rho * s_a
             del s_a, f_a, rho
-            w_table = SmoothCumulative.from_node_values(edges, rho_s_a * m_table.query(u))
-        return m_table, p_table, w_table
+            v_table = SmoothCumulative(edges, rho_s_a, right=True)
+            w_table = SmoothCumulative(edges, rho_s_a * m_table.query(u))
+        return m_table, p_table, w_table, g_table, v_table
 
 
 @dataclass(frozen=True)
@@ -283,29 +289,42 @@ class _SortedQueries:
 # oracle tables
 
 
-def _anchor(ctx: OracleContext, a, v) -> float:
-    """Lower edge of the anchored tables: just below the smallest positive a or v.
-
-    No positive data point lies below it, so every difference of an anchored
-    cumulative that the influence values take has both ends at or above it.
-    """
-    positive = np.concatenate([a, v[v > 0]])
-    return min(0.999 * positive.min(initial=np.inf), 0.5 * ctx.grid.b)
-
-
-def _anchored_table(ctx: OracleContext, anchor: float, density) -> SmoothCumulative:
-    """Cumulative of a density that diverges at 0, from ``anchor`` to the window end."""
-    return SmoothCumulative(density, geometric_edges(anchor, ctx.grid.b, ratio=1.12))
-
-
 def _check_oracle_sample(a, v, delta):
-    """Refuse samples whose oracle influence values diverge."""
+    """Refuse samples whose oracle influence values diverge.
+
+    Entry delays must be positive, and an observed event needs a positive
+    residual time; v = 0 with delta = 0 is allowed, since each term it
+    reads is an exact zero.  A positive a or v on the first panel of the
+    ``g`` and ``v`` tables is read by ``_first_panel_reads``.
+    """
     if np.any(a <= 0):
         raise ComputeError("oracle influence needs positive entry delays")
     if np.any((v == 0) & (delta == 1)):
         raise ComputeError(
             "residual time 0 with an observed event makes the risk correction diverge"
         )
+
+
+def _first_panel_reads(table: SmoothCumulative, density, x, found):
+    """``found``, the reads of the right-anchored ``g`` or ``v`` table at
+    ``x``, with its positive points on the first panel read apart.
+
+    That panel, [0, first positive edge], holds no valid cumulative of the
+    density, which diverges at 0.  Its edge is ``b 2**-100`` down to window
+    ends of about 1e-274, where the origin grading stops above the least
+    normal float and samples start to reach it.  Such points are read from a
+    table of ``density`` on geometric edges from just below the lowest of
+    them to the first positive edge; one near the least normal float makes
+    that table overflow and raise ``ComputeError``.
+    """
+    first = table.edges[1]
+    low = (x > 0) & (x < first)
+    if low.any():
+        edges = geometric_edges(0.999 * x[low].min(), first, ratio=1.12)
+        with np.errstate(all="ignore"):
+            values = density(node_points(edges).ravel())
+        found[low] = table.cum[1] + SmoothCumulative(edges, values, right=True).query(x[low])
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +379,33 @@ def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
 
 
 def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
-    """Oracle reads for ``_influence_from_reads``: V from the anchored
-    ``rho S_A`` table (0 below the anchor), G = p + V, which differs from the
-    divergent cumulative of ``rho`` by a constant that every use cancels,
-    Q = w and M = m.  Blocks of subjects go into preallocated outputs."""
+    """Oracle reads for ``_influence_from_reads``: V from the ``v`` table,
+    G = p + V, which differs from the divergent cumulative of ``rho`` by a
+    constant that every use cancels, Q = w and M = m.  Blocks of subjects go
+    into preallocated outputs."""
     _check_oracle_sample(a, v, delta)
     y = a + v
     model = ctx.model
-    m_t, p_t, w_t = ctx.tables
-    v_tab = _anchored_table(
-        ctx,
-        _anchor(ctx, a, v),
-        lambda u: np.asarray(model.influence_weight(u), dtype=float)
-        * np.asarray(model.entry_survival(u), dtype=float),
-    )
+    m_t, p_t, w_t, _, v_t = ctx.tables
+
+    def rho_s_a(u):
+        return model.influence_weight(u) * model.entry_survival(u)
 
     def read(tables, x):
         # the tables share their edges, so x is located once; values beyond
         # the window end are masked by the ``<= t`` clauses that read them,
-        # or multiplied by a masked zero
-        at = tables[0].locate(np.clip(x, tables[0].lo, tables[0].hi))
-        return [table.read(at) for table in tables]
+        # or multiplied by a masked zero.  v, always read last, reads its
+        # first panel apart
+        x = np.clip(x, m_t.lo, m_t.hi)
+        at = m_t.locate(x)
+        found = [table.read(at) for table in tables]
+        found[-1] = _first_panel_reads(v_t, rho_s_a, x, found[-1])
+        return found
 
     def read_column(x, tables):
-        # a subject column is sorted once, and located in that order on the
-        # edges of ``tables`` and on the anchored edges
+        # a subject column is sorted once, and located in that order
         by_x = _SortedQueries(x)
-        found = read(tables, by_x.sorted) + read((v_tab,), by_x.sorted)
-        return [by_x.scatter(f) for f in found]
+        return [by_x.scatter(f) for f in read(tables, by_x.sorted)]
 
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
     k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
@@ -404,21 +422,21 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     own_event = delta / np.where(r_y > 0, r_y, 1.0)
     del k_a, k_v, r_y  # each (n,) array freed here lowers the peak
 
-    m_a, p_a, w_a, v_a = read_column(a, (m_t, p_t, w_t))
+    m_a, p_a, w_a, v_a = read_column(a, (m_t, p_t, w_t, v_t))
     g_a = p_a + v_a
     d_a = m_a - inv_k_a
     const_a = g_a - w_a + d_a * v_a
     del m_a, p_a, w_a, v_a, inv_k_a
-    p_y, v_y = read_column(y, (p_t,))
+    p_y, v_y = read_column(y, (p_t, v_t))
     psi1_y = p_y + v_y - g_a - own_event
     del p_y, v_y, own_event
-    m_v, w_v, v_v = read_column(v, (m_t, w_t))
+    m_v, w_v, v_v = read_column(v, (m_t, w_t, v_t))
     d_v = m_v - inv_k_v
     const_v = d_v * v_v - w_v
     del m_v, w_v, v_v, inv_k_v
     subject = (g_a, psi1_y, const_a, const_v, d_a, d_v)
 
-    (p_at, w_at, m_at), (v_at,) = read((p_t, w_t, m_t), times), read((v_tab,), times)
+    p_at, w_at, m_at, v_at = read((p_t, w_t, m_t, v_t), times)
     at_times = (p_at + v_at, v_at, w_at, m_at)
     out = tuple(np.empty((times.size, a.size)) for _ in range(3))
     width = max(1, _BLOCK_VALUES // max(times.size, 1))
@@ -538,13 +556,12 @@ def influence_means(
       with ``c = 1 + phi_b - k m_b``, ``p`` the integral of ``rho (1 - S_A)``
       and ``w`` that of ``rho S_A m``.
 
-    ``m``, ``p`` and ``w`` share one location of the breaks.  ``g`` diverges
-    at 0, is tabulated from just below the smallest positive ``a`` or ``v``
-    and is read at the breaks and the sorted exit times; left of that no
-    subject is at risk and ``a_bar = c = 1``, so those panels carry no ``dg``.
-    Once the context's tables exist, densities are evaluated only to build
-    the anchored ``g`` table.  The means agree with the averages of the
-    per-subject values within 2e-14 up to n = 4000; the tests require 1e-10.
+    The context's tables share one location of the breaks.  ``g`` diverges
+    at 0 and is tabulated from the window end; on the first panel, right of
+    0, no subject is at risk and ``a_bar = c = 1``, so its ``dg`` is weighted
+    by exact zeros.  Once the context's tables exist, no density is
+    evaluated.  The means agree with the averages of the per-subject values
+    within 2e-14 up to n = 4000; the tests require 1e-10.
 
     ``want`` is "phi" for ``mean_phi`` alone, or "both" for ``mean_phi``,
     ``mean_psi1`` and ``mean_psi2``.  Times are refused as
@@ -562,17 +579,16 @@ def influence_means(
     tmax = float(times.max())
     n = d.n
     model = ctx.model
-    m_table, p_table, w_table = ctx.tables
+    m_table, p_table, w_table, g_table, _ = ctx.tables
 
     # k and a_bar change only at 0, a, v and the times: the breaks are those
     # points up to tmax, and ``where`` places a, v, the times and 0 among them
     points, where = np.unique(np.concatenate([d.a, d.v, times, [0.0]]), return_inverse=True)
     t_idx = where[2 * n : -1]
     breaks = points[: t_idx.max() + 1]
-    left = breaks[:-1]
     # #{a <= b} and #{v <= b} at the left break b of each panel
     le_a, le_v = (
-        np.cumsum(np.bincount(where[k * n : (k + 1) * n], minlength=points.size))[: left.size]
+        np.cumsum(np.bincount(where[k * n : (k + 1) * n], minlength=points.size)[: breaks.size - 1])
         for k in range(2)
     )
     bar_a = (n - le_a) / n
@@ -590,7 +606,7 @@ def influence_means(
         jump_terms = np.where(k_pop_pool > 0, dq_pool / np.where(k_pop_pool > 0, k_pop_pool, 1.0), 0.0)
     jump_prefix = np.concatenate(([0.0], np.cumsum(jump_terms)))
 
-    # the three tables share their edges: the breaks are located once
+    # the tables share their edges: the breaks are located once
     at_breaks = m_table.locate(breaks)
     m_at_breaks = m_table.read(at_breaks)
     phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
@@ -604,23 +620,21 @@ def influence_means(
     if want == "phi":
         return out
 
-    # g is tabulated from the anchor on; the panels left of it carry no dg
-    anchor = _anchor(ctx, d.a, d.v)
-    g_table = _anchored_table(ctx, anchor, model.influence_weight)
-    g_at_breaks = g_table.query(np.maximum(breaks, anchor))
-
     # direct hazard influence mean: the integral of rho over [a, min(y, t)]
     # for each subject with a <= t, minus delta / r(y) once y <= t.  On the
     # panel right of break b a subject adds dg when a <= b and y is at or
     # above the panel's right end; one whose y lies inside the panel, past
     # b, adds g(y) - g(b), and one with y = a adds 0 at its a
-    dg = np.where(left >= anchor, np.diff(g_at_breaks), 0.0)
+    rho = model.influence_weight
+    g_at_breaks = _first_panel_reads(g_table, rho, breaks, g_table.read(at_breaks))
+    dg = np.diff(g_at_breaks)
     by_y = np.argsort(d.y)
     y_sorted = d.y[by_y]
     exited = by_y[: np.searchsorted(y_sorted, tmax, side="right")]
     y_exited = y_sorted[: exited.size]
     panel = np.maximum(np.searchsorted(breaks, y_exited) - 1, where[exited])
-    partial = g_table.query(y_exited) - g_at_breaks[panel]
+    partial = _first_panel_reads(g_table, rho, y_exited, g_table.query(y_exited))
+    partial -= g_at_breaks[panel]
     event = d.delta[exited] == 1
     partial[event] -= 1.0 / np.asarray(model.risk(y_exited[event]), dtype=float)
     inside = np.bincount(panel, minlength=breaks.size)

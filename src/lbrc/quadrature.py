@@ -4,15 +4,15 @@ This is the package's one integrator: the oracle tables and the window
 diagnostic of ``influence`` use it, and the truth models need none.
 Integrands here are smooth between a known set of breakpoints, or behave
 like ``u**(k - 1)`` at an origin graded by ``origin_graded_edges``: on its
-293 panels the oracle tables agree with 30-digit mpmath within 8e-16
-relative for the exponential and Weibull shapes 0.6 to 1.5.  The cumulative
-helper evaluates the density once, at the nodes of every panel, when it is
-built, or takes the values there (``SmoothCumulative.from_node_values``), so
-tables on the same edges can share one evaluation of the functions their
-densities have in common at ``node_points``.  It stores the panel sums at the edges and, per panel, the
-Legendre coefficients of the antiderivative of the polynomial that
-interpolates the density at those nodes; an interior query is then a lookup
-plus one polynomial evaluation, with no further density call.  Each series
+293 panels the oracle tables from 0 agree with 30-digit mpmath within 8e-16
+relative for the exponential and Weibull shapes 0.6 to 1.5.  A cumulative
+table is built from the density's values at the nodes of every panel
+(``node_points``), so tables on the same edges share one evaluation of the
+functions their densities have in common.  It stores the panel sums at the
+edges, accumulated from the first edge or, for a density that diverges at
+the first edge, from the last, and, per panel, the Legendre coefficients of
+the antiderivative of the polynomial that interpolates the density at those
+nodes; a query is then a lookup plus one polynomial evaluation.  Each series
 is chopped when its table is built (Aurentz and Trefethen, ACM TOMS 43,
 2017), and tables on the same edges share one ``locate`` of a point set.
 ``locate`` finds the panels of sorted points that outnumber the edges twice
@@ -63,20 +63,12 @@ def node_points(edges: np.ndarray) -> np.ndarray:
     return mid[:, None] + half[:, None] * _GL_X[None, :]
 
 
-def _node_values(density, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre weights of each panel of ``edges``, and ``density`` at
-    its nodes, both of shape ``(n_panels, NODES)``."""
-    edges = np.asarray(edges, dtype=float)
-    x = node_points(edges)
-    vals = np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return half[:, None] * _GL_W[None, :], vals
-
-
 def panel_integrals(density, edges: np.ndarray) -> np.ndarray:
     """Integral of ``density`` over each panel of ``edges``."""
-    w, vals = _node_values(density, edges)
-    return (w * vals).sum(axis=1)
+    x = node_points(edges)
+    vals = np.asarray(density(x.ravel()), dtype=float).reshape(x.shape)
+    half = 0.5 * np.diff(np.asarray(edges, dtype=float))
+    return (half[:, None] * _GL_W[None, :] * vals).sum(axis=1)
 
 
 def origin_graded_edges(hi: float, panels: int) -> np.ndarray:
@@ -127,13 +119,6 @@ def _antiderivative_matrix() -> np.ndarray:
 _ANTIDERIVATIVE = _antiderivative_matrix()
 
 
-def _strict_edges(edges) -> np.ndarray:
-    edges = np.asarray(edges, dtype=float)
-    if edges.size < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError("edges must be strictly increasing with >= 2 entries")
-    return edges
-
-
 # points on a table's edges: the last edge at or below each point, its panel
 # (the last one at hi), its coordinate on that panel in [-1, 1], and the mask
 # of points on an edge
@@ -141,41 +126,40 @@ Position = namedtuple("Position", "edges index panel xi on_edge scalar")
 
 
 class SmoothCumulative:
-    """Cumulative integral of a smooth density from ``edges[0]``.
+    """Cumulative integral of a smooth density given by its values at
+    ``node_points(edges)``, in any shape with as many entries.
 
     ``query(s)`` returns the integral from the first edge to ``s`` for any
-    ``s`` inside the domain: the stored panel prefix plus the integral of the
-    density's node interpolant over the partial panel.  On a panel edge this
-    is the stored prefix exactly; inside a panel its error is the degree-14
+    ``s`` inside the domain or, with ``right=True``, minus the integral from
+    ``s`` to the last edge: the stored panel prefix plus the integral of the
+    density's node interpolant over the partial panel.  The right-anchored
+    prefixes are summed from the last panel down, so they are 0 at the last
+    edge and, for a density that diverges at the first edge, keep the
+    accuracy of the panels they sum; the first panel of such a table holds
+    no valid cumulative.  On a panel edge a query is
+    the stored prefix exactly; inside a panel its error is the degree-14
     interpolation error of the density, so ``edges`` should put any point
-    where the density is not smooth on an edge.  The series is kept up to the
-    highest degree (at least 1) whose largest coefficient over the panels
-    exceeds 2^-53 of the largest |cumulative|, at any power-of-two scale.
+    where the density is not smooth on an edge.  The series is kept up to
+    the highest degree (at least 1) whose largest coefficient over the
+    panels exceeds 2^-53 of the largest |cumulative|, at any power-of-two
+    scale.
     """
 
     nodes = NODES
 
-    def __init__(self, density, edges):
-        edges = _strict_edges(edges)
-        with np.errstate(all="ignore"):
-            values = density(node_points(edges).ravel())
-        self._build(edges, values)
-
-    @classmethod
-    def from_node_values(cls, edges, values) -> SmoothCumulative:
-        """The table of a density given by its values at ``node_points(edges)``,
-        in any shape with as many entries, as ``cls(density, edges)`` builds it."""
-        table = cls.__new__(cls)
-        table._build(_strict_edges(edges), values)
-        return table
-
-    def _build(self, edges: np.ndarray, values):
-        self.edges = edges
+    def __init__(self, edges, values, right: bool = False):
+        self.edges = edges = np.asarray(edges, dtype=float)
+        if edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("edges must be strictly increasing with >= 2 entries")
         with np.errstate(all="ignore"):
             half = 0.5 * np.diff(edges)
             vals = np.asarray(values, dtype=float).reshape(half.size, NODES)
             w = half[:, None] * _GL_W[None, :]
-            self.cum = np.concatenate(([0.0], np.cumsum((w * vals).sum(axis=1))))
+            sums = (w * vals).sum(axis=1)
+            if right:
+                self.cum = np.concatenate((-np.cumsum(sums[::-1])[::-1], [0.0]))
+            else:
+                self.cum = np.concatenate(([0.0], np.cumsum(sums)))
             # (coefficient, panel): each read gathers one row per coefficient
             coef = ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
             self._inv_half = 1.0 / half
@@ -264,5 +248,5 @@ class SmoothCumulative:
         return float(out[0]) if position.scalar else out
 
     def query(self, s):
-        """``read(locate(s))``: the integral from the first edge to each ``s``."""
+        """``read(locate(s))``: the cumulative at each ``s``."""
         return self.read(self.locate(s))

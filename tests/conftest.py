@@ -10,16 +10,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 @pytest.fixture
 def table_builds(monkeypatch):
     """``table_builds(module)`` records the edges of every ``SmoothCumulative``
-    that ``module`` builds from then on, from a density or from its node
-    values, in the returned list."""
+    that ``module`` builds from then on in the returned list."""
 
     def patch(module):
         built = []
 
         class Counted(module.SmoothCumulative):
-            def _build(self, edges, values):
+            def __init__(self, edges, values, right=False):
                 built.append(edges)
-                super()._build(edges, values)
+                super().__init__(edges, values, right)
 
         monkeypatch.setattr(module, "SmoothCumulative", Counted)
         return built

@@ -11,21 +11,27 @@ context raw population callables, so tests can run the package's oracle code
 against small hand-made populations.  ``ClosedFormExponential`` and
 ``ClosedFormWeibull`` write each lifetime function of a family out in closed
 form, each with its own scalar rule, the reference for the truth models that
-derive them from the cumulative hazard.  ``oracle_tables_three_builds`` builds
-an oracle context's tables one density at a time, the reference for the
-tables built from one evaluation of the population.  ``mpmath_tables_at``
+derive them from the cumulative hazard.  ``oracle_tables_one_build_each``
+builds an oracle context's tables one density at a time with
+``density_table``, the reference for the tables built from one evaluation
+of the population.  ``mpmath_tables_at``
 integrates the m, p and w densities of a truth model, written out from its
 definition, by 30-digit mpmath quadrature, and ``TABLE_REFERENCE`` stores
 its values from ``table_reference_literals``: the reference for the tables'
-accuracy.  ``mpmath_gamma2_quantile`` solves for the length-biased exponential
+accuracy; ``mpmath_right_tables_at`` and ``RIGHT_TABLE_REFERENCE`` do the
+same for the g and v tables, anchored at the window end.
+``mpmath_gamma2_quantile`` solves for the length-biased exponential
 quantile in mpmath, and ``GAMMA2_REFERENCE`` stores its 40-digit roots from
 ``gamma2_reference_literals``: the reference for ``lb_quantile``'s accuracy.
 ``oracle_subject_influence_loop``
 evaluates the oracle influence values one time at a time from the context's
-tables, the reference for the package's shared evaluator.
-``influence_means_fine_panels`` sums the oracle sample means over the panels
-between every data point, the reference for the package's sums over the
-entry and residual breaks.  ``locate_one_search`` and
+m, p and w tables and two tables anchored below the sample (``_anchor`` and
+``_anchored_table``, the algorithm the package used before its g and v
+tables), the reference for the package's shared evaluator and its tables
+anchored at the window end.  ``influence_means_fine_panels`` sums the oracle
+sample means over the panels between every data point, with the same
+anchored table, the reference for the package's sums over the entry and
+residual breaks.  ``locate_one_search`` and
 ``read_clenshaw_expression`` place points with one search per point and sum
 each Clenshaw step as one expression, the references for the edge count and
 the in-place recurrence of ``SmoothCumulative``, and
@@ -469,32 +475,60 @@ def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain):
     return phi, psi1, psi2
 
 
-def oracle_tables_three_builds(ctx):
-    """The m, p and w tables of an oracle context, each built from its own
-    density on the context's edges, so the population is evaluated once per
-    table: the reference for ``OracleContext.tables``."""
+def density_table(density, edges, right=False):
+    """The ``SmoothCumulative`` of ``density`` on ``edges``, from its values
+    at the nodes, read with float warnings off."""
+    from lbrc.quadrature import SmoothCumulative, node_points
+
+    with np.errstate(all="ignore"):
+        return SmoothCumulative(edges, density(node_points(edges).ravel()), right=right)
+
+
+def oracle_tables_one_build_each(ctx):
+    """The m, p, w, g and v tables of an oracle context, each built from its
+    own density on the context's edges, so the population is evaluated once
+    per table: the reference for ``OracleContext.tables``."""
     from lbrc.influence import _TABLE_PANELS
-    from lbrc.quadrature import SmoothCumulative, origin_graded_edges
+    from lbrc.quadrature import origin_graded_edges
 
     model = ctx.model
     edges = origin_graded_edges(ctx.grid.b, _TABLE_PANELS)
-    m_table = SmoothCumulative(
+
+    def rho(u):
+        return np.asarray(model.influence_weight(u), dtype=float)
+
+    def rho_s_a(u):
+        return rho(u) * np.asarray(model.entry_survival(u), dtype=float)
+
+    m_table = density_table(
         lambda u: np.asarray(model.pooled_density(u), dtype=float)
         / np.asarray(model.pooled_at_risk(u), dtype=float) ** 2,
         edges,
     )
-    p_table = SmoothCumulative(
-        lambda u: np.asarray(model.influence_weight(u), dtype=float)
-        * np.asarray(model.entry_cdf(u), dtype=float),
-        edges,
+    p_table = density_table(
+        lambda u: rho(u) * np.asarray(model.entry_cdf(u), dtype=float), edges
     )
-    w_table = SmoothCumulative(
-        lambda u: np.asarray(model.influence_weight(u), dtype=float)
-        * np.asarray(model.entry_survival(u), dtype=float)
-        * m_table.query(u),
-        edges,
-    )
-    return m_table, p_table, w_table
+    w_table = density_table(lambda u: rho_s_a(u) * m_table.query(u), edges)
+    g_table = density_table(rho, edges, right=True)
+    v_table = density_table(rho_s_a, edges, right=True)
+    return m_table, p_table, w_table, g_table, v_table
+
+
+def _anchor(ctx, a, v) -> float:
+    """Lower edge of the anchored tables: just below the smallest positive a or v.
+
+    No positive data point lies below it, so every difference of an anchored
+    cumulative that the influence values take has both ends at or above it.
+    """
+    positive = np.concatenate([a, v[v > 0]])
+    return min(0.999 * positive.min(initial=np.inf), 0.5 * ctx.grid.b)
+
+
+def _anchored_table(ctx, anchor: float, density):
+    """Cumulative of a density that diverges at 0, from ``anchor`` to the window end."""
+    from lbrc.quadrature import geometric_edges
+
+    return density_table(density, geometric_edges(anchor, ctx.grid.b, ratio=1.12))
 
 
 def oracle_subject_influence_loop(ctx, a, v, delta, times):
@@ -504,18 +538,18 @@ def oracle_subject_influence_loop(ctx, a, v, delta, times):
     anchored below the sample, of ``rho`` and of ``rho S_A``, at every
     subject's a, v and y and at the time, term by term as the influence
     formulas are written; the package reads the cumulative of ``rho`` as
-    ``p`` plus the anchored ``rho S_A`` table and evaluates blocks of times at
-    once from per-subject constants.
+    ``p`` plus its ``v`` table, anchored at the window end, and evaluates
+    blocks of subjects at once from per-subject constants.
     """
     from lbrc.errors import ComputeError
-    from lbrc.influence import _anchor, _anchored_table, _check_oracle_sample
+    from lbrc.influence import _check_oracle_sample
 
     a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
     delta, times = np.asarray(delta).astype(float), np.asarray(times, dtype=float)
     _check_oracle_sample(a, v, delta)
     y = a + v
     model = ctx.model
-    m_t, p_t, w_t = ctx.tables
+    m_t, p_t, w_t = ctx.tables[:3]
 
     pos_v = v > 0
     anchor = _anchor(ctx, a, v)
@@ -671,7 +705,7 @@ def influence_means_fine_panels(ctx, d, times, want="both"):
     hazard term.
     """
     from lbrc.empirical import build_empirical
-    from lbrc.influence import OracleContext, _anchor, _anchored_table, _check_oracle_sample
+    from lbrc.influence import OracleContext, _check_oracle_sample
 
     if not isinstance(ctx, OracleContext):
         raise ValueError("influence_means requires an oracle context")
@@ -682,7 +716,7 @@ def influence_means_fine_panels(ctx, d, times, want="both"):
     tmax = float(times.max())
     n = d.n
     model = ctx.model
-    m_table, p_table, w_table = ctx.tables
+    m_table, p_table, w_table = ctx.tables[:3]
 
     # the breaks are the points up to tmax; ``where`` places a, v, y, the
     # times and 0 among them
@@ -824,15 +858,16 @@ def _influence_from_eight_terms(times, at_times, a, v, y, subject):
 def oracle_subject_influence_time_blocks(ctx, a, v, delta, times):
     """Oracle ``subject_influence`` over blocks of times for all subjects.
 
-    Each read locates its column afresh with ``locate_one_search`` and sums
-    the series with ``read_clenshaw_expression``; blocks of
+    Each read locates its column afresh with ``locate_one_search`` on the
+    context's m, p, w and v tables and sums the series with
+    ``read_clenshaw_expression``; blocks of
     ``_BLOCK_VALUES // n`` times (at least one) go through the formula on
     eight subject terms.  The reference, bit for bit, for the package's
     blocks of subjects on six terms, its one sort per subject column and its
     in-place reads.
     """
     from lbrc.errors import ComputeError
-    from lbrc.influence import _BLOCK_VALUES, _anchor, _anchored_table, _check_oracle_sample
+    from lbrc.influence import _BLOCK_VALUES, _check_oracle_sample
 
     a = np.asarray(a, dtype=float).reshape(-1)
     v = np.asarray(v, dtype=float).reshape(-1)
@@ -841,13 +876,7 @@ def oracle_subject_influence_time_blocks(ctx, a, v, delta, times):
     _check_oracle_sample(a, v, delta)
     y = a + v
     model = ctx.model
-    m_t, p_t, w_t = ctx.tables
-    v_tab = _anchored_table(
-        ctx,
-        _anchor(ctx, a, v),
-        lambda u: np.asarray(model.influence_weight(u), dtype=float)
-        * np.asarray(model.entry_survival(u), dtype=float),
-    )
+    m_t, p_t, w_t, _, v_tab = ctx.tables
 
     def read(tables, x):
         at = locate_one_search(tables[0], np.clip(x, tables[0].lo, tables[0].hi))
@@ -867,15 +896,16 @@ def oracle_subject_influence_time_blocks(ctx, a, v, delta, times):
     inv_k_v = np.where(delta == 1, 1.0 / np.where(k_v > 0, k_v, 1.0), 0.0)
     own_event = delta / np.where(r_y > 0, r_y, 1.0)
 
-    (m_a, p_a, w_a), (v_a,) = read((m_t, p_t, w_t), a), read((v_tab,), a)
+    m_a, p_a, w_a, v_a = read((m_t, p_t, w_t, v_tab), a)
     g_a = p_a + v_a
     const_a = g_a - w_a + (m_a - inv_k_a) * v_a
-    psi1_y = read((p_t,), y)[0] + read((v_tab,), y)[0] - g_a - own_event
-    (m_v, w_v), (v_v,) = read((m_t, w_t), v), read((v_tab,), v)
+    p_y, v_y = read((p_t, v_tab), y)
+    psi1_y = p_y + v_y - g_a - own_event
+    m_v, w_v, v_v = read((m_t, w_t, v_tab), v)
     const_v = (m_v - inv_k_v) * v_v - w_v
     subject = (g_a, psi1_y, const_a, const_v, m_a, m_v, inv_k_a, inv_k_v)
 
-    (p_at, w_at, m_at), (v_at,) = read((p_t, w_t, m_t), times), read((v_tab,), times)
+    p_at, w_at, m_at, v_at = read((p_t, w_t, m_t, v_tab), times)
     at_times = (p_at + v_at, v_at, w_at, m_at)
     out = tuple(np.empty((times.size, a.size)) for _ in range(3))
     width = max(1, _BLOCK_VALUES // max(a.size, 1))
@@ -897,6 +927,8 @@ TABLE_MODELS = {
     "weibull-1.5": WeibullModel(censor_rate=0.5, shape=1.5),
 }
 TABLE_FRACTIONS = (0.01, 0.3, 1.0)
+# the points x of ``RIGHT_TABLE_REFERENCE``, as fractions of the same b
+RIGHT_TABLE_FRACTIONS = (1e-9, 0.01, 0.3)
 
 
 def mpmath_population(model):
@@ -971,6 +1003,46 @@ def mpmath_tables_at(model, t, which="mpw"):
     return tuple(found[name]() for name in which)
 
 
+def mpmath_right_tables_at(model, x, b):
+    """The integrals from ``x`` to ``b`` of ``rho`` and ``rho S_A`` of
+    ``model``, by tanh-sinh quadrature in mpmath at its working precision,
+    over 24 geometric pieces, since both behave like a power of u near 0;
+    ``rho`` is the p density plus ``rho S_A``.  The reference for the g and
+    v tables of ``OracleContext.tables``, which hold minus these."""
+    import mpmath as mp
+
+    _, _, p_density, rho_s_a = mpmath_population(model)
+    x, b = mp.mpf(x), mp.mpf(b)
+    pieces = [x * (b / x) ** (mp.mpf(k) / 24) for k in range(25)]
+    return (
+        mp.quad(lambda u: p_density(u) + rho_s_a(u), pieces),
+        mp.quad(rho_s_a, pieces),
+    )
+
+
+def right_table_reference_literals(dps: int = 30) -> str:
+    """The source of ``RIGHT_TABLE_REFERENCE``: the g and v integrals of
+    ``mpmath_right_tables_at`` for each model in ``TABLE_MODELS``, from
+    ``RIGHT_TABLE_FRACTIONS`` of its window end b to b, at ``dps`` digits,
+    each as a 17-digit literal; run
+    ``python -c "import oracles; print(oracles.right_table_reference_literals())"``
+    from ``tests``."""
+    import mpmath as mp
+
+    lines = ["RIGHT_TABLE_REFERENCE = {"]
+    with mp.workdps(dps):
+        for name, model in TABLE_MODELS.items():
+            b = model.default_grid().b
+            lines.append(f"    {name!r}: {{")
+            values = [mpmath_right_tables_at(model, frac * b, b) for frac in RIGHT_TABLE_FRACTIONS]
+            for label, column in zip("gv", zip(*values)):
+                literals = ", ".join(f"{float(x):.17g}" for x in column)
+                lines.append(f"        {label!r}: ({literals}),")
+            lines.append("    },")
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def table_reference_literals(dps: int = 30) -> str:
     """The source of ``TABLE_REFERENCE``: m, p and w of each model in
     ``TABLE_MODELS`` at ``TABLE_FRACTIONS`` of its window end, from
@@ -1010,6 +1082,23 @@ TABLE_REFERENCE = {
         'm': (0.0098604395266354682, 0.54067479238596938, 12.410109095908814),
         'p': (0.0023102106398871602, 0.46115788514142908, 7.3925409343897419),
         'w': (0.0011566235960571156, 0.2411428477048537, 4.5152607119283852),
+    },
+}
+
+
+# ``right_table_reference_literals()`` at 30 digits (half a minute)
+RIGHT_TABLE_REFERENCE = {
+    'exponential': {
+        'g': (28.015820367979401, 11.86873678396212, 7.4086991565739764),
+        'v': (21.353542710113604, 5.2296850741940153, 1.6565901985127898),
+    },
+    'weibull-0.7': {
+        'g': (1042.8556204983479, 15.060187260947203, 7.1490599799537886),
+        'v': (1036.6180693999463, 8.9163835832696741, 2.2969792931201356),
+    },
+    'weibull-1.5': {
+        'g': (10.464969384985956, 10.106733083727676, 8.1924622938776022),
+        'v': (3.0724284505962869, 2.7165023599778197, 1.2610792446292896),
     },
 }
 

@@ -340,7 +340,7 @@ class TestAlgebraicIdentities:
             d = sample_lbrc(MODEL, 300, seed=29)
             first = min(d.a.min(), d.v[d.v > 0].min())
             ts = np.concatenate([[0.25 * first], GRID.points])
-            assert ts[0] < influence._anchor(ctx, d.a, d.v)
+            assert ts[0] < oracles._anchor(ctx, d.a, d.v)
         else:
             d, want = sample_lbrc(MODEL, 1000, seed=23), "phi"
         got = influence_means(ctx, d, ts, want=want)
@@ -351,8 +351,7 @@ class TestAlgebraicIdentities:
             assert np.abs(got[key] - value).max() <= COARSE_BREAKS_RTOL * scale, key
 
     def test_means_read_tables_not_densities(self):
-        # once the oracle tables exist, a call evaluates rho only to build the
-        # anchored table of its sample, and S_A not at all
+        # once the oracle tables exist, a call evaluates neither rho nor S_A
         points = {"influence_weight": 0, "entry_survival": 0}
 
         class Counting:
@@ -370,17 +369,16 @@ class TestAlgebraicIdentities:
         influence_means(ctx, d, GRID.points)
         points.update(dict.fromkeys(points, 0))
         influence_means(ctx, d, GRID.points)
-        assert points["influence_weight"] < d.n
-        assert points["entry_survival"] < d.n
+        assert points == {"influence_weight": 0, "entry_survival": 0}
 
-    def test_second_call_builds_only_the_anchored_table(self, table_builds):
+    def test_builds_no_table_after_the_context_tables(self, table_builds):
         ctx = make_oracle_context(MODEL, GRID)
-        d = sample_lbrc(MODEL, 500, seed=3)
-        influence_means(ctx, d, GRID.points)
         built = table_builds(influence)
-        influence_means(ctx, d, GRID.points)
-        assert len(built) == 1
-        assert 0.0 < built[0][0] < min(d.a.min(), d.v[d.v > 0].min())
+        ctx.tables
+        assert len(built) == 5
+        built.clear()
+        influence_means(ctx, sample_lbrc(MODEL, 500, seed=3), GRID.points)
+        assert built == []
 
     def test_pickled_context_carries_its_tables(self, table_builds):
         ctx = make_oracle_context(MODEL, GRID)
@@ -389,7 +387,7 @@ class TestAlgebraicIdentities:
         d = sample_lbrc(MODEL, 500, seed=3)
         built = table_builds(influence)
         got = influence_means(copy, d, GRID.points)
-        assert len(built) == 1
+        assert built == []
         want = influence_means(ctx, d, GRID.points)
         for key in ("mean_phi", "mean_psi1", "mean_psi2"):
             assert np.array_equal(got[key], want[key]), key
@@ -398,15 +396,15 @@ class TestAlgebraicIdentities:
         model = WeibullModel(censor_rate=0.5, shape=1.5)
         ctx = make_oracle_context(model, model.default_grid())
         copy = pickle.loads(pickle.dumps(ctx))
-        for table, back in zip(ctx.tables, copy.tables):
-            # the chop survives the pickle: the same rows and bits, fewer
-            # than the NODES + 1 of an unchopped series
+        for table, back in zip(ctx.tables[:3], copy.tables[:3]):
+            # the chop of the m, p and w series survives the pickle: the same
+            # rows and bits, fewer than the NODES + 1 of an unchopped series
             assert len(back._coef) == len(table._coef) < quadrature.NODES + 1
             assert np.array_equal(back._coef, table._coef)
-        # the m, p and w tables still share one edges array, so one position
-        # serves all three
-        m_t, p_t, w_t = copy.tables
-        assert m_t.edges is p_t.edges is w_t.edges
+        # the five tables still share one edges array, so one position
+        # serves all of them
+        m_t, p_t, w_t, g_t, v_t = copy.tables
+        assert m_t.edges is p_t.edges is w_t.edges is g_t.edges is v_t.edges
 
     def test_want_takes_phi_or_both(self):
         ctx = make_oracle_context(MODEL, GRID)
@@ -546,18 +544,17 @@ class TestOracleEvaluator:
         for x, ref in zip(got, want):
             assert np.array_equal(x.view(np.int64), ref[:, perm].view(np.int64))
 
-    def test_builds_one_anchored_table(self, table_builds):
+    def test_builds_no_table_after_the_context_tables(self, table_builds):
         ctx = make_oracle_context(MODEL, GRID)
         ctx.tables
         built = table_builds(influence)
         d = sample_lbrc(MODEL, 300, seed=29)
         subject_influence(ctx, d.a, d.v, d.delta, GRID.points)
-        assert len(built) == 1
-        assert 0.0 < built[0][0] < min(d.a.min(), d.v[d.v > 0].min())
+        assert built == []
 
     def test_locates_each_point_set_once_per_edge_set(self, monkeypatch):
-        # a, v, y and the times, once on the m, p and w edges and once on
-        # the anchored edges; every table reads a position located on its own
+        # a, v, y and the times, once each on the edges that the five
+        # tables share
         calls = []
         locate = influence.SmoothCumulative.locate
 
@@ -570,8 +567,8 @@ class TestOracleEvaluator:
         monkeypatch.setattr(influence.SmoothCumulative, "locate", counted)
         d = sample_lbrc(MODEL, 300, seed=29)
         subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
-        assert len(calls) == 8
-        assert sum(edges is CTX.tables[0].edges for edges in calls) == 4
+        assert len(calls) == 4
+        assert all(edges is CTX.tables[0].edges for edges in calls)
 
     def test_memory_bounded_by_block(self):
         # the (10, 1e5) outputs take 24 MB; evaluating all times at once held
@@ -590,8 +587,8 @@ class TestOracleEvaluator:
 
 
 class TestSharedNodeTables:
-    """The m, p and w tables from one evaluation of the population at their
-    shared nodes, against one build per table."""
+    """The m, p, w, g and v tables from one evaluation of the population at
+    their shared nodes, against one build per table."""
 
     POPULATIONS = {
         "exponential": ExponentialModel(rate=1.0),
@@ -612,8 +609,9 @@ class TestSharedNodeTables:
             ctx = population()
         else:
             ctx = make_oracle_context(population, population.default_grid())
-        want = oracles.oracle_tables_three_builds(ctx)
-        for label, got, ref in zip("mpw", ctx.tables, want):
+        want = oracles.oracle_tables_one_build_each(ctx)
+        assert len(ctx.tables) == len(want) == 5
+        for label, got, ref in zip("mpwgv", ctx.tables, want):
             assert np.array_equal(got.edges, ref.edges), label
             assert np.array_equal(got.cum, ref.cum), label
             assert np.array_equal(got._coef, ref._coef), label
@@ -633,10 +631,54 @@ class TestSharedNodeTables:
         nodes = (ctx.tables[0].edges.size - 1) * quadrature.NODES
         assert sum(points) == nodes
         points.clear()
-        # one build per table reads it for the m and the w table; the p
-        # table's entry CDF is its own incomplete gamma
-        oracles.oracle_tables_three_builds(ctx)
-        assert sum(points) == 2 * nodes
+        # one build per table reads it for the m, w and v tables; the p
+        # table's entry CDF is its own incomplete gamma, and g reads none
+        oracles.oracle_tables_one_build_each(ctx)
+        assert sum(points) == 3 * nodes
+
+
+class TestFirstPanelPoints:
+    """A point on the first panel of the g and v tables, some 30 decades
+    below the window end, against the tables anchored below the sample; a
+    point that no table reaches in floats is refused."""
+
+    @staticmethod
+    def _sample(case, tiny=1e-40 * GRID.b):
+        d = sample_lbrc(MODEL, 300, seed=29)
+        a, v, delta = d.a.copy(), d.v.copy(), d.delta.copy()
+        if case == "a":
+            a[0] = tiny
+        else:
+            v[0], delta[0] = tiny, 1
+        assert 0.0 < tiny < CTX.tables[0].edges[1]
+        return Dataset(a, v, delta)
+
+    @pytest.mark.parametrize("case", ["a", "v"])
+    def test_subject_influence(self, case):
+        d = self._sample(case)
+        got = subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
+        want = oracles.oracle_subject_influence_loop(CTX, d.a, d.v, d.delta, GRID.points)
+        for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
+            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+    @pytest.mark.parametrize("case", ["a", "v"])
+    def test_influence_means(self, case):
+        d = self._sample(case)
+        got = influence_means(CTX, d, GRID.points)
+        ref = oracles.influence_means_fine_panels(CTX, d, GRID.points)
+        for key, value in ref.items():
+            scale = np.abs(value).max()
+            assert np.abs(got[key] - value).max() <= COARSE_BREAKS_RTOL * scale, key
+
+    @pytest.mark.parametrize("case", ["a", "v"])
+    def test_subnormal_point_refused(self, case):
+        # the panels from just below a subnormal point are too narrow for
+        # their inverse widths
+        d = self._sample(case, tiny=1e-320)
+        with pytest.raises(ComputeError, match="overflow"):
+            subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
+        with pytest.raises(ComputeError, match="overflow"):
+            influence_means(CTX, d, GRID.points)
 
 
 class TestMeanZero:

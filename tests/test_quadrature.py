@@ -13,8 +13,8 @@ import oracles
 
 from lbrc import influence, quadrature
 from lbrc.errors import ComputeError
-from lbrc.influence import _anchored_table, make_oracle_context
-from lbrc.quadrature import SmoothCumulative, geometric_edges, origin_graded_edges
+from lbrc.influence import make_oracle_context
+from lbrc.quadrature import SmoothCumulative, geometric_edges, node_points, origin_graded_edges
 from lbrc.truth import ExponentialModel, WeibullModel
 
 SCENARIOS = {
@@ -43,13 +43,7 @@ def _points(hi, panels):
 def oracle(request):
     model = SCENARIOS[request.param]
     ctx = make_oracle_context(model, model.default_grid())
-    anchored = {
-        "g": _anchored_table(ctx, ANCHOR, model.influence_weight),
-        "v": _anchored_table(
-            ctx, ANCHOR, lambda u: model.influence_weight(u) * model.entry_survival(u)
-        ),
-    }
-    return model, ctx, dict(zip("mpw", ctx.tables)), anchored
+    return model, ctx, dict(zip("mpwgv", ctx.tables))
 
 
 def _kappa(model):
@@ -58,7 +52,7 @@ def _kappa(model):
 
 class TestOracleTables:
     def test_m_and_p(self, oracle):
-        model, ctx, tables, _ = oracle
+        model, ctx, tables = oracle
         pts = _points(ctx.grid.b, influence._TABLE_PANELS)
         densities = {
             "m": _kappa(model),
@@ -69,7 +63,7 @@ class TestOracleTables:
             assert np.abs(tables[name].query(pts) - want).max() < TOL, name
 
     def test_w(self, oracle):
-        model, ctx, tables, _ = oracle
+        model, ctx, tables = oracle
         pts = _points(ctx.grid.b, influence._TABLE_PANELS)[[1, 3, 5, 6, 8]]
 
         def density(u):
@@ -81,8 +75,10 @@ class TestOracleTables:
         want = [_quad(density, 0.0, s) for s in pts]
         assert np.abs(tables["w"].query(pts) - want).max() < TOL
 
-    def test_anchored_g_and_v(self, oracle):
-        model, ctx, _, anchored = oracle
+    def test_g_and_v_from_the_window_end(self, oracle):
+        # differences from a point near the origin, read off the tables
+        # anchored at the window end
+        model, ctx, tables = oracle
         pts = np.array([ANCHOR, 1.0007 * ANCHOR, 2 * ANCHOR, 0.3, ctx.grid.b])
         densities = {
             "g": model.influence_weight,
@@ -90,7 +86,8 @@ class TestOracleTables:
         }
         for name, density in densities.items():
             want = [_quad(density, ANCHOR, s) for s in pts]
-            assert np.abs(anchored[name].query(pts) - want).max() < TOL, name
+            got = tables[name].query(pts) - tables[name].query(ANCHOR)
+            assert np.abs(got - want).max() < TOL, name
 
 
 class TestTablesAgainstMpmath:
@@ -107,6 +104,17 @@ class TestTablesAgainstMpmath:
             got = table.query(t)
             assert np.all(np.abs(got - want) <= 1e-14 * want), (label, got / want - 1)
 
+    @pytest.mark.parametrize("name", list(oracles.TABLE_MODELS))
+    def test_right_anchored_tables_match_mpmath(self, name):
+        # g(b) - g(x) and v(b) - v(x), down to x = 1e-9 b on the graded panels
+        model = oracles.TABLE_MODELS[name]
+        ctx = make_oracle_context(model, model.default_grid())
+        x = np.array(oracles.RIGHT_TABLE_FRACTIONS) * ctx.grid.b
+        for label, table in zip("gv", ctx.tables[3:]):
+            want = np.array(oracles.RIGHT_TABLE_REFERENCE[name][label])
+            got = table.query(ctx.grid.b) - table.query(x)
+            assert np.all(np.abs(got - want) <= 1e-13 * want), (label, got / want - 1)
+
     def test_a_stored_value_recomputed(self):
         # the p literal nearest the origin of the singular shape-0.7 tables
         mp = pytest.importorskip("mpmath")
@@ -117,8 +125,12 @@ class TestTablesAgainstMpmath:
         assert float(p) == oracles.TABLE_REFERENCE["weibull-0.7"]["p"][0]
 
 
+def _sqrt_exp(u):
+    return np.sqrt(u) * np.exp(-u)
+
+
 class TestQueryContract:
-    table = SmoothCumulative(lambda u: np.sqrt(u) * np.exp(-u), origin_graded_edges(3.0, 40))
+    table = oracles.density_table(_sqrt_exp, origin_graded_edges(3.0, 40))
 
     def test_edge_query_returns_stored_prefix(self):
         got = self.table.query(self.table.edges)
@@ -166,7 +178,7 @@ class TestQueryContract:
     def test_overflowing_table_refused(self):
         # a panel narrower than the smallest normal float has an infinite inverse width
         with pytest.raises(ComputeError, match="overflow"):
-            SmoothCumulative(lambda u: np.ones_like(u), np.array([0.0, 1e-310, 1e-300, 1.0]))
+            oracles.density_table(np.ones_like, np.array([0.0, 1e-310, 1e-300, 1.0]))
 
     def test_origin_grading_stays_normal(self):
         # the halving stops above the smallest normal float, and reaches the
@@ -185,7 +197,7 @@ class TestQueryContract:
             if hi >= 1e-270:
                 assert edges[1] <= hi * depth
         # so a table at a window end of 1e-300 builds
-        SmoothCumulative(lambda u: np.ones_like(u), origin_graded_edges(1e-300, panels))
+        oracles.density_table(np.ones_like, origin_graded_edges(1e-300, panels))
 
     def test_scalar_query_returns_float(self):
         assert type(self.table.query(1.3)) is float
@@ -193,13 +205,9 @@ class TestQueryContract:
         assert self.table.query([1.3]).shape == (1,)
 
 
-def _full_coef(density, edges):
-    """The unchopped Legendre rows of a table, computed as its constructor does."""
-    return _full_coef_of_values(quadrature._node_values(density, edges)[1], edges)
-
-
-def _full_coef_of_values(values, edges):
-    """The unchopped Legendre rows of a table with density ``values`` at its nodes."""
+def _full_coef(values, edges):
+    """The unchopped Legendre rows of a table with density ``values`` at its
+    nodes, computed as its constructor does."""
     half = 0.5 * np.diff(edges)
     vals = np.asarray(values, dtype=float).reshape(half.size, quadrature.NODES)
     return ((half[:, None] * vals) @ quadrature._ANTIDERIVATIVE).T
@@ -238,23 +246,25 @@ CHOP_MODELS = {
 
 @pytest.fixture(scope="module", params=list(CHOP_MODELS))
 def recorded_tables(request):
-    """The m, p and w tables of a model's context, with their unchopped rows."""
+    """The m, p, w, g and v tables of a model's context, with their unchopped rows."""
     built = []
 
     class Recorded(SmoothCumulative):
-        def _build(self, edges, values):
-            super()._build(edges, values)
-            built.append((self, _full_coef_of_values(values, edges)))
+        def __init__(self, edges, values, right=False):
+            super().__init__(edges, values, right)
+            built.append((self, _full_coef(values, edges)))
 
     model = CHOP_MODELS[request.param]
     with mock.patch.object(influence, "SmoothCumulative", Recorded):
-        make_oracle_context(model, model.default_grid()).tables
-    return request.param, built
+        tables = make_oracle_context(model, model.default_grid()).tables
+    # in the context's order, whatever the order of the builds
+    full = {id(table): coef for table, coef in built}
+    return request.param, [(table, full[id(table)]) for table in tables]
 
 
 class TestLocateRead:
     table = TestQueryContract.table
-    full = _full_coef(lambda u: np.sqrt(u) * np.exp(-u), table.edges)
+    full = _full_coef(_sqrt_exp(node_points(table.edges)), table.edges)
     rng = np.random.default_rng(5)
     POINTS = {
         "sorted": np.sort(rng.uniform(0.0, 3.0, 500)),
@@ -279,21 +289,25 @@ class TestLocateRead:
         assert np.array_equal(self.table.query(s), want)
 
     def test_position_refused_on_other_edges(self):
-        other = SmoothCumulative(np.exp, np.linspace(0.0, 3.0, 41))
+        other = oracles.density_table(np.exp, np.linspace(0.0, 3.0, 41))
         with pytest.raises(ValueError, match="other edges"):
             other.read(self.table.locate([0.5, 1.5]))
-        same = SmoothCumulative(np.exp, self.table.edges.copy())
+        same = oracles.density_table(np.exp, self.table.edges.copy())
         at = self.table.locate([0.5, 1.5])
         assert np.array_equal(same.read(at), same.query([0.5, 1.5]))
 
     def test_chopped_degrees(self, recorded_tables):
         # smooth densities keep few terms, and the Weibull-0.7 ones, singular
         # at the origin, keep them all: the rule is not tuned to the
-        # exponential tables
+        # exponential tables.  The g and v densities of both behave like 1/u
+        # or worse on the graded panels, and keep every term
         name, built = recorded_tables
         degrees = [len(table._coef) - 1 for table, _ in built]
+        assert len(built) == 5
         if name == "exponential":
-            assert max(degrees) <= 6
+            assert max(degrees[:3]) <= 6
+        if name in ("exponential", "weibull-0.7"):
+            assert degrees[3:] == [quadrature.NODES] * 2
         if name == "weibull-0.7":
             assert max(degrees) == quadrature.NODES
         for table, full in built:
@@ -369,9 +383,7 @@ class TestLocateProperty:
         # sorted points more than twice as many as the edges are counted
         # against the edges; every other set is searched point by point
         edges, s = case
-        table = SmoothCumulative.from_node_values(
-            edges, np.ones((edges.size - 1) * quadrature.NODES)
-        )
+        table = SmoothCumulative(edges, np.ones((edges.size - 1) * quadrature.NODES))
         at = table.locate(s)
         idx, panel, xi, on_edge = _plain_search(table, s)
         assert at.edges is table.edges and at.scalar == (np.ndim(s) == 0)
@@ -379,6 +391,35 @@ class TestLocateProperty:
         assert np.array_equal(at.index, idx) and np.array_equal(at.panel, panel)
         assert _same_bits(at.xi, xi)
         assert np.array_equal(at.on_edge, on_edge)
+
+
+class TestRightAnchoredProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(EDGE_SETS, st.integers(0, 2**32 - 1))
+    def test_right_anchored_table_reads(self, edges, seed):
+        # a density finite at the first edge: the table anchored at the last
+        # edge reads 0 there, minus the panel sums accumulated from the
+        # right at each edge, and between two points the difference of the
+        # table from the first edge
+        lo, hi = edges[0], edges[-1]
+
+        def density(u):
+            return 1.0 + np.exp((lo - u) / (hi - lo))
+
+        values = density(node_points(edges).ravel())
+        right = SmoothCumulative(edges, values, right=True)
+        left = SmoothCumulative(edges, values)
+        assert right.query(hi) == 0.0
+        sums, total, want = quadrature.panel_integrals(density, edges), 0.0, [0.0]
+        for panel_sum in sums[::-1]:
+            total += panel_sum
+            want.append(-total)
+        assert np.array_equal(right.query(edges), want[::-1])
+        rng = np.random.default_rng(seed)
+        x, y = (rng.uniform(lo, hi, 3 * edges.size) for _ in range(2))
+        x[: edges.size] = edges
+        got, ref = (table.query(y) - table.query(x) for table in (right, left))
+        assert np.abs(got - ref).max() <= 1e-12 * left.cum[-1]
 
 
 class TestReadBits:
@@ -403,16 +444,7 @@ class TestReadBits:
 
     def test_reads_at_every_series_length(self, recorded_tables):
         name, built = recorded_tables
-        model = CHOP_MODELS[name]
-        ctx = make_oracle_context(model, model.default_grid())
-
-        def rho_s_a(u):
-            return model.influence_weight(u) * model.entry_survival(u)
-
-        anchored = _anchored_table(ctx, ANCHOR, rho_s_a)
-        with np.errstate(all="ignore"):
-            tables = built + [(anchored, _full_coef(rho_s_a, anchored.edges))]
-        for table, full in tables:
+        for table, full in built:
             points = self._point_sets(table)
             for kept in range(2, quadrature.NODES + 2):
                 trial = copy.copy(table)
