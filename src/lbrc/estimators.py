@@ -238,10 +238,6 @@ class FittedCurves:
         return exit_order(self.empirical.dataset)
 
     @cached_property
-    def classic_cumhaz(self) -> StepFunction:
-        return classic_cumulative_hazard(self.empirical)
-
-    @cached_property
     def combined_cumhaz(self) -> StepFunction:
         return combined_cumulative_hazard(self.empirical, self.hazard_steps)
 

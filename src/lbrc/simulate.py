@@ -156,11 +156,13 @@ def rate_experiment(
 ) -> RateReport:
     """Measure the empirical decay rate of one sup-norm quantity.
 
-    Refuses to run when the window's upper edge sits at or beyond the 95th
-    percentile of the observed-time distribution, or when the admissibility
-    integral exceeds ``DIVERGENCE_CAP``.  ``threads`` worker processes share
-    the replications; it must be at least 1, it is capped at
-    ``os.cpu_count()``, and it does not change the report.
+    Refuses to run when the window's upper edge b sits at or beyond the 95th
+    percentile of the observed-time distribution, that is when the exit-time
+    CDF ``model.exit_cdf(b)`` is not below 0.95 (a NaN CDF, as at b = inf
+    without censoring, is refused too), or when the admissibility integral
+    exceeds ``DIVERGENCE_CAP``.  ``threads`` worker processes share the
+    replications; it must be at least 1, it is capped at ``os.cpu_count()``,
+    and it does not change the report.
     """
     which = normalize_which(which)
     sizes = [int(s) for s in np.atleast_1d(np.asarray(sizes)).tolist()]
@@ -175,11 +177,11 @@ def rate_experiment(
     threads = min(threads, os.cpu_count() or 1)
 
     ctx = make_oracle_context(model, grid)
-    h95 = model.h_quantile(0.95)
-    if grid.b >= h95:
+    cdf_b = model.exit_cdf(grid.b)
+    if not cdf_b < 0.95:
         raise WindowError(
-            f"window upper edge {grid.b:.6g} reaches the 95th percentile "
-            f"{h95:.6g} of the observed-time distribution"
+            f"window upper edge {grid.b:.6g} reaches the 95th percentile of the "
+            f"observed-time distribution: the exit CDF there is {cdf_b:.6g}"
         )
     assumption3_diagnostic(ctx, grid.b)
     if which in ("Rn1", "Rn2", "Rn3"):

@@ -28,8 +28,8 @@ Every elementwise function takes a scalar or an array and returns a float for
 a scalar.  Every exponential function is closed form, the length-biased
 quantile (``_gamma2_quantile``) included, so an exponential model loads no
 scipy.  The Weibull methods import ``scipy.special`` inside, so importing this
-module, and the package, loads none; the one root finder, Brent's method for
-``h_quantile``, is ``_brentq`` here, and no code loads ``scipy.optimize``.
+module, and the package, loads none.  No code loads ``scipy.optimize``: the
+rate experiment's window check reads ``exit_cdf`` at the window end.
 """
 
 from __future__ import annotations
@@ -44,86 +44,6 @@ from .errors import ConfigError
 from .stepfun import EvalGrid
 
 __all__ = ["TruthModel", "ExponentialModel", "WeibullModel", "FAMILIES", "make_model"]
-
-
-# scipy's brentq defaults: 4 eps relative tolerance, as a Python float so
-# that steps which overflow give inf without a warning, and 100 iterations
-_BRENT_RTOL = 2.0**-50
-_BRENT_MAXITER = 100
-
-
-def _brentq(f, xa: float, xb: float, xtol: float) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of scipy's ``brentq.c``, with the same bracket,
-    steps and stopping rule, so it returns the float that
-    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)`` does.  Like scipy, it
-    raises ValueError for xtol <= 0, for ends whose values have one sign and
-    for a NaN value, and RuntimeError when it does not converge.  Where the
-    interpolation step divides by zero, C gets an inf or NaN step and refuses
-    it; here that step is inf, refused the same way, and the method bisects.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    def negative(fx):
-        return math.copysign(1.0, fx) < 0
-
-    xpre, xcur = float(xa), float(xb)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAXITER} iterations")
 
 
 # 1/(2k + 3), k = 14 ... 0: (atanh(s) - s)/s³ to below 2^-54 for s < 1/3
@@ -281,33 +201,6 @@ class TruthModel:
     def exit_cdf(self, t):
         """CDF of the observed exit time ``Y = A + V``."""
         return self.entry_cdf(t) - self.risk(t)
-
-    def h_quantile(self, q: float) -> float:
-        """Quantile of the total observed time distribution.
-
-        The root of ``exit_cdf(t) = q`` by Brent's method, ``_brentq``, a port
-        of scipy's ``brentq.c``: importing ``scipy.optimize`` for this one
-        scalar root would load some 250 more modules and about 23 MB into
-        every rate-experiment process and its workers.  A test pins the root
-        to ``scipy.optimize.brentq`` bit for bit.
-        """
-        if not 0 < q < 1:
-            raise ConfigError(f"quantile level must be in (0, 1), got {q}")
-
-        # the exit time never exceeds the lifetime, so the exit CDF is at
-        # least q at the lifetime's q quantile; twice that leaves room for
-        # rounding, and a tolerance relative to it holds at every time scale
-        with np.errstate(over="ignore"):
-            hi = 2.0 * float(self.lb_quantile(q))
-        try:
-            if math.isfinite(hi):
-                return _brentq(lambda t: self.exit_cdf(t) - q, 0.0, hi, xtol=1e-14 * hi)
-        except (OverflowError, ValueError):
-            pass
-        # the bracket overflows, or the exit CDF rounds to below q at its end
-        raise ConfigError(
-            f"{self!r}: the observed-time {q:g} quantile is out of floating-point reach"
-        )
 
     def default_grid(self, count: int = 25, lo: float = 0.10, hi: float = 0.90) -> EvalGrid:
         """Equispaced lifetime-CDF quantiles; stays inside the usable window."""

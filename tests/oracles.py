@@ -11,7 +11,9 @@ context raw population callables, so tests can run the package's oracle code
 against small hand-made populations.  ``ClosedFormExponential`` and
 ``ClosedFormWeibull`` write each lifetime function of a family out in closed
 form, each with its own scalar rule, the reference for the truth models that
-derive them from the cumulative hazard.  ``oracle_tables_one_build_each``
+derive them from the cumulative hazard.  ``observed_time_quantile`` finds a
+quantile of the observed exit time with ``scipy.optimize.brentq``, for tests
+that place a window end there.  ``oracle_tables_one_build_each``
 builds an oracle context's tables one density at a time with
 ``density_table``, the reference for the tables built from one evaluation
 of the population.  ``mpmath_tables_at``
@@ -400,6 +402,20 @@ class ClosedFormWeibull(_ClosedFormTruth, WeibullModel):
 
         out = special.gammainc(1.0 / self.shape, self._z(t))
         return out if out.ndim else float(out)
+
+
+def observed_time_quantile(model, q: float) -> float:
+    """The q quantile of the observed exit time: the root of
+    ``model.exit_cdf(t) = q`` by ``scipy.optimize.brentq``.
+
+    The exit time never exceeds the lifetime, so the exit CDF is at least q at
+    the length-biased lifetime's q quantile; twice that leaves room for
+    rounding, and a tolerance relative to it holds at every time scale.
+    """
+    from scipy import optimize
+
+    hi = 2.0 * float(model.lb_quantile(q))
+    return optimize.brentq(lambda t: model.exit_cdf(t) - q, 0.0, hi, xtol=1e-14 * hi)
 
 
 def plugin_subject_influence_rowwise(ctx, a, v, delta, times, event_gain):
@@ -1106,7 +1122,8 @@ RIGHT_TABLE_REFERENCE = {
 # the levels of ``GAMMA2_REFERENCE``: small levels from the least subnormal
 # up to sampling's lattice k 2^-53; the lattice k/32 and its ends 2^-53 and
 # 1 - 2^-53; each side of the quantile's branch points, L = 2^-40, x = 1 and
-# L = 1; decades near both ends; and h_quantile's 0.95
+# L = 1; decades near both ends; and 0.95, whose quantile brackets the
+# observed-time 95th percentile in ``observed_time_quantile``
 GAMMA2_LEVELS = (
     5e-324, 1e-300, 1e-200, 1e-100, 1e-30, 2.0**-53, 2 * 2.0**-53, 3 * 2.0**-53, 1e-16,
     9.094947017725145e-13, 9.094947017725146e-13, 1e-12, 1e-9, 1e-6, 1e-3, 0.01,

@@ -27,6 +27,7 @@ from lbrc.simulate import consistency_check, rate_experiment, sample_lbrc
 from lbrc.stepfun import EvalGrid
 from lbrc.truth import ExponentialModel
 from test_empirical import random_dataset
+from test_estimators import named_curves
 
 SEED = 20250808
 MODEL = ExponentialModel(censor_rate=0.5, rate=1.0)
@@ -59,7 +60,7 @@ def test_criterion_01_exact_oracle_equivalence():
     for _ in range(500):
         n = int(rng.integers(1, 11))
         d = random_dataset(rng, n)
-        curves = fit(d)
+        curves = named_curves(fit(d))
         vals = np.concatenate([d.a, d.v, d.y])
         probes = [
             float(rng.choice(vals)),
@@ -73,7 +74,7 @@ def test_criterion_01_exact_oracle_equivalence():
             if t < 0:
                 continue
             for name, oracle in oracles.ALL_ESTIMATOR_ORACLES.items():
-                curve = getattr(curves, name)
+                curve = curves[name]
                 got = curve(t) if name == "combined_risk" else curve.at(t)
                 want = oracle(d, t)
                 assert abs(got - want) <= 1e-12, (name, n, t, got, want)
@@ -217,7 +218,7 @@ def test_criterion_09_determinism(tmp_path):
 @report(10, "window diagnostic finite at the 90th percentile, refused at the 99.9th")
 def test_criterion_10_window_diagnostic():
     ctx = make_oracle_context(MODEL, GRID)
-    b90 = MODEL.h_quantile(0.90)
+    b90 = oracles.observed_time_quantile(MODEL, 0.90)
     val = assumption3_diagnostic(ctx, b90)
     edges = np.linspace(GRID.lower, b90, 4001)
     ref = float(
@@ -230,7 +231,7 @@ def test_criterion_10_window_diagnostic():
     assert np.isfinite(val)
     assert abs(val - ref) < 1e-6
 
-    b999 = MODEL.h_quantile(0.999)
+    b999 = oracles.observed_time_quantile(MODEL, 0.999)
     with pytest.raises(WindowError):
         assumption3_diagnostic(ctx, b999)
     wide = EvalGrid(GRID.points, b999)

@@ -27,6 +27,16 @@ from lbrc.stepfun import StepFunction
 from test_empirical import assert_same_step, probe_points, random_dataset, special_datasets
 
 
+def named_curves(curves):
+    """The fitted curve of each name in ``oracles.ALL_ESTIMATOR_ORACLES``;
+    ``fit`` keeps no classic cumulative hazard, which is read from its function."""
+    return {
+        name: classic_cumulative_hazard(curves.empirical) if name == "classic_cumhaz"
+        else getattr(curves, name)
+        for name in oracles.ALL_ESTIMATOR_ORACLES
+    }
+
+
 class TestHandExamples:
     """The worked one-observation dataset (a=1, v=2, event observed)."""
 
@@ -62,7 +72,7 @@ class TestHandExamples:
         assert lam.at(8.0) == 1.0
 
     def test_classic_cumhaz(self):
-        assert self.curves.classic_cumhaz.at(3.0) == 1.0
+        assert classic_cumulative_hazard(self.curves.empirical).at(3.0) == 1.0
 
     def test_safeguarded_cdf(self):
         assert self.curves.cdf_safeguarded.at(3.0) == 0.5
@@ -169,10 +179,10 @@ def test_brute_force_equality_small_n(seed):
     rng = np.random.default_rng(700 + seed)
     n = int(rng.integers(1, 11))
     d = random_dataset(rng, n)
-    curves = fit(d)
+    curves = named_curves(fit(d))
     for t in probe_points(d):
         for name, oracle in oracles.ALL_ESTIMATOR_ORACLES.items():
-            curve = getattr(curves, name)
+            curve = curves[name]
             got = curve(t) if name == "combined_risk" else curve.at(t)
             want = oracle(d, float(t))
             assert got == pytest.approx(want, abs=1e-12), (name, t)
@@ -230,8 +240,9 @@ def test_shape_invariants(seed):
         vals = getattr(curves, name).at(pts)
         assert np.all(np.diff(vals) >= -1e-15)
         assert np.all((vals >= 0) & (vals <= 1))
-    for name in ("classic_cumhaz", "combined_cumhaz", "entry_cumhaz"):
-        vals = getattr(curves, name).at(pts)
+    for lam in (classic_cumulative_hazard(curves.empirical), curves.combined_cumhaz,
+                curves.entry_cumhaz):
+        vals = lam.at(pts)
         assert np.all(np.diff(vals) >= -1e-15)
         assert vals[0] >= 0
 
@@ -296,7 +307,6 @@ def direct_fit(d):
         "combined_risk": risk,
         "hazard_steps": steps,
         "exit_order": order,
-        "classic_cumhaz": classic_cumulative_hazard(emp),
         "combined_cumhaz": combined_cumulative_hazard(emp, steps),
         "tjw_cdf": tjw_product_limit(d, order),
         "cdf": huang_qin_cdf(emp, steps),

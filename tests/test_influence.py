@@ -1077,7 +1077,7 @@ class TestAssumptionDiagnostic:
         assert assumption3_diagnostic(ctx, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_independent_quadrature(self):
-        b90 = MODEL.h_quantile(0.90)
+        b90 = oracles.observed_time_quantile(MODEL, 0.90)
         val = assumption3_diagnostic(CTX, b90)
         # independent check: fine fixed-panel quadrature of the defining ratio
         edges = np.linspace(GRID.lower, b90, 4001)
@@ -1095,7 +1095,7 @@ class TestAssumptionDiagnostic:
         assert np.all(np.diff(vals) > 0)
 
     def test_cap_refusal(self):
-        b999 = MODEL.h_quantile(0.999)
+        b999 = oracles.observed_time_quantile(MODEL, 0.999)
         with pytest.raises(WindowError):
             assumption3_diagnostic(CTX, b999)
 

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import pickle
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import oracles
 from lbrc import simulate
 from lbrc.errors import ConfigError, WindowError
 from lbrc.estimators import fit
@@ -24,6 +26,17 @@ from lbrc.stepfun import EvalGrid
 from lbrc.truth import ExponentialModel, WeibullModel
 
 MODEL = ExponentialModel(censor_rate=0.5, rate=1.0)
+
+
+def window_edges(model):
+    """The adjacent floats below and at which ``model.exit_cdf`` reaches 0.95,
+    next to the observed-time 95th percentile: (last below, first at or above)."""
+    b = oracles.observed_time_quantile(model, 0.95)
+    while model.exit_cdf(b) >= 0.95:
+        b = math.nextafter(b, 0.0)
+    while model.exit_cdf(math.nextafter(b, math.inf)) < 0.95:
+        b = math.nextafter(b, math.inf)
+    return b, math.nextafter(b, math.inf)
 
 
 class TestSampling:
@@ -112,7 +125,7 @@ class TestRateExperiment:
             normalize_which("Rn9")
 
     def test_window_beyond_95th_percentile_refused(self):
-        wide = EvalGrid(self.GRID.points, MODEL.h_quantile(0.999))
+        wide = EvalGrid(self.GRID.points, oracles.observed_time_quantile(MODEL, 0.999))
         with pytest.raises(WindowError):
             rate_experiment(MODEL, [100, 200], 50, "Rn1", wide, seed=1)
 
@@ -123,9 +136,25 @@ class TestRateExperiment:
         grid = model.default_grid(count=8)
         rate_experiment(model, [60, 120], 50, "Lemma35", grid, seed=5)
         assert len(pickle.dumps(model)) < 1000
-        h95 = model.h_quantile(0.95)
-        with pytest.raises(WindowError, match=f"percentile {h95:.6g} "):
-            rate_experiment(model, [60, 120], 50, "Lemma35", EvalGrid(grid.points, h95), seed=5)
+
+    @pytest.mark.parametrize(
+        "model", [MODEL, WeibullModel(censor_rate=0.5, shape=1.5)], ids=["exponential", "weibull-1.5"]
+    )
+    def test_window_refused_from_the_first_float_where_the_exit_cdf_reaches_95(self, model):
+        below, at = window_edges(model)
+        assert model.exit_cdf(below) < 0.95 <= model.exit_cdf(at)
+        points = model.default_grid(count=8).points
+        rate_experiment(model, [60, 120], 50, "Lemma35", EvalGrid(points, below), seed=5)
+        with pytest.raises(WindowError, match=f"edge {at:.6g} .* exit CDF there is 0.95$"):
+            rate_experiment(model, [60, 120], 50, "Lemma35", EvalGrid(points, at), seed=5)
+
+    def test_window_refused_where_the_exit_cdf_is_nan(self):
+        # without censoring the risk at b = inf is 0 * inf
+        model = ExponentialModel(rate=1.0)
+        assert math.isnan(model.exit_cdf(math.inf))
+        wide = EvalGrid(model.default_grid(count=8).points, math.inf)
+        with pytest.raises(WindowError, match="edge inf .* exit CDF there is nan$"):
+            rate_experiment(model, [100, 200], 50, "Rn1", wide, seed=1)
 
     def test_selector_case_insensitive(self):
         assert normalize_which("lemma35") == "Lemma35"
@@ -174,7 +203,7 @@ class TestRateExperiment:
         ids=["1", "2", "weibull-1.5"],
     )
     def test_rate_experiment_loads_no_scipy_optimize(self, threads, model, special):
-        # the window check's h_quantile finds its root without scipy.optimize,
+        # the window check reads the exit CDF and needs no scipy.optimize,
         # whose import would add some 250 modules to the parent and its workers;
         # exponential sampling needs no scipy.special either, and the Weibull
         # run, whose entry survival is an incomplete gamma function, shows that

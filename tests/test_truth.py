@@ -5,11 +5,11 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate
 
 import oracles
 from lbrc.errors import ConfigError
-from lbrc.truth import _GAMMA2_BLOCK, ExponentialModel, WeibullModel, _brentq, make_model
+from lbrc.truth import _GAMMA2_BLOCK, ExponentialModel, WeibullModel, make_model
 
 MODELS = [
     ExponentialModel(censor_rate=0.5, rate=1.0),
@@ -151,31 +151,6 @@ def test_exit_cdf_survives_small_censoring_rates():
     assert model.exit_cdf(5 / model.rate) == pytest.approx(want, abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        *(
-            ExponentialModel(censor_rate=lc, rate=rate)
-            for rate in (1e-6, 1.0, 1e12, 1e300)
-            for lc in (None, rate / 2)
-        ),
-        *(
-            WeibullModel(censor_rate=lc, shape=shape, scale=scale)
-            for scale in (1e-10, 1.0, 1e6)
-            for shape in (0.7, 1.5, 3.0)
-            for lc in (None, 0.5 / scale)
-        ),
-    ],
-    ids=str,
-)
-def test_h_quantile_holds_at_every_time_scale(model):
-    # the bracket and the tolerance of the root search scale with the model
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for q in (0.5, 0.95):
-            assert model.exit_cdf(model.h_quantile(q)) == pytest.approx(q, abs=1e-13)
-
-
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_event_fraction_complements_censoring(model):
     events = quad(model.event_subdist_density, 0, np.inf)
@@ -222,13 +197,6 @@ def test_hazard_identity_event_density_over_risk(model):
     lhs = model.event_subdist_density(t) / model.risk(t)
     rhs = model.density(t) / model.survival(t)
     assert np.allclose(lhs, rhs, rtol=1e-10)
-
-
-@pytest.mark.parametrize("model", MODELS, ids=str)
-def test_h_quantile_inverts_exit_cdf(model):
-    for q in (0.5, 0.9, 0.95):
-        t = model.h_quantile(q)
-        assert model.exit_cdf(t) == pytest.approx(q, abs=1e-9)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
@@ -347,7 +315,6 @@ def test_lifetime_functions_match_closed_forms_bit_for_bit(model, ref):
         for got, want in zip(model.entry_terms(t), ref.entry_terms(t)):
             assert np.array_equal(got, want, equal_nan=True)
     assert model.mu == ref.mu
-    assert model.h_quantile(0.9) == ref.h_quantile(0.9)
     assert np.array_equal(model.default_grid(8).points, ref.default_grid(8).points)
 
 
@@ -434,83 +401,3 @@ class TestGamma2Quantile:
         assert np.array_equal(ExponentialModel(rate=7.0).lb_quantile(p), unit / 7.0)
         assert [ExponentialModel(rate=7.0).lb_quantile(x) for x in p.tolist()] == (
             unit / 7.0).tolist()
-
-
-# h_quantile's root, pinned bit for bit to scipy's brentq on the bracket and
-# tolerance that h_quantile uses, at rates and scales far from 1
-BRENT_MODELS = [
-    *(
-        ExponentialModel(censor_rate=lc, rate=rate)
-        for rate in (1.0, 7.0, 2.0**-40, 1e10, 1e-200, 1e300)
-        for lc in (None, rate / 2)
-    ),
-    *(
-        WeibullModel(censor_rate=lc, shape=shape, scale=scale)
-        for shape in (0.7, 1.5, 5.0)
-        for scale in (1.0, 1e-6, 1e8)
-        for lc in (None, 0.5 / scale)
-    ),
-]
-
-
-@pytest.mark.parametrize("model", BRENT_MODELS, ids=str)
-def test_h_quantile_root_is_scipy_brentq_bit_for_bit(model):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for q in (0.001, 0.5, 0.95, 0.999999):
-            hi = 2.0 * float(model.lb_quantile(q))
-            want = optimize.brentq(lambda t: model.exit_cdf(t) - q, 0.0, hi, xtol=1e-14 * hi)
-            assert model.h_quantile(q) == want, q
-
-
-# toy functions for each branch of the port; scipy is the reference
-BRENT_TOYS = {
-    "root at the left end": (lambda x: x, 0.0, 1.0),
-    "root at the right end": (lambda x: x - 1.0, 0.0, 1.0),
-    "negative zero at an end": (lambda x: -0.0 if x == 0 else x, 0.0, 1.0),
-    "smooth": (lambda x: math.expm1(x) - 1e-3, -50.0, 3.0),
-    "decreasing": (lambda x: 0.2 - x**3, 0.0, 1.0),
-    "flat on the left": (lambda x: max(x - 0.7, -0.25), 0.0, 1.0),
-    "flat on both sides": (lambda x: min(max(x - 0.6, -0.1), 0.05), 0.0, 1.0),
-    "staircase": (lambda x: math.floor(8 * x) / 8 - 0.4, 0.0, 1.0),
-    # slopes near 1e-200: the extrapolation's product of two slopes
-    # underflows to 0, where Python raises and C gets an inf step it refuses
-    "nearly flat": (lambda x: 1e-200 * (x**3 - 0.2), 0.0, 1.0),
-    "nearly flat, decreasing": (lambda x: -1e-200 * (x**3 - 0.2), 0.0, 1.0),
-    "nearly flat, wide": (lambda x: (x * 1e-200) ** 3 - 0.2, 0.0, 1e200),
-    "steep": (lambda x: 1e300 * (x**3 - 0.2), 0.0, 1.0),
-}
-
-
-@pytest.mark.parametrize("f, lo, hi", BRENT_TOYS.values(), ids=BRENT_TOYS)
-@pytest.mark.parametrize("xtol", [2e-12, 1e-300, 5e-324])
-def test_brentq_matches_scipy_bit_for_bit(f, lo, hi, xtol):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        want = optimize.brentq(f, lo, hi, xtol=xtol)
-        got = _brentq(f, lo, hi, xtol)
-    assert type(got) is float
-    assert got == want and math.copysign(1, got) == math.copysign(1, want)
-
-
-@pytest.mark.parametrize(
-    "f, lo, hi, xtol, error",
-    [
-        (lambda x: x * x + 1.0, -1.0, 1.0, 2e-12, ValueError),  # ends of one sign
-        (lambda x: -(x * x) - 1.0, -1.0, 1.0, 2e-12, ValueError),
-        (lambda x: 1e-200 * (x * x + 1.0), -1.0, 1.0, 2e-12, ValueError),  # f(a) f(b) underflows
-        (lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 2e-12, ValueError),  # NaN at an end
-        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 2e-12, ValueError),
-        (lambda x: x - 0.5, 0.0, 1.0, 0.0, ValueError),  # xtol <= 0
-        # a jump at 1/3 from a bracket of width 2e30 needs some 140 halvings
-        (lambda x: -1.0 if x < 1 / 3 else 1.0, -1e30, 1e30, 2e-12, RuntimeError),
-        (lambda x: math.exp(-x) - 0.5, 0.0, 1e200, 5e-324, RuntimeError),
-    ],
-)
-def test_brentq_raises_where_scipy_does(f, lo, hi, xtol, error):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(error):
-            optimize.brentq(f, lo, hi, xtol=xtol)
-        with pytest.raises(error):
-            _brentq(f, lo, hi, xtol)
