@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,83 @@ class TestRateExperiment:
         d = sample_lbrc(MODEL, 300, np.random.SeedSequence(9, spawn_key=(1, 7)))
         ctx = make_oracle_context(MODEL, self.GRID)
         assert rep.sup_residuals[1, 7] == residual_cdf(d, ctx, self.GRID, fit(d)).residual_sup
+
+
+class _WindowAccepted(Exception):
+    pass
+
+
+class TestWindowRuleAtEveryTimeScale:
+    """The window check alone, at rates and scales far from 1, each with and
+    without censoring: the assumption-3 diagnostic that follows the check is
+    stubbed to stop the run, so an accepted window simulates nothing."""
+
+    MODELS = [
+        *(
+            ExponentialModel(censor_rate=lc, rate=rate)
+            for rate in (1.0, 7.0, 2.0**-40, 1e10, 1e-200, 1e300)
+            for lc in (None, rate / 2)
+        ),
+        *(
+            WeibullModel(censor_rate=lc, shape=shape, scale=scale)
+            for shape in (0.7, 1.5, 5.0)
+            for scale in (1.0, 1e-6, 1e8)
+            for lc in (None, 0.5 / scale)
+        ),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def stop_after_the_window_check(self, monkeypatch):
+        def stop(ctx, b):
+            raise _WindowAccepted
+
+        monkeypatch.setattr(simulate, "assumption3_diagnostic", stop)
+
+    @staticmethod
+    def verdict(model, b):
+        """"accepted", or the message of the ``WindowError`` that refuses b;
+        the grid's points sit low in the lifetime, below every b tried."""
+        grid = EvalGrid(model.quantile(np.linspace(1e-3, 1e-2, 8)), b)
+        try:
+            rate_experiment(model, [60, 120], 50, "Rn1", grid, seed=5)
+        except _WindowAccepted:
+            return "accepted"
+        except WindowError as exc:
+            return str(exc)
+        raise AssertionError("the run went past the stubbed diagnostic")
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    def test_refused_from_the_first_float_where_the_exit_cdf_reaches_95(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below, at = window_edges(model)
+            assert self.verdict(model, below) == "accepted"
+            assert self.verdict(model, at).endswith(
+                f"edge {at:.6g} reaches the 95th percentile of the observed-time "
+                "distribution: the exit CDF there is 0.95"
+            )
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    def test_agrees_with_the_observed_time_quantile_away_from_it(self, model):
+        # the check that found the 95th percentile and compared b with it gave
+        # the same verdicts wherever b is not within a few ulps of the root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h95 = oracles.observed_time_quantile(model, 0.95)
+            for b in (0.5 * h95, h95 * (1 - 1e-9)):
+                assert self.verdict(model, b) == "accepted", b
+            for b in (h95 * (1 + 1e-9), 2.0 * h95, 1e3 * h95):
+                assert self.verdict(model, b) != "accepted", b
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    def test_refused_at_an_infinite_window_end(self, model):
+        # every subject has left by b = inf; without censoring the exit CDF
+        # there is NaN, as the risk is 0 * inf
+        want = "1" if model.censor_rate else "nan"
+        assert self.verdict(model, math.inf).endswith(
+            f"edge inf reaches the 95th percentile of the observed-time "
+            f"distribution: the exit CDF there is {want}"
+        )
 
 
 class TestConsistencyCheck:

@@ -151,6 +151,34 @@ def test_exit_cdf_survives_small_censoring_rates():
     assert model.exit_cdf(5 / model.rate) == pytest.approx(want, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        *(
+            ExponentialModel(censor_rate=lc, rate=rate)
+            for rate in (1e-6, 1.0, 1e12, 1e300)
+            for lc in (None, rate / 2)
+        ),
+        *(
+            WeibullModel(censor_rate=lc, shape=shape, scale=scale)
+            for scale in (1e-10, 1.0, 1e6)
+            for shape in (0.7, 1.5, 3.0)
+            for lc in (None, 0.5 / scale)
+        ),
+    ],
+    ids=str,
+)
+def test_h_quantile_holds_at_every_time_scale(model):
+    # H is the distribution of the observed exit time; the bracket and the
+    # tolerance of the root search scale with the model, and the exit CDF
+    # warns at no time scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (0.5, 0.95):
+            t = oracles.observed_time_quantile(model, q)
+            assert model.exit_cdf(t) == pytest.approx(q, abs=1e-13)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=str)
 def test_event_fraction_complements_censoring(model):
     events = quad(model.event_subdist_density, 0, np.inf)
@@ -197,6 +225,13 @@ def test_hazard_identity_event_density_over_risk(model):
     lhs = model.event_subdist_density(t) / model.risk(t)
     rhs = model.density(t) / model.survival(t)
     assert np.allclose(lhs, rhs, rtol=1e-10)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=str)
+def test_h_quantile_inverts_exit_cdf(model):
+    for q in (0.5, 0.9, 0.95):
+        t = oracles.observed_time_quantile(model, q)
+        assert model.exit_cdf(t) == pytest.approx(q, abs=1e-9)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=str)
