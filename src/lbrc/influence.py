@@ -7,10 +7,10 @@ modes, each with its own frozen context type:
 
 * ``OracleContext`` computes against a known population (a truth model, or
   any object with the same population functions).  Its integrals are
-  cumulative tables of the population densities, built once by panel
-  Gauss-Legendre; per-subject values are table lookups, and the sample means
-  of ``influence_means`` are exact sums of table differences over the panels
-  between entry and residual times;
+  cumulative tables of the population densities in a power-of-two unit of
+  the window end, built once by panel Gauss-Legendre; per-subject values are
+  table lookups, and the sample means of ``influence_means`` are exact sums
+  of table differences over the panels between entry and residual times;
 * ``PluginContext`` substitutes the fitted curves of one sample
   (``FittedCurves``) for population quantities, so every integral is an exact
   finite sum over data points.  This is the basis of the pointwise variance
@@ -60,16 +60,16 @@ but instead tabulates, once per population on one set of edges,
 * cumulatives that are finite from 0 (those whose integrand stays bounded),
 * cumulatives of the divergent integrands ``rho`` and ``rho S_A`` anchored
   at the window end, used only through differences whose lower endpoint is
-  a data point, or on panels whose coefficient is an exact zero.  A data
-  point on their first panel, below the first positive edge, is read from a
-  table of its own (``_first_panel_reads``); no other table depends on the
-  sample.
+  a data point, or on panels whose coefficient is an exact zero.  Their
+  first panel, below the first positive edge (about ``b 2**-100``), holds
+  no cumulative, so a positive data point or time there is refused.
 
 All per-subject evaluation is vectorized over subjects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,13 +125,18 @@ class OracleContext:
     ``model`` supplies the population functions ``risk``, ``entry_survival``,
     ``pooled_at_risk``, ``entry_cdf``, ``entry_terms`` (the previous three
     with one entry-survival evaluation, for the tables), ``influence_weight``,
-    ``pooled_density`` and ``event_subdist_density``; every ``TruthModel`` has
-    them, and the representation residuals take only a ``TruthModel``.  The
-    evaluation window is the grid's [lower, b] span.
+    ``pooled_density``, ``event_subdist_density`` and ``in_units``; every
+    ``TruthModel`` has them, and the representation residuals take only a
+    ``TruthModel``.  The evaluation window is the grid's [lower, b] span.
     """
 
     model: TruthModel
     grid: EvalGrid
+
+    @cached_property
+    def unit(self) -> float:
+        """The tables' unit of time: the power of two with ``b / unit`` in [1, 2)."""
+        return 2.0 ** (math.frexp(self.grid.b)[1] - 1)
 
     @cached_property
     def tables(self) -> tuple[SmoothCumulative, ...]:
@@ -144,9 +149,12 @@ class OracleContext:
         to the window end: both diverge at 0, and their reads are valid from
         the first positive edge (about ``b 2**-100``) on.  The five share
         their edges, and the population is evaluated once at their nodes.
+        They count time in ``unit``, on [0, b / unit]: read at ``x / unit``,
+        each gives the population's cumulative at x, with the same floats at
+        every power-of-two time scale.
         """
-        model = self.model
-        edges = origin_graded_edges(self.grid.b, _TABLE_PANELS)
+        model = self.model.in_units(self.unit)
+        edges = origin_graded_edges(self.grid.b / self.unit, _TABLE_PANELS)
         u = node_points(edges).ravel()
         with np.errstate(all="ignore"):
             s_a, f_a, k = (np.asarray(x, dtype=float) for x in model.entry_terms(u))
@@ -289,13 +297,26 @@ class _SortedQueries:
 # oracle tables
 
 
-def _check_oracle_sample(a, v, delta):
-    """Refuse samples whose oracle influence values diverge.
+def _locate(ctx: OracleContext, x):
+    """The position of the times ``x`` on the oracle tables' shared edges, at
+    ``x / unit``; a time past the window end is read at it."""
+    return ctx.tables[0].locate(np.minimum(x, ctx.grid.b) / ctx.unit)
+
+
+def _below_first_edge(ctx: OracleContext, x) -> bool:
+    """Whether a positive time of ``x`` lies on the tables' first panel,
+    where the ``g`` and ``v`` tables hold no cumulative."""
+    return np.min(x, where=x > 0, initial=np.inf) / ctx.unit < ctx.tables[0].edges[1]
+
+
+def _check_oracle_sample(ctx: OracleContext, a, v, delta):
+    """Refuse samples whose oracle influence values diverge or leave the tables.
 
     Entry delays must be positive, and an observed event needs a positive
     residual time; v = 0 with delta = 0 is allowed, since each term it
     reads is an exact zero.  A positive a or v on the first panel of the
-    ``g`` and ``v`` tables is read by ``_first_panel_reads``.
+    ``g`` and ``v`` tables, below about ``b 2**-100``, is refused; the
+    samples of ``sample_lbrc`` stay decades above it.
     """
     if np.any(a <= 0):
         raise ComputeError("oracle influence needs positive entry delays")
@@ -303,28 +324,10 @@ def _check_oracle_sample(a, v, delta):
         raise ComputeError(
             "residual time 0 with an observed event makes the risk correction diverge"
         )
-
-
-def _first_panel_reads(table: SmoothCumulative, density, x, found):
-    """``found``, the reads of the right-anchored ``g`` or ``v`` table at
-    ``x``, with its positive points on the first panel read apart.
-
-    That panel, [0, first positive edge], holds no valid cumulative of the
-    density, which diverges at 0.  Its edge is ``b 2**-100`` down to window
-    ends of about 1e-274, where the origin grading stops above the least
-    normal float and samples start to reach it.  Such points are read from a
-    table of ``density`` on geometric edges from just below the lowest of
-    them to the first positive edge; one near the least normal float makes
-    that table overflow and raise ``ComputeError``.
-    """
-    first = table.edges[1]
-    low = (x > 0) & (x < first)
-    if low.any():
-        edges = geometric_edges(0.999 * x[low].min(), first, ratio=1.12)
-        with np.errstate(all="ignore"):
-            values = density(node_points(edges).ravel())
-        found[low] = table.cum[1] + SmoothCumulative(edges, values, right=True).query(x[low])
-    return found
+    if _below_first_edge(ctx, a) or _below_first_edge(ctx, v):
+        raise ComputeError(
+            "an entry delay or residual time lies below the oracle tables' first positive edge"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,8 @@ def _first_panel_reads(table: SmoothCumulative, density, x, found):
 
 def _evaluation_times(ctx: OracleContext | PluginContext, times) -> np.ndarray:
     """``times`` as a flat float array; ``ValueError`` for a time that is
-    not finite, below 0 or past the window end."""
+    not finite, below 0, past the window end or, in oracle mode, positive
+    and on the tables' first panel."""
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(times).all():
         raise ValueError("evaluation times must be finite")
@@ -343,6 +347,8 @@ def _evaluation_times(ctx: OracleContext | PluginContext, times) -> np.ndarray:
     # scales it exactly
     if np.any(times > ctx.grid.b + 1e-12 * ctx.grid.b):
         raise ValueError("evaluation time beyond the context window")
+    if isinstance(ctx, OracleContext) and _below_first_edge(ctx, times):
+        raise ValueError("evaluation time below the oracle tables' first positive edge")
     return times
 
 
@@ -355,7 +361,7 @@ def subject_influence(ctx: OracleContext | PluginContext, a, v, delta, times):
     mode goes over every time for a block of ``_BLOCK_VALUES // len(times)``
     subjects (at least one) at a time, as ``plugin_variance`` does.  A NaN or
     infinite time raises ``ValueError``, as does one below 0 or past the
-    window end.
+    window end, or, in oracle mode, on the tables' first panel above 0.
 
     With a plugin context the subjects are those of the context's sample, in
     any order: each a, uncensored v and uncensored y must be a data point of
@@ -383,29 +389,18 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     G = p + V, which differs from the divergent cumulative of ``rho`` by a
     constant that every use cancels, Q = w and M = m.  Blocks of subjects go
     into preallocated outputs."""
-    _check_oracle_sample(a, v, delta)
+    _check_oracle_sample(ctx, a, v, delta)
     y = a + v
     model = ctx.model
     m_t, p_t, w_t, _, v_t = ctx.tables
 
-    def rho_s_a(u):
-        return model.influence_weight(u) * model.entry_survival(u)
-
-    def read(tables, x):
-        # the tables share their edges, so x is located once; values beyond
-        # the window end are masked by the ``<= t`` clauses that read them,
-        # or multiplied by a masked zero.  v, always read last, reads its
-        # first panel apart
-        x = np.clip(x, m_t.lo, m_t.hi)
-        at = m_t.locate(x)
-        found = [table.read(at) for table in tables]
-        found[-1] = _first_panel_reads(v_t, rho_s_a, x, found[-1])
-        return found
-
     def read_column(x, tables):
-        # a subject column is sorted once, and located in that order
+        # a subject column is sorted once, and located once in that order on
+        # the tables' shared edges; values beyond the window end are masked
+        # by the ``<= t`` clauses that read them, or multiplied by a masked zero
         by_x = _SortedQueries(x)
-        return [by_x.scatter(f) for f in read(tables, by_x.sorted)]
+        at = _locate(ctx, by_x.sorted)
+        return [by_x.scatter(table.read(at)) for table in tables]
 
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)
     k_v = np.asarray(model.pooled_at_risk(v), dtype=float)
@@ -436,7 +431,8 @@ def _oracle_subject_influence(ctx: OracleContext, a, v, delta, times):
     del m_v, w_v, v_v, inv_k_v
     subject = (g_a, psi1_y, const_a, const_v, d_a, d_v)
 
-    p_at, w_at, m_at, v_at = read((p_t, w_t, m_t, v_t), times)
+    at = _locate(ctx, times)
+    p_at, w_at, m_at, v_at = (table.read(at) for table in (p_t, w_t, m_t, v_t))
     at_times = (p_at + v_at, v_at, w_at, m_at)
     out = tuple(np.empty((times.size, a.size)) for _ in range(3))
     width = max(1, _BLOCK_VALUES // max(times.size, 1))
@@ -571,7 +567,7 @@ def influence_means(
         raise ValueError("influence_means requires an oracle context")
     if want not in ("phi", "both"):
         raise ValueError(f"want must be 'phi' or 'both', got {want!r}")
-    _check_oracle_sample(d.a, d.v, d.delta)
+    _check_oracle_sample(ctx, d.a, d.v, d.delta)
     times = _evaluation_times(ctx, times)
     if not times.size:
         keys = ("mean_phi",) if want == "phi" else ("mean_phi", "mean_psi1", "mean_psi2")
@@ -607,7 +603,7 @@ def influence_means(
     jump_prefix = np.concatenate(([0.0], np.cumsum(jump_terms)))
 
     # the tables share their edges: the breaks are located once
-    at_breaks = m_table.locate(breaks)
+    at_breaks = _locate(ctx, breaks)
     m_at_breaks = m_table.read(at_breaks)
     phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
     # every pooled mass point up to tmax is a break: the jumps up to a break
@@ -625,15 +621,14 @@ def influence_means(
     # panel right of break b a subject adds dg when a <= b and y is at or
     # above the panel's right end; one whose y lies inside the panel, past
     # b, adds g(y) - g(b), and one with y = a adds 0 at its a
-    rho = model.influence_weight
-    g_at_breaks = _first_panel_reads(g_table, rho, breaks, g_table.read(at_breaks))
+    g_at_breaks = g_table.read(at_breaks)
     dg = np.diff(g_at_breaks)
     by_y = np.argsort(d.y)
     y_sorted = d.y[by_y]
     exited = by_y[: np.searchsorted(y_sorted, tmax, side="right")]
     y_exited = y_sorted[: exited.size]
     panel = np.maximum(np.searchsorted(breaks, y_exited) - 1, where[exited])
-    partial = _first_panel_reads(g_table, rho, y_exited, g_table.query(y_exited))
+    partial = g_table.read(_locate(ctx, y_exited))
     partial -= g_at_breaks[panel]
     event = d.delta[exited] == 1
     partial[event] -= 1.0 / np.asarray(model.risk(y_exited[event]), dtype=float)

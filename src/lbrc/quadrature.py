@@ -5,7 +5,8 @@ diagnostic of ``influence`` use it, and the truth models need none.
 Integrands here are smooth between a known set of breakpoints, or behave
 like ``u**(k - 1)`` at an origin graded by ``origin_graded_edges``: on its
 293 panels the oracle tables from 0 agree with 30-digit mpmath within 8e-16
-relative for the exponential and Weibull shapes 0.6 to 1.5.  A cumulative
+relative for the exponential and Weibull shapes 0.6 to 1.5, and in the
+tables' unit of time their window end is in [1, 2).  A cumulative
 table is built from the density's values at the nodes of every panel
 (``node_points``), so tables on the same edges share one evaluation of the
 functions their densities have in common.  It stores the panel sums at the
@@ -43,10 +44,8 @@ __all__ = [
 ]
 
 # the depth of ``origin_graded_edges``: its first panel is at most
-# ``hi * 2**-_ORIGIN_DEPTH`` wide; and the least graded edge: above it, nodes
-# and their reciprocals are normal floats
+# ``hi * 2**-_ORIGIN_DEPTH`` wide
 _ORIGIN_DEPTH = 100
-_GRADED_FLOOR = 2.0**12 * np.finfo(float).tiny
 
 # Gauss-Legendre order of every panel, and the rule on [-1, 1]
 NODES = 15
@@ -79,13 +78,12 @@ def origin_graded_edges(hi: float, panels: int) -> np.ndarray:
     200 panels): an integrand like ``u**(k - 1)`` there, which no polynomial
     follows, then has less than ``2**-53`` of its integral over [0, hi] in
     that panel for every ``k >= 0.53`` (Schwab 1998, p- and hp-Finite
-    Element Methods, section 4).  The halving stops before an edge falls below ``2**12`` times the smallest
-    normal float, which only a ``hi`` below about 1e-274 reaches.
+    Element Methods, section 4).  The oracle tables take ``hi`` in [1, 2).
     """
     uniform = np.linspace(0.0, hi, panels + 1)
     # each kept edge is the right end of a panel wider than the depth
     graded = uniform[1] * 0.5 ** np.arange(_ORIGIN_DEPTH, 0, -1)
-    keep = (graded > hi * 2.0 ** -(_ORIGIN_DEPTH + 1)) & (graded >= _GRADED_FLOOR)
+    keep = graded > hi * 2.0 ** -(_ORIGIN_DEPTH + 1)
     return np.concatenate(([0.0], graded[keep], uniform[1:]))
 
 
@@ -136,13 +134,12 @@ class SmoothCumulative:
     prefixes are summed from the last panel down, so they are 0 at the last
     edge and, for a density that diverges at the first edge, keep the
     accuracy of the panels they sum; the first panel of such a table holds
-    no valid cumulative.  On a panel edge a query is
-    the stored prefix exactly; inside a panel its error is the degree-14
-    interpolation error of the density, so ``edges`` should put any point
-    where the density is not smooth on an edge.  The series is kept up to
-    the highest degree (at least 1) whose largest coefficient over the
-    panels exceeds 2^-53 of the largest |cumulative|, at any power-of-two
-    scale.
+    no valid cumulative.  On a panel edge a query is the stored prefix
+    exactly; inside a panel its error is the degree-14 interpolation error
+    of the density, so ``edges`` should put any point where the density is
+    not smooth on an edge.  The series is kept up to the highest degree (at
+    least 1) whose largest coefficient over the panels exceeds 2^-53 of the
+    largest |cumulative|, at any power-of-two scale.
     """
 
     nodes = NODES
@@ -151,6 +148,7 @@ class SmoothCumulative:
         self.edges = edges = np.asarray(edges, dtype=float)
         if edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("edges must be strictly increasing with >= 2 entries")
+        self.lo, self.hi = float(edges[0]), float(edges[-1])
         with np.errstate(all="ignore"):
             half = 0.5 * np.diff(edges)
             vals = np.asarray(values, dtype=float).reshape(half.size, NODES)
@@ -164,19 +162,9 @@ class SmoothCumulative:
             coef = ((half[:, None] * vals) @ _ANTIDERIVATIVE).T
             self._inv_half = 1.0 / half
         if not all(np.isfinite(x).all() for x in (self.cum, coef, self._inv_half)):
-            raise ComputeError(
-                f"panel sums or widths on [{self.lo:g}, {self.hi:g}] overflow a float"
-            )
+            raise ComputeError("panel sums, coefficients or widths overflow a float")
         kept = np.abs(coef).max(axis=1) > 2.0**-53 * np.abs(self.cum).max()
         self._coef = np.ascontiguousarray(coef[: max(1, np.flatnonzero(kept).max(initial=0)) + 1])
-
-    @property
-    def lo(self) -> float:
-        return float(self.edges[0])
-
-    @property
-    def hi(self) -> float:
-        return float(self.edges[-1])
 
     def locate(self, s) -> Position:
         """The ``Position`` of each point, for any table on the same edges.
@@ -185,10 +173,9 @@ class SmoothCumulative:
         raises ``ValueError``.  Sorted points more than twice as many as the
         edges, where counting is the faster way, are placed by counting the
         edges at or below each, from one search of the edges into the
-        points; fewer sorted points are searched into the
-        edges one by one, and unsorted ones the same way in sorted order,
-        after one argsort.  Either way a position depends on the point's
-        value alone."""
+        points; fewer sorted points are searched into the edges one by one,
+        and unsorted ones the same way in sorted order, after one argsort.
+        Either way a position depends on the point's value alone."""
         s = np.asarray(s, dtype=float)
         sq = np.atleast_1d(s)
         # the slack scales with the domain, so a power-of-two change of time

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -111,7 +111,8 @@ class TruthModel:
     * ``_inverse_cumhaz(x)``, Λ⁻¹;
     * ``lb_quantile(p)``, the quantile of the length-biased lifetime;
     * ``entry_survival(t)``, the survival S_A of the entry delay, and
-      ``entry_cdf(t)``, its CDF, each in a form that does not cancel.
+      ``entry_cdf(t)``, its CDF, each in a form that does not cancel;
+    * ``_time_fields(unit)``, its time parameter in ``unit``s.
     """
 
     censor_rate: float | None = None
@@ -125,6 +126,14 @@ class TruthModel:
             if lc == 0.0:
                 lc = None
             object.__setattr__(self, "censor_rate", lc)
+
+    def in_units(self, unit: float) -> TruthModel:
+        """The same population with time counted in ``unit``: each rate
+        times ``unit``, each scale over it.  For a power of two, each
+        function at t is this one's at ``t * unit`` (a density times
+        ``unit``), bit for bit, while its values stay normal floats."""
+        lc = None if self.censor_rate is None else self.censor_rate * unit
+        return replace(self, censor_rate=lc, **self._time_fields(unit))
 
     # -- the lifetime functions, from the family's cumulative hazard ------
     @_elementwise
@@ -223,6 +232,9 @@ class ExponentialModel(TruthModel):
     def mu(self) -> float:
         return 1.0 / self.rate
 
+    def _time_fields(self, unit):
+        return {"rate": self.rate * unit}
+
     @_elementwise
     def cumhaz(self, t):
         return self.rate * t
@@ -265,6 +277,9 @@ class WeibullModel(TruthModel):
     @property
     def mu(self) -> float:
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
+
+    def _time_fields(self, unit):
+        return {"scale": self.scale / unit}
 
     @_elementwise
     def cumhaz(self, t):

@@ -279,6 +279,18 @@ class FunctionPopulation:
         r = np.asarray(self.r_fn(u), dtype=float)
         return np.asarray(self.fu_density(u), dtype=float) / r**2
 
+    def in_units(self, unit):
+        """The population with time counted in ``unit``: each function read
+        at ``u * unit``, each density times ``unit``."""
+
+        def at(fn, scale=1.0):
+            return lambda u: scale * np.asarray(fn(np.asarray(u, dtype=float) * unit), dtype=float)
+
+        return FunctionPopulation(
+            at(self.r_fn), at(self.s_a_fn), at(self.k_fn),
+            at(self.q_density, unit), at(self.fu_density, unit),
+        )
+
 
 class _ClosedFormTruth:
     """The population functions that take one argument elementwise, each
@@ -507,8 +519,8 @@ def oracle_tables_one_build_each(ctx):
     from lbrc.influence import _TABLE_PANELS
     from lbrc.quadrature import origin_graded_edges
 
-    model = ctx.model
-    edges = origin_graded_edges(ctx.grid.b, _TABLE_PANELS)
+    model = ctx.model.in_units(ctx.unit)
+    edges = origin_graded_edges(ctx.grid.b / ctx.unit, _TABLE_PANELS)
 
     def rho(u):
         return np.asarray(model.influence_weight(u), dtype=float)
@@ -562,7 +574,7 @@ def oracle_subject_influence_loop(ctx, a, v, delta, times):
 
     a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
     delta, times = np.asarray(delta).astype(float), np.asarray(times, dtype=float)
-    _check_oracle_sample(a, v, delta)
+    _check_oracle_sample(ctx, a, v, delta)
     y = a + v
     model = ctx.model
     m_t, p_t, w_t = ctx.tables[:3]
@@ -577,13 +589,14 @@ def oracle_subject_influence_loop(ctx, a, v, delta, times):
         * np.asarray(model.entry_survival(u), dtype=float),
     )
 
-    def clipped(table, x):
+    def clipped(table, x, unit=1.0):
         # values beyond the window end are masked by the ``<= t`` clauses
-        # that read them, or multiplied by a masked zero
-        return table.query(np.clip(x, table.lo, table.hi))
+        # that read them, or multiplied by a masked zero; the context's
+        # tables count time in its unit, the anchored ones in the model's
+        return table.query(np.clip(x / unit, table.lo, table.hi))
 
-    m_a, m_v = clipped(m_t, a), clipped(m_t, v)
-    w_a, w_v = clipped(w_t, a), clipped(w_t, v)
+    m_a, m_v = clipped(m_t, a, ctx.unit), clipped(m_t, v, ctx.unit)
+    w_a, w_v = clipped(w_t, a, ctx.unit), clipped(w_t, v, ctx.unit)
     g_a, g_y = clipped(g_t, a), clipped(g_t, y)
     v_a, v_v = clipped(v_tab, a), clipped(v_tab, v)
 
@@ -606,9 +619,9 @@ def oracle_subject_influence_loop(ctx, a, v, delta, times):
     psi2 = np.empty_like(phi)
 
     for j, t in enumerate(times):
-        m_at_t = m_t.query(t)
-        p_at_t = p_t.query(t)
-        w_at_t = w_t.query(t)
+        m_at_t = m_t.query(t / ctx.unit)
+        p_at_t = p_t.query(t / ctx.unit)
+        w_at_t = w_t.query(t / ctx.unit)
         in_anchor = t >= anchor
         g_at_t = g_t.query(t) if in_anchor else 0.0
         v_at_t = v_tab.query(t) if in_anchor else 0.0
@@ -727,7 +740,7 @@ def influence_means_fine_panels(ctx, d, times, want="both"):
         raise ValueError("influence_means requires an oracle context")
     if want not in ("phi", "both"):
         raise ValueError(f"want must be 'phi' or 'both', got {want!r}")
-    _check_oracle_sample(d.a, d.v, d.delta)
+    _check_oracle_sample(ctx, d.a, d.v, d.delta)
     times = np.asarray(times, dtype=float).reshape(-1)
     tmax = float(times.max())
     n = d.n
@@ -763,7 +776,7 @@ def influence_means_fine_panels(ctx, d, times, want="both"):
         jump_terms = np.where(k_pop_pool > 0, dq_pool / np.where(k_pop_pool > 0, k_pop_pool, 1.0), 0.0)
     jump_prefix = np.concatenate(([0.0], np.cumsum(jump_terms)))
 
-    m_at_breaks = m_table.query(breaks)
+    m_at_breaks = m_table.query(breaks / ctx.unit)
     phi_smooth_prefix = np.concatenate(([0.0], np.cumsum(k_panel * np.diff(m_at_breaks))))
     phi_at_breaks = phi_smooth_prefix - jump_prefix[
         np.searchsorted(s_pool, breaks, side="right")
@@ -798,7 +811,7 @@ def influence_means_fine_panels(ctx, d, times, want="both"):
     coarse = np.flatnonzero(coarse[: breaks.size])
     lo = coarse[:-1]
     c = 1.0 + phi_at_breaks[lo] - k_panel[lo] * m_at_breaks[lo]
-    at_coarse = p_table.locate(breaks[coarse])
+    at_coarse = p_table.locate(breaks[coarse] / ctx.unit)
     psi2_panel = (
         (bar_a[lo] - c) * np.add.reduceat(dg, lo)
         + c * np.diff(p_table.read(at_coarse))
@@ -889,13 +902,13 @@ def oracle_subject_influence_time_blocks(ctx, a, v, delta, times):
     v = np.asarray(v, dtype=float).reshape(-1)
     delta = np.asarray(delta).reshape(-1).astype(float)
     times = np.asarray(times, dtype=float).reshape(-1)
-    _check_oracle_sample(a, v, delta)
+    _check_oracle_sample(ctx, a, v, delta)
     y = a + v
     model = ctx.model
     m_t, p_t, w_t, _, v_tab = ctx.tables
 
     def read(tables, x):
-        at = locate_one_search(tables[0], np.clip(x, tables[0].lo, tables[0].hi))
+        at = locate_one_search(tables[0], np.clip(x / ctx.unit, tables[0].lo, tables[0].hi))
         return [read_clenshaw_expression(table, at) for table in tables]
 
     k_a = np.asarray(model.pooled_at_risk(a), dtype=float)

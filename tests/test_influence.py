@@ -638,47 +638,76 @@ class TestSharedNodeTables:
 
 
 class TestFirstPanelPoints:
-    """A point on the first panel of the g and v tables, some 30 decades
-    below the window end, against the tables anchored below the sample; a
-    point that no table reaches in floats is refused."""
+    """A positive point or time on the first panel of the g and v tables,
+    where they hold no cumulative, is refused: a point some 40 decades below
+    the window end or a subnormal one raises ``ComputeError``, as other
+    oracle data refusals do, and a time there ``ValueError``, as one past
+    the window does."""
 
     @staticmethod
-    def _sample(case, tiny=1e-40 * GRID.b):
+    def _sample(case, tiny):
         d = sample_lbrc(MODEL, 300, seed=29)
         a, v, delta = d.a.copy(), d.v.copy(), d.delta.copy()
         if case == "a":
             a[0] = tiny
         else:
             v[0], delta[0] = tiny, 1
-        assert 0.0 < tiny < CTX.tables[0].edges[1]
+        assert 0.0 < tiny / CTX.unit < CTX.tables[0].edges[1]
         return Dataset(a, v, delta)
 
+    @pytest.mark.parametrize("tiny", [1e-40 * GRID.b, 1e-320])
     @pytest.mark.parametrize("case", ["a", "v"])
-    def test_subject_influence(self, case):
-        d = self._sample(case)
-        got = subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
-        want = oracles.oracle_subject_influence_loop(CTX, d.a, d.v, d.delta, GRID.points)
-        for name, x, ref in zip(("phi", "psi1", "psi2"), got, want):
-            assert np.abs(x - ref).max() <= 1e-13 * np.abs(ref).max(), name
-
-    @pytest.mark.parametrize("case", ["a", "v"])
-    def test_influence_means(self, case):
-        d = self._sample(case)
-        got = influence_means(CTX, d, GRID.points)
-        ref = oracles.influence_means_fine_panels(CTX, d, GRID.points)
-        for key, value in ref.items():
-            scale = np.abs(value).max()
-            assert np.abs(got[key] - value).max() <= COARSE_BREAKS_RTOL * scale, key
-
-    @pytest.mark.parametrize("case", ["a", "v"])
-    def test_subnormal_point_refused(self, case):
-        # the panels from just below a subnormal point are too narrow for
-        # their inverse widths
-        d = self._sample(case, tiny=1e-320)
-        with pytest.raises(ComputeError, match="overflow"):
+    def test_point_refused(self, case, tiny):
+        d = self._sample(case, tiny)
+        with pytest.raises(ComputeError, match="first positive edge"):
             subject_influence(CTX, d.a, d.v, d.delta, GRID.points)
-        with pytest.raises(ComputeError, match="overflow"):
+        with pytest.raises(ComputeError, match="first positive edge"):
             influence_means(CTX, d, GRID.points)
+
+    def test_time_refused(self):
+        d = sample_lbrc(MODEL, 300, seed=29)
+        times = np.concatenate([[1e-40 * GRID.b], GRID.points])
+        with pytest.raises(ValueError, match="first positive edge"):
+            subject_influence(CTX, d.a, d.v, d.delta, times)
+        with pytest.raises(ValueError, match="first positive edge"):
+            influence_means(CTX, d, times)
+
+
+class TestPowerOfTwoTimeUnit:
+    """A time unit 2^k scales the model, the grid and the sample exactly, so
+    oracle influence values and means are those at unit scale to the bit,
+    from 2^-1000 to 2^1000: the tables count time in a power of two of the
+    window end, whatever its scale."""
+
+    FAMILIES = {
+        "exponential": lambda unit: ExponentialModel(censor_rate=0.5 / unit, rate=1.0 / unit),
+        "weibull-0.7": lambda unit: WeibullModel(censor_rate=0.5 / unit, shape=0.7, scale=unit),
+        "weibull-1.5": lambda unit: WeibullModel(censor_rate=0.5 / unit, shape=1.5, scale=unit),
+    }
+
+    @staticmethod
+    def _outputs(model, grid, d):
+        ctx = make_oracle_context(model, grid)
+        means = influence_means(ctx, d, grid.points)
+        return subject_influence(ctx, d.a, d.v, d.delta, grid.points), means
+
+    @pytest.mark.parametrize("k", [-1000, -990, -900, -600, 600, 900, 1000])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_oracle_outputs_unchanged(self, family, k):
+        model, unit = self.FAMILIES[family], 2.0**k
+        grid = model(1.0).default_grid(count=10)
+        d = sample_lbrc(model(1.0), 300, seed=31)
+        scaled = Dataset(d.a * unit, d.v * unit, d.delta)
+        assert np.array_equal(scaled.a / unit, d.a) and np.array_equal(scaled.v / unit, d.v)
+        want_values, want_means = self._outputs(model(1.0), grid, d)
+        got_values, got_means = self._outputs(
+            model(unit), EvalGrid(grid.points * unit, grid.b * unit), scaled
+        )
+        for name, got, want in zip(("phi", "psi1", "psi2"), got_values, want_values):
+            assert np.array_equal(got, want), name
+        assert got_means.keys() == want_means.keys()
+        for key, want in want_means.items():
+            assert np.array_equal(got_means[key], want), key
 
 
 class TestMeanZero:
@@ -1181,10 +1210,10 @@ class TestErrorPaths:
             subject_influence(ctx, [0.5 * b], [0.25 * b], [1], [2.0 * b])
         for table in ctx.tables:
             with pytest.raises(ValueError, match="outside domain"):
-                table.query(2.0 * b)
+                table.query(2.0 * b / ctx.unit)
             with pytest.raises(ValueError, match="outside domain"):
-                table.query(-0.5 * b)
-            assert table.query(b) == table.cum[-1]
+                table.query(-0.5 * b / ctx.unit)
+            assert table.query(b / ctx.unit) == table.cum[-1]
         phi, _, _ = subject_influence(ctx, [0.5 * b], [0.25 * b], [1], [b])
         assert np.isfinite(phi).all()
 

@@ -60,7 +60,7 @@ class TestOracleTables:
         }
         for name, density in densities.items():
             want = [_quad(density, 0.0, s) for s in pts]
-            assert np.abs(tables[name].query(pts) - want).max() < TOL, name
+            assert np.abs(tables[name].query(pts / ctx.unit) - want).max() < TOL, name
 
     def test_w(self, oracle):
         model, ctx, tables = oracle
@@ -73,7 +73,7 @@ class TestOracleTables:
             )
 
         want = [_quad(density, 0.0, s) for s in pts]
-        assert np.abs(tables["w"].query(pts) - want).max() < TOL
+        assert np.abs(tables["w"].query(pts / ctx.unit) - want).max() < TOL
 
     def test_g_and_v_from_the_window_end(self, oracle):
         # differences from a point near the origin, read off the tables
@@ -86,7 +86,7 @@ class TestOracleTables:
         }
         for name, density in densities.items():
             want = [_quad(density, ANCHOR, s) for s in pts]
-            got = tables[name].query(pts) - tables[name].query(ANCHOR)
+            got = tables[name].query(pts / ctx.unit) - tables[name].query(ANCHOR / ctx.unit)
             assert np.abs(got - want).max() < TOL, name
 
 
@@ -101,7 +101,7 @@ class TestTablesAgainstMpmath:
         t = np.array(oracles.TABLE_FRACTIONS) * ctx.grid.b
         for label, table in zip("mpw", ctx.tables):
             want = np.array(oracles.TABLE_REFERENCE[name][label])
-            got = table.query(t)
+            got = table.query(t / ctx.unit)
             assert np.all(np.abs(got - want) <= 1e-14 * want), (label, got / want - 1)
 
     @pytest.mark.parametrize("name", list(oracles.TABLE_MODELS))
@@ -112,7 +112,7 @@ class TestTablesAgainstMpmath:
         x = np.array(oracles.RIGHT_TABLE_FRACTIONS) * ctx.grid.b
         for label, table in zip("gv", ctx.tables[3:]):
             want = np.array(oracles.RIGHT_TABLE_REFERENCE[name][label])
-            got = table.query(ctx.grid.b) - table.query(x)
+            got = table.query(ctx.grid.b / ctx.unit) - table.query(x / ctx.unit)
             assert np.all(np.abs(got - want) <= 1e-13 * want), (label, got / want - 1)
 
     def test_a_stored_value_recomputed(self):
@@ -181,23 +181,20 @@ class TestQueryContract:
             oracles.density_table(np.ones_like, np.array([0.0, 1e-310, 1e-300, 1.0]))
 
     def test_origin_grading_stays_normal(self):
-        # the halving stops above the smallest normal float, and reaches the
-        # depth 2**-100 of hi on windows wide enough for it
-        floor, depth = 2.0**12 * np.finfo(float).tiny, 2.0**-quadrature._ORIGIN_DEPTH
+        # the oracle tables grade [0, hi] with hi in [1, 2) only: the
+        # halving reaches the depth 2**-100 of hi, and every edge above 0
+        # and every node is a normal float
+        depth = 2.0**-quadrature._ORIGIN_DEPTH
         panels = influence._TABLE_PANELS
-        for hi in (1e-305, 1e-300, 1e-296, 1e-290, 1e-280, 1e-270, 1.0, 1e300):
+        for hi in (1.0, 1.15, 1.5, np.nextafter(2.0, 1.0)):
             edges = origin_graded_edges(hi, panels)
             assert np.all(np.diff(edges) > 0) and edges[-1] == hi
             halvings = edges.size - panels - 1
             first = hi / panels * 0.5 ** np.arange(halvings, 0, -1)
             assert np.array_equal(edges[1 : halvings + 1], first)
-            assert edges[1] >= floor or halvings == 0
-            # one more halving would cross the floor or the depth
-            assert 0.5 * edges[1] < floor or edges[1] <= hi * depth < 2 * edges[1]
-            if hi >= 1e-270:
-                assert edges[1] <= hi * depth
-        # so a table at a window end of 1e-300 builds
-        oracles.density_table(np.ones_like, origin_graded_edges(1e-300, panels))
+            # one more halving would cross the depth
+            assert edges[1] <= hi * depth < 2 * edges[1]
+            assert node_points(edges).min() >= np.finfo(float).tiny
 
     def test_scalar_query_returns_float(self):
         assert type(self.table.query(1.3)) is float

@@ -276,7 +276,7 @@ class TestRateExperiment:
         grid = model(1.0).default_grid(count=8)
         for which in ("Rn1", "Rn2", "Rn3"):
             want = rate_experiment(model(1.0), [60, 120], 50, which, grid, seed=11)
-            for k in (10, -20, 40):
+            for k in (10, -20, 40, -1000, 1000):
                 unit = 2.0**k
                 scaled = EvalGrid(grid.points * unit, grid.b * unit)
                 got = rate_experiment(model(unit), [60, 120], 50, which, scaled, seed=11)
